@@ -138,7 +138,10 @@ inline void merge_mid_run_losses(sim::FaultReport& f,
     }
   }
   std::string step = executor + ": lost device";
-  for (int d : lost) step += " " + std::to_string(d);
+  for (int d : lost) {
+    step += ' ';
+    step += std::to_string(d);
+  }
   if (!f.resumed_stages.empty()) {
     step += " mid-run, resumed from ";
     for (std::size_t i = 0; i < f.resumed_stages.size(); ++i) {

@@ -82,6 +82,17 @@ struct QuadState {
   int valid = 0;
 };
 
+/// The calling worker's QuadState scratch, at least `count` entries, reused
+/// across tiles and launches (a worker scans one tile at a time). scan_tile
+/// sets base and valid of every entry and reads inc/lane_excl only where
+/// it wrote them, so stale contents never leak into a result.
+template <typename T>
+std::span<QuadState<T>> quad_scratch(std::size_t count) {
+  thread_local std::vector<QuadState<T>> scratch;
+  if (scratch.size() < count) scratch.resize(count);
+  return {scratch.data(), count};
+}
+
 }  // namespace detail
 
 /// Reduce one tile [base, base+valid) of at most sp.tile() elements;
@@ -135,9 +146,9 @@ T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
   MGS_CHECK(static_cast<int>(smem_partials.size()) >= nw,
             "scan_tile: shared-memory partials span too small");
 
-  std::vector<detail::QuadState<T>> state(
-      static_cast<std::size_t>(nw) * quads);
-  std::vector<T> warp_total(static_cast<std::size_t>(nw), Op::identity());
+  const std::span<detail::QuadState<T>> state =
+      detail::quad_scratch<T>(static_cast<std::size_t>(nw) * quads);
+  T last_warp_total = Op::identity();
 
   // Phase A: per-warp scans; warp totals to shared memory.
   for (int w = 0; w < nw; ++w) {
@@ -169,7 +180,7 @@ T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
       ctx.count_alu(simt::kWarpSize + 1);
       chain = op(chain, quad_total);
     }
-    warp_total[static_cast<std::size_t>(w)] = chain;
+    last_warp_total = chain;
     smem_partials[static_cast<std::size_t>(w)] = chain;  // smem exchange
   }
   ctx.sync();
@@ -181,8 +192,7 @@ T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
                            : Op::identity();
   }
   simt::warp_scan_exclusive(partials, op, ctx.stats());
-  const T tile_total =
-      op(partials[nw - 1], warp_total[static_cast<std::size_t>(nw - 1)]);
+  const T tile_total = op(partials[nw - 1], last_warp_total);
   ctx.sync();
 
   // Phase C: complete prefixes and store.
@@ -268,8 +278,7 @@ T warp_row_scan_exclusive_carry(simt::BlockCtx& ctx, std::int64_t len,
   for (std::int64_t i0 = 0; i0 < len; i0 += simt::kWarpSize) {
     const int n =
         static_cast<int>(std::min<std::int64_t>(simt::kWarpSize, len - i0));
-    simt::WarpReg<T> x = load(i0, n);
-    simt::WarpReg<T> inc = x;
+    simt::WarpReg<T> inc = load(i0, n);
     simt::warp_scan_inclusive(inc, op, ctx.stats());
     simt::WarpReg<T> excl;
     for (int l = 0; l < simt::kWarpSize; ++l) {

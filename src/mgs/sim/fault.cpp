@@ -115,8 +115,8 @@ FaultPlan parse_fault_plan(const std::string& spec) {
                       (e.src >= 0 && e.dst >= 0),
                   "faults: link-down needs src=<id>,dst=<id>");
       MGS_REQUIRE(
-          e.kind != FaultKind::kTransientTransfer &&
-                  e.kind != FaultKind::kCorruption ||
+          (e.kind != FaultKind::kTransientTransfer &&
+           e.kind != FaultKind::kCorruption) ||
               e.op >= 0 || e.probability > 0.0,
           "faults: transient/corrupt need op=<k> or prob=<p>");
       plan.events.push_back(e);

@@ -1,5 +1,8 @@
 #include "mgs/simt/launch.hpp"
 
+#include <cstring>
+#include <vector>
+
 #include "mgs/sim/occupancy.hpp"
 
 namespace mgs::simt::detail {
@@ -19,6 +22,19 @@ void validate_launch(const Device& dev, const LaunchConfig& cfg) {
   // cannot be resident at all.
   (void)sim::occupancy(dev.spec(), static_cast<int>(cfg.block.count()),
                        cfg.regs_per_thread, cfg.smem_per_block);
+}
+
+std::span<StatsSlot> stats_slots(int count) {
+  thread_local std::vector<StatsSlot> slots;
+  slots.assign(static_cast<std::size_t>(count), StatsSlot{});
+  return slots;
+}
+
+std::span<std::byte> smem_arena(std::size_t bytes) {
+  thread_local std::vector<std::byte> arena;
+  if (arena.size() < bytes) arena.resize(bytes);
+  if (bytes != 0) std::memset(arena.data(), 0, bytes);
+  return {arena.data(), bytes};
 }
 
 }  // namespace mgs::simt::detail

@@ -4,11 +4,10 @@
 /// in parallel on the host pool, while accumulating work counters; then
 /// convert the counters into simulated time and advance the device clock.
 
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "mgs/obs/span.hpp"
 #include "mgs/sim/cost_model.hpp"
@@ -36,12 +35,15 @@ struct LaunchConfig {
 /// Execution context handed to the kernel body, one per thread block.
 class BlockCtx {
  public:
-  BlockCtx(Dim3 block_idx, const LaunchConfig& cfg, int device_id)
+  /// `smem` is the block's shared memory, already zero-filled to exactly
+  /// cfg.smem_per_block bytes.
+  BlockCtx(Dim3 block_idx, const LaunchConfig& cfg, int device_id,
+           std::span<std::byte> smem)
       : block_idx_(block_idx),
         grid_dim_(cfg.grid),
         block_dim_(cfg.block),
         device_id_(device_id),
-        smem_(static_cast<std::size_t>(cfg.smem_per_block)) {}
+        smem_(smem) {}
 
   Dim3 block_idx() const { return block_idx_; }
   Dim3 grid_dim() const { return grid_dim_; }
@@ -81,13 +83,31 @@ class BlockCtx {
   Dim3 block_dim_;
   int device_id_;
   sim::KernelStats stats_;
-  std::vector<std::byte> smem_;
+  std::span<std::byte> smem_;
   std::size_t smem_used_ = 0;
 };
 
 namespace detail {
 /// Throws util::Error when the launch cannot run on the device at all.
 void validate_launch(const Device& dev, const LaunchConfig& cfg);
+
+/// One pool slot's share of a launch's work counters, padded to its own
+/// cache line so workers never contend on a line while blocks run.
+struct alignas(64) StatsSlot {
+  std::uint64_t bytes_read = 0;
+  std::uint64_t bytes_written = 0;
+  std::uint64_t mem_transactions = 0;
+  std::uint64_t alu_ops = 0;
+};
+
+/// The calling thread's stats slots, one per pool slot, all zeroed. Reused
+/// across launches; a block body never launches, so one launch per thread
+/// holds them at a time.
+std::span<StatsSlot> stats_slots(int count);
+
+/// The calling thread's shared-memory arena, zero-filled to `bytes` and
+/// reused across blocks and launches (a worker runs one block at a time).
+std::span<std::byte> smem_arena(std::size_t bytes);
 }  // namespace detail
 
 /// Execute `body(BlockCtx&)` for every block of cfg.grid on the shared
@@ -104,23 +124,35 @@ sim::KernelTime launch(Device& dev, const LaunchConfig& cfg, Fn&& body) {
   total.regs_per_thread = cfg.regs_per_thread;
   total.smem_per_block = cfg.smem_per_block;
 
-  std::mutex agg_mutex;
+  // Each block adds its counters into its worker's slot; the slots are
+  // summed after the join. Integer sums, so the total is exact in any
+  // order.
+  ThreadPool& pool = ThreadPool::instance();
+  const std::span<detail::StatsSlot> slots =
+      detail::stats_slots(pool.slots());
+  const std::size_t smem_bytes = static_cast<std::size_t>(cfg.smem_per_block);
   const std::int64_t gx = cfg.grid.x;
   const std::int64_t gy = cfg.grid.y;
-  ThreadPool::instance().run_ordered(
-      cfg.grid.count(), [&](std::int64_t linear) {
-        Dim3 idx;
-        idx.x = static_cast<int>(linear % gx);
-        idx.y = static_cast<int>((linear / gx) % gy);
-        idx.z = static_cast<int>(linear / (gx * gy));
-        BlockCtx ctx(idx, cfg, dev.id());
-        body(ctx);
-        std::lock_guard<std::mutex> lock(agg_mutex);
-        total.bytes_read += ctx.stats().bytes_read;
-        total.bytes_written += ctx.stats().bytes_written;
-        total.mem_transactions += ctx.stats().mem_transactions;
-        total.alu_ops += ctx.stats().alu_ops;
-      });
+  pool.run_ordered(cfg.grid.count(), [&](std::int64_t linear) {
+    Dim3 idx;
+    idx.x = static_cast<int>(linear % gx);
+    idx.y = static_cast<int>((linear / gx) % gy);
+    idx.z = static_cast<int>(linear / (gx * gy));
+    BlockCtx ctx(idx, cfg, dev.id(), detail::smem_arena(smem_bytes));
+    body(ctx);
+    detail::StatsSlot& slot =
+        slots[static_cast<std::size_t>(pool.current_slot())];
+    slot.bytes_read += ctx.stats().bytes_read;
+    slot.bytes_written += ctx.stats().bytes_written;
+    slot.mem_transactions += ctx.stats().mem_transactions;
+    slot.alu_ops += ctx.stats().alu_ops;
+  });
+  for (const detail::StatsSlot& slot : slots) {
+    total.bytes_read += slot.bytes_read;
+    total.bytes_written += slot.bytes_written;
+    total.mem_transactions += slot.mem_transactions;
+    total.alu_ops += slot.alu_ops;
+  }
 
   sim::KernelTime t = sim::kernel_time(dev.spec(), total);
   const double start = dev.clock().now();

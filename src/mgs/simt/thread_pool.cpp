@@ -11,6 +11,15 @@
 
 namespace mgs::simt {
 
+namespace {
+// The pool the current thread works for (nullptr outside every pool) and
+// its slot there.
+thread_local const ThreadPool* t_pool = nullptr;
+thread_local int t_slot = 0;
+}  // namespace
+
+int ThreadPool::current_slot() const { return t_pool == this ? t_slot : 0; }
+
 struct ThreadPool::Impl {
   // Every run_ordered call installs a fresh Job object. Workers take a
   // shared_ptr to the job they saw, so a worker waking late (or stalled
@@ -74,7 +83,11 @@ ThreadPool::ThreadPool(int workers) : impl_(new Impl) {
   workers_ = workers;
   impl_->threads.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    impl_->threads.emplace_back([this] { impl_->worker_loop(); });
+    impl_->threads.emplace_back([this, i] {
+      t_pool = this;
+      t_slot = i + 1;
+      impl_->worker_loop();
+    });
   }
 }
 

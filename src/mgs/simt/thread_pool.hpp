@@ -23,6 +23,13 @@ class ThreadPool {
 
   int workers() const { return workers_; }
 
+  /// Per-worker state (e.g. launch stats slots) is indexed by slot:
+  /// 1..workers() for this pool's workers and 0 for any other thread --
+  /// the thread that calls run_ordered drains its own job. So slots()
+  /// entries cover every thread that can run one job's fn.
+  int slots() const { return workers_ + 1; }
+  int current_slot() const;
+
   /// Run fn(i) for i in [0, n), claiming indices in ascending order.
   /// Blocks until all calls complete. fn must be thread-safe across
   /// distinct i. Exceptions in fn abort the process (kernels use

@@ -34,36 +34,51 @@ T shfl_idx(const WarpReg<T>& x, int src, sim::KernelStats& st) {
 
 /// Inclusive Ladner-Fischer warp scan using log2(32) = 5 shuffle steps.
 /// After the call, x[l] = op(x[0], ..., x[l]).
+///
+/// Each step is a shfl_up by delta followed by a predicated op. It runs in
+/// place, lanes in descending order: lane l reads lane l-delta before that
+/// lane is overwritten, so every lane applies op(old[l-delta], old[l]) --
+/// the same operands in the same order as a copied shuffle -- and float
+/// results stay bit-identical.
 template <typename T, typename Op>
 void warp_scan_inclusive(WarpReg<T>& x, Op op, sim::KernelStats& st) {
   for (int delta = 1; delta < kWarpSize; delta <<= 1) {
-    const WarpReg<T> y = shfl_up(x, delta, st);
-    for (int l = delta; l < kWarpSize; ++l) {
-      x[l] = op(y[l], x[l]);
+    for (int l = kWarpSize - 1; l >= delta; --l) {
+      x[l] = op(x[l - delta], x[l]);
     }
-    st.alu_ops += kWarpSize;  // predicated op on every lane
+    st.alu_ops += 2 * kWarpSize;  // shfl_up + predicated op on every lane
   }
 }
 
 /// Exclusive warp scan: x[l] = op(identity, x[0..l-1]). Implemented the way
 /// the paper describes (Section 3.1): compute the inclusive scan, then each
-/// lane subtracts -- here, shuffles up by one and lane 0 takes the identity.
+/// lane subtracts -- here, shuffles up by one (in place, descending) and
+/// lane 0 takes the identity.
 template <typename T, typename Op>
 void warp_scan_exclusive(WarpReg<T>& x, Op op, sim::KernelStats& st) {
   warp_scan_inclusive(x, op, st);
-  const WarpReg<T> y = shfl_up(x, 1, st);
-  for (int l = 0; l < kWarpSize; ++l) {
-    x[l] = (l == 0) ? Op::identity() : y[l];
-  }
-  st.alu_ops += kWarpSize;
+  for (int l = kWarpSize - 1; l > 0; --l) x[l] = x[l - 1];
+  x[0] = Op::identity();
+  st.alu_ops += 2 * kWarpSize;  // shfl_up + lane-0 select
 }
 
 /// Warp-wide reduction; returns op over all 32 lanes (valid in every lane's
-/// view; costs the same 5 shuffle steps).
+/// view; costs the same 5 shuffle steps as the inclusive scan).
+///
+/// Only lane 31's result is returned, and its dependency cone in the
+/// Kogge-Stone scan above is a perfect binary tree: step delta combines
+/// lanes (l - delta, l) for l = 31, 31 - 2*delta, ... So the tree below
+/// makes the scan's 31 op calls on lane 31's path, with the same operands
+/// in the same order, and returns the same bits.
 template <typename T, typename Op>
-T warp_reduce(WarpReg<T> x, Op op, sim::KernelStats& st) {
-  warp_scan_inclusive(x, op, st);
-  return x[kWarpSize - 1];
+T warp_reduce(const WarpReg<T>& x, Op op, sim::KernelStats& st) {
+  std::array<T, kWarpSize / 2> y;
+  for (int i = 0; i < kWarpSize / 2; ++i) y[i] = op(x[2 * i], x[2 * i + 1]);
+  for (int n = kWarpSize / 4; n >= 1; n /= 2) {
+    for (int i = 0; i < n; ++i) y[i] = op(y[2 * i], y[2 * i + 1]);
+  }
+  st.alu_ops += 5 * 2 * kWarpSize;  // charged like warp_scan_inclusive
+  return y[0];
 }
 
 /// Per-thread serial scan of P register-resident elements (the red step in
