@@ -29,6 +29,8 @@ int main(int argc, char** argv) {
     for (const auto& [y, v] : {std::pair{2, 2}, std::pair{2, 4}}) {
       const auto plan = bench::tuned_plan_multi(n / v, g / y + 1, v);
       const auto r = bench::mppc_run(y, v, data, n, g, plan);
+      // The paper's tuned plan leaves the event-driven pipeline off.
+      bench::record_history(cfg, "Scan-MP-PC", n, g, y * v, "sync", r);
       row.push_back(util::fmt_double(bench::gbps(total, r.seconds), 2));
     }
     table.add_row(std::move(row));

@@ -57,7 +57,9 @@ int main(int argc, char** argv) {
         std::to_string(nlog), util::fmt_double(bench::gbps(n, best_ours), 2),
         std::to_string(best_w), util::fmt_double(bench::gbps(n, sp), 2)};
     for (std::size_t li = 0; li < libs.size(); ++li) {
-      const double s = bench::baseline_seconds(libs[li], data, n, 1);
+      const auto rl = bench::baseline_run(libs[li], data, n, 1);
+      bench::record_history(cfg, libs[li], n, 1, 1, "sync", rl);
+      const double s = rl.seconds;
       row.push_back(util::fmt_double(bench::gbps(n, s), 2));
       speedups[li].push_back(s / best_ours);
     }

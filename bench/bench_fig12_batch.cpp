@@ -57,7 +57,9 @@ int main(int argc, char** argv) {
         util::fmt_double(bench::gbps(total, ours), 2),
         util::fmt_double(bench::gbps(total, sp), 2)};
     for (std::size_t li = 0; li < libs.size(); ++li) {
-      const double s = bench::baseline_seconds(libs[li], data, n, g);
+      const auto rl = bench::baseline_run(libs[li], data, n, g);
+      bench::record_history(cfg, libs[li], n, g, 1, "sync", rl);
+      const double s = rl.seconds;
       row.push_back(util::fmt_double(bench::gbps(total, s), 2));
       speedups[li].push_back(s / ours);
     }

@@ -40,14 +40,14 @@ int main(int argc, char** argv) {
 
     const auto plan = bench::tuned_plan_multinode(2, 4, data, n, g);
     const auto rours = bench::multinode_run(2, 4, data, n, g, plan);
-    bench::record_history(cfg, "Scan-MPS-multinode", n, g, 8, "auto", rours);
+    bench::record_history(cfg, "Scan-MPS-multinode", n, g, 8, "sync", rours);
     const double ours = rours.seconds;
 
     std::vector<std::string> row = {
         std::to_string(nlog), std::to_string(g),
         util::fmt_double(bench::gbps(total, ours), 2)};
     for (std::size_t li = 0; li < libs.size(); ++li) {
-      const double s = bench::baseline_seconds(libs[li], data, n, g);
+      const double s = bench::baseline_run(libs[li], data, n, g).seconds;
       row.push_back(util::fmt_double(bench::gbps(total, s), 2));
       speedups[li].push_back(s / ours);
     }

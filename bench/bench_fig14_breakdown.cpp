@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
                    util::fmt_double(r.seconds * 1e6, 1)});
     if (nlog == cfg.min_n_log2) gather_small = r.breakdown.get("MPI_Gather");
     if (nlog == cfg.total_log2) gather_large = r.breakdown.get("MPI_Gather");
-    bench::record_history(cfg, "Scan-MPS-multinode", n, g, 8, "auto", r);
+    bench::record_history(cfg, "Scan-MPS-multinode", n, g, 8, "sync", r);
   }
   bench::print_table(table, cfg);
 
@@ -78,10 +78,6 @@ int main(int argc, char** argv) {
       cfg.trace_guard->set_run_info(
           core::make_run_info("Scan-MPS-multinode", n, 8, r));
     }
-    // Traced point: the history entry carries the analyzer's category
-    // attribution alongside the breakdown.
-    bench::record_history(cfg, "Scan-MPS-multinode", n, g, 8, "auto", r,
-                          obs::analyze_last_run(ts.spans()).by_category);
   }
   return 0;
 }

@@ -146,7 +146,10 @@ int run_sweep(const bench::BenchConfig& cfg) {
           util::fmt_double(bench::gbps(total, r.seconds, elem_bytes), 2));
       if (w == 4) t4 = r.seconds;
       if (w == 8 && t4 > 0.0) w8_over_w4.push_back(t4 / r.seconds);
-      bench::record_history(cfg, "Scan-MPS", n, g, w, "overlap", r);
+      // scan_mps runs its synchronous body when W = 1 (no peer to
+      // overlap with), so that is the pipeline the point records.
+      bench::record_history(cfg, "Scan-MPS", n, g, w,
+                            w == 1 ? "sync" : "overlap", r);
       if (w > 1 && g > 1) {
         // Same point on the forced-synchronous stage path: the overlap
         // comparison the pipeline doc quotes.

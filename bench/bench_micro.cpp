@@ -123,9 +123,6 @@ struct MicroOptions {
   std::string trace = "bench_results/bench_micro_run_report.json";
   std::string out;  ///< results JSON override (e.g. for fault-seeded runs
                     ///< that must not clobber the tracked snapshot)
-  std::string history_label;  ///< history-store label; auto-detected from
-                              ///< git when omitted ("none" disables)
-  std::string history_file = "bench_results/history.ndjson";
   mc::DType dtype = mc::DType::kI32;
   mc::OpTag op = mc::OpTag::kPlus;
 
@@ -408,26 +405,6 @@ TraceSummary run_traced_case(const MicroOptions& opts,
   s.metric_series = ts.metrics().snapshot().size();
   s.makespan_s = cp.total_seconds;
   s.by_category = cp.by_category;
-  if (!opts.history_label.empty()) {
-    try {
-      mgs::obs::HistoryEntry e;
-      e.key.executor = "Scan-MPS";
-      e.key.dtype = opts.dtype_name();
-      e.key.op = opts.op_name();
-      e.key.pipeline = "overlap";
-      e.key.n = static_cast<std::uint64_t>(n);
-      e.key.g = g;
-      e.key.devices = 4;
-      e.label = opts.history_label;
-      e.seconds = r.seconds;
-      e.payload_bytes = r.payload_bytes;
-      e.breakdown = r.breakdown.entries();
-      e.by_category = cp.by_category;
-      mgs::obs::RunHistory(opts.history_file).append(e);
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "history: %s\n", ex.what());
-    }
-  }
   return s;
 }
 
@@ -655,26 +632,12 @@ int main(int argc, char** argv) {
       op = argv[++i];
     } else if (a.rfind("--op=", 0) == 0) {
       op = a.substr(5);
-    } else if (a == "--history-label" && i + 1 < argc) {
-      opts.history_label = argv[++i];
-    } else if (a.rfind("--history-label=", 0) == 0) {
-      opts.history_label = a.substr(16);
-    } else if (a == "--history-file" && i + 1 < argc) {
-      opts.history_file = argv[++i];
-    } else if (a.rfind("--history-file=", 0) == 0) {
-      opts.history_file = a.substr(15);
     } else {
       keep.push_back(argv[i]);
     }
   }
   opts.dtype = mc::parse_dtype(dtype);
   opts.op = mc::parse_op(op);
-  // Same auto-label convention as parse_bench_config: unlabeled runs
-  // record under the current commit, "none" opts out.
-  if (opts.history_label.empty()) {
-    opts.history_label = mgs::bench::detect_git_label();
-  }
-  if (opts.history_label == "none") opts.history_label.clear();
   if (opts.trace == "bench_results/bench_micro_run_report.json") {
     // Default trace path follows the dtype/op suffix convention too.
     opts.trace =

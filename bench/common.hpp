@@ -94,24 +94,6 @@ class TraceGuard {
   obs::TraceSession session_;
 };
 
-/// The label bench runs record history under when --history-label is
-/// omitted: `git rev-parse --short HEAD`, or "local" outside a repo (or
-/// when git is unavailable) -- so ad-hoc laptop runs still land on a
-/// consistent timeline point instead of being dropped.
-inline std::string detect_git_label() {
-  std::string out;
-  if (FILE* p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buf[64];
-    while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
-    const int rc = ::pclose(p);
-    while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-      out.pop_back();
-    }
-    if (rc != 0) out.clear();
-  }
-  return out.empty() ? "local" : out;
-}
-
 struct BenchConfig {
   int total_log2 = 22;    ///< total elements per data point (paper: 28)
   int min_n_log2 = 13;    ///< smallest problem size exponent (paper: 13)
@@ -123,11 +105,8 @@ struct BenchConfig {
   std::shared_ptr<TraceGuard> trace_guard;  ///< live session when tracing
   core::DType dtype = core::DType::kI32;  ///< --dtype: element type
   core::OpTag op = core::OpTag::kPlus;    ///< --op: scan operator
-  std::string history_label;  ///< label runs append to the NDJSON history
-                              ///< under; auto-detected from git when the
-                              ///< flag is omitted, "" (--history-label
-                              ///< none) = off
-  std::string history_file = "bench_results/history.ndjson";
+  std::string history_file;  ///< NDJSON run store to append every data
+                             ///< point to (--history-file); "" = off
 
   const char* dtype_name() const { return core::to_string(dtype); }
   const char* op_name() const { return core::to_string(op); }
@@ -156,13 +135,9 @@ inline BenchConfig parse_bench_config(int argc, char** argv,
   cli.describe("dtype",
                "element type: i32 (default), i64, u32, f32, f64");
   cli.describe("op", "scan operator: plus (default), max, min");
-  cli.describe("history-label",
-               "append this harness's data points to the run history under "
-               "this label (mgs_perf history show). Default: the current "
-               "git short sha, or 'local' outside a repo; 'none' disables "
-               "recording");
   cli.describe("history-file",
-               "history store path (default bench_results/history.ndjson)");
+               "append every data point to this NDJSON run store "
+               "(scripts/golden.sh builds the golden table this way)");
   if (cli.help_requested()) {
     cli.print_help(summary);
     std::exit(0);
@@ -183,50 +158,33 @@ inline BenchConfig parse_bench_config(int argc, char** argv,
   }
   cfg.dtype = core::parse_dtype(cli.get_string("dtype", "i32"));
   cfg.op = core::parse_op(cli.get_string("op", "plus"));
-  // Auto-label: an explicit --history-label wins; otherwise every run is
-  // recorded under the current commit so local timelines accumulate for
-  // free. "none" is the opt-out.
-  cfg.history_label = cli.get_string("history-label", "");
-  if (cfg.history_label.empty()) cfg.history_label = detect_git_label();
-  if (cfg.history_label == "none") cfg.history_label.clear();
-  cfg.history_file =
-      cli.get_string("history-file", "bench_results/history.ndjson");
+  cfg.history_file = cli.get_string("history-file", "");
   MGS_REQUIRE(cfg.total_log2 >= cfg.min_n_log2 && cfg.total_log2 <= 28,
               "--total-log2 must be in [--min-n-log2, 28]");
   return cfg;
 }
 
-/// Append one labeled data point to the NDJSON run history -- the shared
-/// hook every bench binary calls. Runs record under the auto-detected git
-/// label by default (--history-label none disables, leaving the label
-/// empty and making this a no-op). by_category stays zero for untraced
-/// runs; the traced paths fill
-/// it from the analyzer before appending. Store failures are reported,
-/// never fatal: history is telemetry, not a gate.
+/// Append one data point to the --history-file run store -- the shared
+/// hook every figure bench calls; a no-op without the flag. A failed
+/// append throws: a golden table with a silently missing line would fail
+/// the gate with a misleading "missing key".
 inline void record_history(const BenchConfig& cfg, const std::string& executor,
                            std::int64_t n, std::int64_t g, int devices,
                            const std::string& pipeline,
-                           const core::RunResult& r,
-                           const obs::CategorySeconds& by_category = {}) {
-  if (cfg.history_label.empty()) return;
-  try {
-    obs::HistoryEntry e;
-    e.key.executor = executor;
-    e.key.dtype = cfg.dtype_name();
-    e.key.op = cfg.op_name();
-    e.key.pipeline = pipeline;
-    e.key.n = static_cast<std::uint64_t>(n);
-    e.key.g = g;
-    e.key.devices = devices;
-    e.label = cfg.history_label;
-    e.seconds = r.seconds;
-    e.payload_bytes = r.payload_bytes;
-    e.breakdown = r.breakdown.entries();
-    e.by_category = by_category;
-    obs::RunHistory(cfg.history_file).append(e);
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "history: %s\n", ex.what());
-  }
+                           const core::RunResult& r) {
+  if (cfg.history_file.empty()) return;
+  obs::HistoryEntry e;
+  e.key.executor = executor;
+  e.key.dtype = cfg.dtype_name();
+  e.key.op = cfg.op_name();
+  e.key.pipeline = pipeline;
+  e.key.n = static_cast<std::uint64_t>(n);
+  e.key.g = g;
+  e.key.devices = devices;
+  e.seconds = r.seconds;
+  e.payload_bytes = r.payload_bytes;
+  e.breakdown = r.breakdown.entries();
+  obs::RunHistory(cfg.history_file).append(e);
 }
 
 inline void print_table(const util::Table& table, const BenchConfig& cfg) {
@@ -296,18 +254,17 @@ inline core::ScanPlan tuned_plan_multinode(int m, int w,
                                            std::span<const int> data,
                                            std::int64_t n, std::int64_t g);
 
-/// One baseline's simulated batch time on a fresh single GPU.
-inline double baseline_seconds(const std::string& name,
-                               std::span<const int> data, std::int64_t n,
-                               std::int64_t g) {
+/// One baseline's simulated batch run on a fresh single GPU.
+inline core::RunResult baseline_run(const std::string& name,
+                                    std::span<const int> data, std::int64_t n,
+                                    std::int64_t g) {
   simt::Device dev(0, sim::k80_spec());
   auto in = dev.alloc<std::int32_t>(n * g);
   auto out = dev.alloc<std::int32_t>(n * g);
   std::copy(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(n * g),
             in.host_span().begin());
   return baselines::baseline_by_name(name)
-      .run_batch(dev, in, out, n, g, core::ScanKind::kInclusive)
-      .seconds;
+      .run_batch(dev, in, out, n, g, core::ScanKind::kInclusive);
 }
 
 /// Scan-MPS over the first W GPUs of a fresh one-node cluster.

@@ -1,17 +1,17 @@
 /// cluster_explorer: inspect a (possibly custom) cluster, see which
 /// proposal the Premise-4 planner picks across problem shapes, and dump a
-/// profiled run as a Chrome trace (open in chrome://tracing / Perfetto).
+/// traced run as a Chrome trace (open in chrome://tracing / Perfetto).
 ///
 ///   $ ./cluster_explorer
 ///   $ ./cluster_explorer --cluster "nodes=4 networks=1 gpus=8 gpu=pascal"
 ///   $ ./cluster_explorer --trace /tmp/scan.trace.json
 
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
 #include "mgs/core/api.hpp"
-#include "mgs/sim/profiler.hpp"
+#include "mgs/core/run_report.hpp"
 #include "mgs/topo/config.hpp"
 #include "mgs/util/cli.hpp"
 #include "mgs/util/random.hpp"
@@ -22,9 +22,9 @@ using namespace mgs;
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   cli.describe("cluster", "cluster description (see topo/config.hpp)");
-  cli.describe("trace", "write a Chrome trace of one profiled run here");
+  cli.describe("trace", "write a Chrome trace of one traced run here");
   if (cli.help_requested()) {
-    cli.print_help("Explore a cluster: links, planner decisions, profiling.");
+    cli.print_help("Explore a cluster: links, planner decisions, tracing.");
     return 0;
   }
   cli.reject_unknown();
@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
   }
   plans.print(std::cout);
 
-  // --- One profiled MP-PC run + per-kernel summary.
-  sim::ProfileScope profiling;
+  // --- One traced MP-PC run + per-kernel summary.
+  obs::TraceSession ts;
   const std::int64_t n = 1 << 20;
   const std::int64_t g = 4;
   const auto data = util::random_i32(static_cast<std::size_t>(n * g), 1);
@@ -82,22 +82,40 @@ int main(int argc, char** argv) {
   const auto r = core::scan_mppc<int>(cluster, part, batches, n, plan,
                                       core::ScanKind::kInclusive);
 
-  std::printf("\nProfiled Scan-MP-PC run (N=%lld, G=%lld): %s, %.2f GB/s\n",
+  std::printf("\nTraced Scan-MP-PC run (N=%lld, G=%lld): %s, %.2f GB/s\n",
               static_cast<long long>(n), static_cast<long long>(g),
               util::fmt_time_us(r.seconds).c_str(), r.throughput_gbps());
-  util::Table prof({"event", "count", "total time", "bytes"});
-  for (const auto& row : sim::Profiler::instance().summary()) {
-    prof.add_row({row.name, std::to_string(row.count),
-                  util::fmt_time_us(row.total_seconds),
-                  util::fmt_bytes(row.total_bytes)});
+  // Per-kernel rows from the launcher's labeled metrics, most time first.
+  struct KernelRow {
+    std::string name;
+    double launches = 0.0, seconds = 0.0, bytes = 0.0;
+  };
+  const auto snap = ts.metrics().snapshot();
+  std::vector<KernelRow> rows;
+  for (const auto& m : snap) {
+    if (m.name != "kernel_launches_total") continue;
+    const auto* secs = obs::find_metric(snap, "kernel_seconds", m.labels);
+    const auto* bytes = obs::find_metric(snap, "kernel_bytes", m.labels);
+    rows.push_back({m.labels.at(0).second, m.value,
+                    secs != nullptr ? secs->value : 0.0,
+                    bytes != nullptr ? bytes->value : 0.0});
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const KernelRow& a, const KernelRow& b) {
+                     return a.seconds > b.seconds;
+                   });
+  util::Table prof({"kernel", "launches", "total time", "bytes"});
+  for (const auto& row : rows) {
+    prof.add_row({row.name,
+                  std::to_string(static_cast<std::uint64_t>(row.launches)),
+                  util::fmt_time_us(row.seconds),
+                  util::fmt_bytes(static_cast<std::uint64_t>(row.bytes))});
   }
   prof.print(std::cout);
 
   const std::string trace_path = cli.get_string("trace", "");
   if (!trace_path.empty()) {
-    std::ofstream os(trace_path);
-    MGS_REQUIRE(os.good(), "cannot open trace file " + trace_path);
-    sim::Profiler::instance().write_chrome_trace(os);
+    core::write_chrome_trace_file(trace_path, ts);
     std::printf("\nChrome trace written to %s\n", trace_path.c_str());
   }
   return 0;

@@ -39,117 +39,55 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 # Prometheus metrics, rendered once to prove the loader works.
 "$BUILD_DIR"/tools/mgs_trace --demo --out "$BUILD_DIR/obs_sample"
 
-# Bench smoke: trace one representative Scan-MPS run per gated (dtype,
-# op) cell (simulated time is deterministic) and gate each modeled
-# makespan against its committed per-configuration baseline
+# Modeled-time gate: trace one representative Scan-MPS run per gated
+# (dtype, op) cell and compare it with its committed run-report
 # (BENCH_baseline.json for i32/plus, BENCH_baseline_<dtype>_<op>.json
-# otherwise; bench_check --baseline auto picks the right file). The
-# microbenchmark sweep itself is skipped via the filter -- only the
-# traced run-reports matter here. Every run also appends a labeled point
-# to the bench_results/history.ndjson longitudinal store; on a >5%
-# regression bench_check prints the top-3 attribution from the two
-# reports' critical paths, renders the full mgs_perf ranked diff table,
-# and writes the diff JSON for artifact upload.
-HISTORY_LABEL=${HISTORY_LABEL:-$(git rev-parse --short HEAD 2>/dev/null || echo local)}
+# otherwise). Modeled time is deterministic, so mgs_perf diff exits 1 as
+# soon as the makespan or any stage moves by more than 1e-12 relative,
+# after printing the ranked attribution table; the diff JSON lands in the
+# build tree for artifact upload. An intentional change re-snapshots the
+# baseline in the same commit (cp the fresh report over it). The full
+# figure grid is gated the same way by the `golden` ctest above. The
+# microbenchmark sweep itself is skipped via the filter.
 for cfg in "i32 plus" "f64 max" "i64 min"; do
   read -r DT OP <<<"$cfg"
   SUFFIX=""
   [[ "$DT/$OP" != "i32/plus" ]] && SUFFIX="_${DT}_${OP}"
   "$BUILD_DIR"/bench/bench_micro --dtype "$DT" --op "$OP" \
     --trace "bench_results/bench_micro_run_report${SUFFIX}.json" \
-    --history-label "$HISTORY_LABEL" \
     --benchmark_filter='^$'
-  python3 scripts/bench_check.py \
-    --baseline auto \
-    --current "bench_results/bench_micro_run_report${SUFFIX}.json" \
-    --mgs-perf "$BUILD_DIR"/tools/mgs_perf \
-    --diff-out "$BUILD_DIR/bench_diff${SUFFIX}.json"
+  "$BUILD_DIR"/tools/mgs_perf diff \
+    "bench_results/BENCH_baseline${SUFFIX}.json" \
+    "bench_results/bench_micro_run_report${SUFFIX}.json" \
+    --json "$BUILD_DIR/bench_diff${SUFFIX}.json"
 done
 
-# Longitudinal history: show the per-key summaries and the latest movers
-# (informational -- the gates are bench_check above and trend below).
-"$BUILD_DIR"/tools/mgs_perf history show --file bench_results/history.ndjson
-"$BUILD_DIR"/tools/mgs_perf history top --file bench_results/history.ndjson
-
-# Cross-commit trend gate + dashboard over the chained store (the CI
-# workflow restores the previous history.ndjson before this script runs
-# and re-uploads the merged store after). trend exits non-zero when any
-# key has an unacknowledged regression change-point; sign off intentional
-# steps by listing their sha in bench_results/history_ack.txt.
-"$BUILD_DIR"/tools/mgs_perf history compact --file bench_results/history.ndjson
-"$BUILD_DIR"/tools/mgs_perf trend --file bench_results/history.ndjson \
-  --json bench_results/trend.json
-"$BUILD_DIR"/tools/mgs_perf dashboard --file bench_results/history.ndjson \
-  --out bench_results/dashboard.html
-
 # Gate self-test: seed a deliberate straggler (device 1 running 8x slow)
-# into the traced run and assert the gate both FAILS and prints the
-# attribution table pointing at the injected slowdown. Guards the
-# regression path itself -- a gate that silently passes a 8x straggler
-# is worse than no gate.
-# --history-label none: a deliberately broken run must not land on the
-# chained timeline the trend gate below watches.
+# into the traced run and assert the gate both FAILS (exit 1, not a
+# malformed-input 2) and prints the attribution table pointing at the
+# injected slowdown. A gate that silently passes an 8x straggler is worse
+# than no gate.
 "$BUILD_DIR"/bench/bench_micro \
   --faults "straggler:dev=1,factor=8" \
   --trace "$BUILD_DIR/bench_micro_straggler.json" \
   --out "$BUILD_DIR/bench_micro_straggler_results.json" \
-  --history-label none \
   --benchmark_filter='^$'
-if python3 scripts/bench_check.py \
-    --baseline auto \
-    --current "$BUILD_DIR/bench_micro_straggler.json" \
-    --mgs-perf "$BUILD_DIR"/tools/mgs_perf \
-    --diff-out "$BUILD_DIR/bench_diff_straggler.json" \
-    | tee "$BUILD_DIR/bench_check_straggler.log"; then
-  echo "ci: ERROR - bench_check passed a seeded 8x straggler" >&2
+set +e
+"$BUILD_DIR"/tools/mgs_perf diff bench_results/BENCH_baseline.json \
+  "$BUILD_DIR/bench_micro_straggler.json" \
+  --json "$BUILD_DIR/bench_diff_straggler.json" \
+  | tee "$BUILD_DIR/gate_straggler.log"
+STATUS=${PIPESTATUS[0]}
+set -e
+if [[ $STATUS -ne 1 ]]; then
+  echo "ci: ERROR - gate exited $STATUS on a seeded 8x straggler (want 1)" >&2
   exit 1
 fi
-grep -q "top attribution" "$BUILD_DIR/bench_check_straggler.log" || {
-  echo "ci: ERROR - bench_check failed without printing attribution" >&2
+grep -q "ranked attribution" "$BUILD_DIR/gate_straggler.log" || {
+  echo "ci: ERROR - gate failed without printing attribution" >&2
   exit 1
 }
 echo "ci: gate self-test OK (seeded straggler caught and attributed)"
-
-# Trend-gate self-test: build a synthetic chained store -- the same
-# healthy report under three fake shas (simulated time is deterministic,
-# so the series is flat) must pass with no change-point; appending the
-# 8x-straggler report under a fourth fake sha must trip the gate, name
-# that sha as the first offending label, and mark it on the dashboard.
-TREND_HIST="$BUILD_DIR/trend_selftest.ndjson"
-rm -f "$TREND_HIST"
-for FAKE in aaaa111 bbbb222 cccc333; do
-  "$BUILD_DIR"/tools/mgs_perf history append \
-    --report bench_results/bench_micro_run_report.json \
-    --label "$FAKE" --file "$TREND_HIST"
-done
-"$BUILD_DIR"/tools/mgs_perf trend --file "$TREND_HIST" || {
-  echo "ci: ERROR - trend flagged a change-point on a flat 3-label chain" >&2
-  exit 1
-}
-"$BUILD_DIR"/tools/mgs_perf history append \
-  --report "$BUILD_DIR/bench_micro_straggler.json" \
-  --label badc0de --file "$TREND_HIST"
-if "$BUILD_DIR"/tools/mgs_perf trend --file "$TREND_HIST" \
-    | tee "$BUILD_DIR/trend_selftest.log"; then
-  echo "ci: ERROR - trend passed a seeded 8x regression step" >&2
-  exit 1
-fi
-grep -q "badc0de" "$BUILD_DIR/trend_selftest.log" || {
-  echo "ci: ERROR - trend failed without naming the offending sha" >&2
-  exit 1
-}
-"$BUILD_DIR"/tools/mgs_perf dashboard --file "$TREND_HIST" \
-  --out "$BUILD_DIR/trend_selftest_dashboard.html"
-grep -q "badc0de" "$BUILD_DIR/trend_selftest_dashboard.html" || {
-  echo "ci: ERROR - dashboard does not mark the offending sha" >&2
-  exit 1
-}
-# Acknowledging the sha must clear the gate (the sign-off workflow).
-"$BUILD_DIR"/tools/mgs_perf trend --file "$TREND_HIST" --ack badc0de || {
-  echo "ci: ERROR - acknowledged change-point still trips the gate" >&2
-  exit 1
-}
-echo "ci: trend self-test OK (flat chain clean, seeded step caught at badc0de)"
 
 # The dtype test group on its own (matrix correctness + the instantiation
 # guard that compiles every proposal over every (dtype, op) cell).

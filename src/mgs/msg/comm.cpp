@@ -4,7 +4,6 @@
 #include <set>
 
 #include "mgs/obs/span.hpp"
-#include "mgs/sim/profiler.hpp"
 
 namespace mgs::msg {
 
@@ -182,24 +181,8 @@ double Communicator::barrier() {
   for (int r = 0; r < size(); ++r) clock_of(r).sync_to(completion);
   // Record the *master's* dwell time (what Figure 14 plots).
   breakdown_.add("MPI_Barrier", completion - entry[0]);
-  profile_collective("MPI_Barrier", start, completion, 0);
+  trace_collective("MPI_Barrier", start, completion, 0);
   return completion;
-}
-
-void Communicator::profile_collective(const char* name, double start,
-                                      double completion,
-                                      std::uint64_t bytes) {
-  if (sim::Profiler::instance().enabled()) {
-    sim::ProfileRecord rec;
-    rec.name = name;
-    rec.kind = sim::EventKind::kCollective;
-    rec.device_id = device_of(0);
-    rec.start_seconds = start;
-    rec.duration_seconds = completion - start;
-    rec.bytes = bytes;
-    sim::Profiler::instance().record(std::move(rec));
-  }
-  trace_collective(name, start, completion, bytes);
 }
 
 double Communicator::message_latency(int src_rank, int dst_rank) const {

@@ -1,14 +1,11 @@
 #include "mgs/obs/history.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 
+#include "mgs/obs/export.hpp"
 #include "mgs/util/check.hpp"
-#include "mgs/util/table.hpp"
 
 namespace mgs::obs {
 
@@ -19,28 +16,6 @@ std::string HistoryKey::str() const {
   return os.str();
 }
 
-HistoryEntry entry_from_report(const RunReport& rep, std::string label,
-                               std::string pipeline, std::int64_t g) {
-  HistoryEntry e;
-  e.key.executor = rep.run.executor;
-  e.key.dtype = rep.run.dtype;
-  e.key.op = rep.run.op;
-  e.key.pipeline = std::move(pipeline);
-  e.key.n = rep.run.n;
-  e.key.g = g;
-  e.key.devices = rep.run.devices;
-  e.label = std::move(label);
-  // Prefer the analyzer's makespan (a traced report re-derives it from
-  // spans); fall back to the header for untraced reports.
-  e.seconds = rep.critical_path.total_seconds > 0.0
-                  ? rep.critical_path.total_seconds
-                  : rep.run.seconds;
-  e.payload_bytes = rep.run.payload_bytes;
-  e.breakdown = rep.run.breakdown;
-  e.by_category = rep.critical_path.by_category;
-  return e;
-}
-
 RunHistory::RunHistory(std::string path) : path_(std::move(path)) {}
 
 void RunHistory::append(const HistoryEntry& e) const {
@@ -49,10 +24,10 @@ void RunHistory::append(const HistoryEntry& e) const {
   std::ofstream os(path_, std::ios::app);
   MGS_REQUIRE(os.good(), "history: cannot open " + path_);
   // One compact run-report-shaped document per line: the standard header
-  // plus a "history" object for the store-only metadata; spans/metrics
-  // are omitted (the critical_path section carries the attribution).
-  os << "{\"schema\":\"mgs-run-report-v1\",\"history\":{\"label\":\""
-     << json_escape(e.label) << "\",\"pipeline\":\""
+  // plus a "history" object for the key fields the header lacks;
+  // spans/metrics are omitted and critical_path repeats the makespan, so
+  // the line still loads as a run-report.
+  os << "{\"schema\":\"mgs-run-report-v1\",\"history\":{\"pipeline\":\""
      << json_escape(e.key.pipeline) << "\",\"g\":" << e.key.g << "}";
   os << ",\"run\":{\"executor\":\"" << json_escape(e.key.executor)
      << "\",\"dtype\":\"" << json_escape(e.key.dtype) << "\",\"op\":\""
@@ -68,20 +43,14 @@ void RunHistory::append(const HistoryEntry& e) const {
   }
   os << "},\"faults\":{}}";
   os << ",\"critical_path\":{\"total\":" << json_double(e.seconds)
-     << ",\"by_category\":{";
-  for (int c = 0; c < kNumCategories; ++c) {
-    if (c != 0) os << ",";
-    os << "\"" << to_string(static_cast<Category>(c))
-       << "\":" << json_double(e.by_category[static_cast<Category>(c)]);
-  }
-  os << "}}}\n";
+     << "}}\n";
   MGS_REQUIRE(os.good(), "history: write failed for " + path_);
 }
 
 std::vector<HistoryEntry> RunHistory::load() const {
   std::vector<HistoryEntry> out;
   std::ifstream is(path_);
-  if (!is.good()) return out;  // no history yet
+  if (!is.good()) return out;  // nothing stored yet
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(is, line)) {
@@ -94,7 +63,6 @@ std::vector<HistoryEntry> RunHistory::load() const {
                     " is not an mgs-run-report-v1 line");
     HistoryEntry e;
     if (const JsonValue* h = doc.find("history")) {
-      if (const auto* v = h->find("label")) e.label = v->str_or("");
       if (const auto* v = h->find("pipeline")) {
         e.key.pipeline = v->str_or("auto");
       }
@@ -124,122 +92,39 @@ std::vector<HistoryEntry> RunHistory::load() const {
         e.breakdown.emplace_back(phase, secs.num_or(0.0));
       }
     }
-    if (const JsonValue* cp = doc.find("critical_path")) {
-      if (const auto* t = cp->find("total"); t != nullptr) {
-        const double total = t->num_or(0.0);
-        if (total > 0.0) e.seconds = total;
-      }
-      if (const auto* bc = cp->find("by_category");
-          bc != nullptr && bc->type == JsonValue::Type::kObject) {
-        for (const auto& [name, secs] : bc->object) {
-          e.by_category[category_from_string(name)] += secs.num_or(0.0);
-        }
-      }
-    }
     out.push_back(std::move(e));
   }
   return out;
 }
 
-double percentile_from_histogram(const std::vector<double>& bounds,
-                                 const std::vector<std::uint64_t>& buckets,
-                                 double q) {
-  std::uint64_t total = 0;
-  for (const auto b : buckets) total += b;
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Nearest-rank target, then linear interpolation across the winning
-  // bucket's width (overflow bucket collapses to the last bound).
-  const double target = q * static_cast<double>(total);
-  double cum = 0.0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    const double next = cum + static_cast<double>(buckets[b]);
-    if (next >= target && buckets[b] > 0) {
-      if (b >= bounds.size()) return bounds.empty() ? 0.0 : bounds.back();
-      const double lo = b == 0 ? 0.0 : bounds[b - 1];
-      const double hi = bounds[b];
-      const double frac =
-          std::clamp((target - cum) / static_cast<double>(buckets[b]), 0.0,
-                     1.0);
-      return lo + frac * (hi - lo);
-    }
-    cum = next;
+RunReport report_from_entry(const HistoryEntry& e) {
+  RunReport rep;
+  rep.run.executor = e.key.executor;
+  rep.run.dtype = e.key.dtype;
+  rep.run.op = e.key.op;
+  rep.run.n = e.key.n;
+  rep.run.devices = e.key.devices;
+  rep.run.seconds = e.seconds;
+  rep.run.payload_bytes = e.payload_bytes;
+  rep.run.breakdown = e.breakdown;
+  auto& cp = rep.critical_path;
+  cp.start_seconds = 0.0;
+  cp.end_seconds = e.seconds;
+  cp.total_seconds = e.seconds;
+  if (e.seconds > 0.0) cp.by_category[Category::kOther] = e.seconds;
+  double at = 0.0;
+  for (const auto& [phase, secs] : e.breakdown) {
+    CriticalPathReport::StageRow row;
+    row.name = phase;
+    row.start_seconds = at;
+    row.end_seconds = at + secs;
+    // The store keeps per-stage durations but not their category split;
+    // the duration lands in "other" so diff rows still telescope exactly.
+    row.by_category[Category::kOther] = secs;
+    at += secs;
+    cp.stages.push_back(std::move(row));
   }
-  return bounds.empty() ? 0.0 : bounds.back();
-}
-
-const std::vector<double>& RunHistory::makespan_bounds() {
-  static const std::vector<double> bounds = [] {
-    std::vector<double> b;
-    // 1 us .. 100 s in ~7% steps: ~272 buckets, so interpolated
-    // percentiles sit within a few percent of the exact statistic.
-    for (double v = 1e-6; v <= 1e2; v *= 1.07) b.push_back(v);
-    return b;
-  }();
-  return bounds;
-}
-
-std::vector<KeySummary> RunHistory::summarize(
-    const std::vector<HistoryEntry>& entries) {
-  // The percentile source of truth is a labeled histogram per key in a
-  // MetricsRegistry -- the same series shape the tracer would export.
-  MetricsRegistry reg;
-  std::map<std::string, KeySummary> by_key;
-  for (const auto& e : entries) {
-    const std::string key = e.key.str();
-    const LabelSet labels{{"key", key}};
-    reg.observe("history_makespan_seconds", labels, e.seconds,
-                makespan_bounds());
-    auto [it, inserted] = by_key.emplace(key, KeySummary{});
-    KeySummary& s = it->second;
-    if (inserted) {
-      s.key = e.key;
-      s.first = e.seconds;
-      s.first_label = e.label;
-    }
-    ++s.runs;
-    s.max = std::max(s.max, e.seconds);
-    s.latest = e.seconds;
-    s.latest_label = e.label;
-  }
-  const MetricsSnapshot snap = reg.snapshot();
-  std::vector<KeySummary> out;
-  out.reserve(by_key.size());
-  for (auto& [key, s] : by_key) {
-    const MetricValue* m =
-        find_metric(snap, "history_makespan_seconds", {{"key", key}});
-    if (m != nullptr) {
-      s.p50 = percentile_from_histogram(m->bounds, m->buckets, 0.50);
-      s.p95 = percentile_from_histogram(m->bounds, m->buckets, 0.95);
-    }
-    out.push_back(std::move(s));
-  }
-  // Lexicographic by key: summaries render identically run-to-run, so CI
-  // logs diff cleanly (history top owns the worst-regression ranking).
-  std::stable_sort(out.begin(), out.end(),
-                   [](const KeySummary& a, const KeySummary& b) {
-                     return a.key.str() < b.key.str();
-                   });
-  return out;
-}
-
-std::string RunHistory::format_summary(const std::vector<KeySummary>& rows) {
-  std::ostringstream os;
-  util::Table t({"config", "runs", "p50(us)", "p95(us)", "max(us)",
-                 "first(us)", "latest(us)", "trend", "latest label"});
-  for (const auto& s : rows) {
-    char trend[32];
-    std::snprintf(trend, sizeof trend, "%+.1f%%", s.trend_pct());
-    t.add_row({s.key.str(), std::to_string(s.runs),
-               util::fmt_double(s.p50 * 1e6, 1),
-               util::fmt_double(s.p95 * 1e6, 1),
-               util::fmt_double(s.max * 1e6, 1),
-               util::fmt_double(s.first * 1e6, 1),
-               util::fmt_double(s.latest * 1e6, 1), trend,
-               s.latest_label.empty() ? "-" : s.latest_label});
-  }
-  t.print(os);
-  return os.str();
+  return rep;
 }
 
 }  // namespace mgs::obs

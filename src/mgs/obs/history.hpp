@@ -1,22 +1,19 @@
 #pragma once
 /// \file history.hpp
-/// Longitudinal run history: a newline-delimited store of compact
-/// "mgs-run-report-v1" documents (one JSON object per line, spans and
-/// metrics omitted) under bench_results/history.ndjson. Entries are keyed
-/// by the run's plan identity -- (executor/proposal, pipeline, dtype/op,
-/// n, g, devices) -- plus a free-form label (typically a git sha), so the
-/// same configuration can be tracked across commits. Per-key summaries
-/// report p50/p95 makespans computed from labeled histograms in a
-/// MetricsRegistry (the same machinery the tracer uses) plus the exact
-/// max, and the latest-vs-first trend.
+/// Run store: a newline-delimited file of compact "mgs-run-report-v1"
+/// documents (one JSON object per line, spans and metrics omitted). Each
+/// line is keyed by the run's plan identity -- (executor/proposal,
+/// pipeline, dtype/op, n, g, devices). The benches append to it when
+/// given --history-file, and the committed golden table
+/// (bench_results/golden_modeled.ndjson) is such a store: `mgs_perf diff`
+/// pairs two stores line by line on HistoryKey and rebuilds each pair
+/// with report_from_entry to explain any moved key.
 
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "mgs/obs/critical_path.hpp"
-#include "mgs/obs/export.hpp"
 #include "mgs/obs/report.hpp"
 
 namespace mgs::obs {
@@ -32,82 +29,42 @@ struct HistoryKey {
   std::int64_t g = 0;             ///< problems in the batch (0 = unknown)
   int devices = 0;
 
-  /// Canonical one-line spelling, also used as the histogram label set.
+  /// Canonical one-line spelling.
   std::string str() const;
   friend bool operator==(const HistoryKey&, const HistoryKey&) = default;
-  bool operator<(const HistoryKey& o) const { return str() < o.str(); }
 };
 
-/// One appended run: key + label + the makespan and its attribution.
+/// One stored run: key + the makespan and its stage breakdown.
 struct HistoryEntry {
   HistoryKey key;
-  std::string label;        ///< e.g. git sha; "" = unlabeled
   double seconds = 0.0;     ///< modeled makespan
   std::uint64_t payload_bytes = 0;
   /// Ordered phase -> seconds pairs (RunResult::breakdown).
   std::vector<std::pair<std::string, double>> breakdown;
-  /// Critical-path category attribution (all zero when untraced).
-  CategorySeconds by_category;
-};
-
-/// Build an entry from a loaded run-report. `pipeline` and `label` are
-/// history metadata the report header does not carry; `g` comes from the
-/// report only implicitly (0 when unknown).
-HistoryEntry entry_from_report(const RunReport& rep, std::string label,
-                               std::string pipeline = "auto",
-                               std::int64_t g = 0);
-
-/// Quantile from histogram buckets (upper bounds ascending, counts with a
-/// +Inf overflow bucket), linearly interpolated within the winning
-/// bucket; q in [0, 1]. The result is exact to one bucket width -- the
-/// tolerance the percentile tests assert against a sorted reference.
-double percentile_from_histogram(const std::vector<double>& bounds,
-                                 const std::vector<std::uint64_t>& buckets,
-                                 double q);
-
-/// Per-key summary over every recorded run of that configuration.
-struct KeySummary {
-  HistoryKey key;
-  int runs = 0;
-  double p50 = 0.0;  ///< from the labeled histogram
-  double p95 = 0.0;  ///< from the labeled histogram
-  double max = 0.0;  ///< exact
-  double first = 0.0, latest = 0.0;  ///< makespans in append order
-  std::string first_label, latest_label;
-  double trend_pct() const {
-    return first > 0.0 ? (latest / first - 1.0) * 100.0 : 0.0;
-  }
 };
 
 class RunHistory {
  public:
-  explicit RunHistory(std::string path = "bench_results/history.ndjson");
-  const std::string& path() const { return path_; }
+  explicit RunHistory(std::string path);
 
   /// Append one entry as a single NDJSON line (creates the file and its
   /// directory on first use). Throws util::Error on I/O failure.
   void append(const HistoryEntry& e) const;
 
-  /// Load every entry in file order; a missing file is an empty history.
+  /// Load every entry in file order; a missing file is an empty store.
   /// Malformed lines throw util::Error (the store is machine-written).
   std::vector<HistoryEntry> load() const;
-
-  /// Group entries by key; percentiles come from per-key labeled
-  /// histograms over the makespan (log-spaced bounds, see
-  /// makespan_bounds()), max/first/latest are exact.
-  static std::vector<KeySummary> summarize(
-      const std::vector<HistoryEntry>& entries);
-
-  /// Log-spaced makespan bucket bounds (1 us .. 100 s, ~7% steps) -- fine
-  /// enough that the interpolated percentiles land within a bucket width.
-  static const std::vector<double>& makespan_bounds();
-
-  /// Render the summaries as an aligned table (summarize() emits them in
-  /// lexicographic key order, so the table is stable across runs).
-  static std::string format_summary(const std::vector<KeySummary>& rows);
 
  private:
   std::string path_;
 };
+
+/// Reconstitute a diff-able RunReport from a stored entry: the header
+/// from the key, sequential stage rows from the stored breakdown. The
+/// store keeps no category split, so all time lands in "other"; the
+/// stage names carry the explanation. diff_reports over
+/// two such reports telescopes exactly -- the residual "(outside stages)"
+/// row absorbs whatever the breakdown does not cover.
+RunReport report_from_entry(const HistoryEntry& e);
 
 }  // namespace mgs::obs

@@ -12,7 +12,6 @@
 #include "mgs/obs/span.hpp"
 #include "mgs/sim/cost_model.hpp"
 #include "mgs/sim/fault.hpp"
-#include "mgs/sim/profiler.hpp"
 #include "mgs/simt/device.hpp"
 #include "mgs/simt/thread_pool.hpp"
 #include "mgs/simt/types.hpp"
@@ -165,18 +164,6 @@ sim::KernelTime launch(Device& dev, const LaunchConfig& cfg, Fn&& body) {
   }
   dev.clock().advance(t.seconds);
 
-  if (sim::Profiler::instance().enabled()) {
-    sim::ProfileRecord rec;
-    rec.name = cfg.name;
-    rec.kind = sim::EventKind::kKernel;
-    rec.device_id = dev.id();
-    rec.start_seconds = start;
-    rec.duration_seconds = t.seconds;
-    rec.bytes = total.total_bytes();
-    rec.alu_ops = total.alu_ops;
-    rec.occupancy = t.occ.warp_occupancy;
-    sim::Profiler::instance().record(std::move(rec));
-  }
   if (obs::TraceSession* ts = obs::TraceSession::current()) {
     obs::SpanRecord rec;
     rec.name = cfg.name;

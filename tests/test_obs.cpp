@@ -16,6 +16,8 @@
 #include "mgs/baselines/reference.hpp"
 #include "mgs/core/executor.hpp"
 #include "mgs/core/run_report.hpp"
+#include "mgs/core/scan_sp.hpp"
+#include "mgs/core/tuning.hpp"
 #include "mgs/obs/critical_path.hpp"
 #include "mgs/obs/export.hpp"
 #include "mgs/obs/report.hpp"
@@ -221,6 +223,68 @@ TEST(ObsSpans, MultiGpuRunsRecordTransfers) {
     }
   }
   EXPECT_GT(transfers, 0);
+}
+
+TEST(ObsSpans, ScanSpKernelsRecordBackToBackWithPerKernelMetrics) {
+  mo::TraceSession ts;
+  mgs::simt::Device dev(0, ms::k80_spec());
+  auto in = dev.alloc<int>(1 << 14);
+  auto out = dev.alloc<int>(1 << 14);
+  auto plan = mc::derive_spl(ms::k80_spec(), 4).plan;
+  plan.s13.k = 2;
+  for (int i = 0; i < 3; ++i) {
+    mc::scan_sp<int>(dev, in, out, 1 << 14, 1, plan,
+                     mc::ScanKind::kInclusive);
+  }
+  std::vector<mo::SpanRecord> kernels;
+  for (const auto& s : ts.spans()) {
+    if (s.kind == mo::SpanKind::kKernel) kernels.push_back(s);
+  }
+  ASSERT_EQ(kernels.size(), 9u);
+  const char* names[] = {"chunk_reduce", "intermediate_scan", "scan_add"};
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    EXPECT_EQ(kernels[i].name, names[i % 3]);
+    EXPECT_EQ(kernels[i].device, 0);
+    EXPECT_GT(kernels[i].end_seconds, kernels[i].start_seconds);
+    EXPECT_GT(kernels[i].bytes, 0u);
+    // One compute engine: each kernel starts where the previous ended.
+    if (i > 0) {
+      EXPECT_DOUBLE_EQ(kernels[i].start_seconds, kernels[i - 1].end_seconds);
+    }
+  }
+  // Stage 1 runs at the Premise-1 occupancy.
+  EXPECT_DOUBLE_EQ(kernels[0].occupancy, 1.0);
+  // The per-kernel series cluster_explorer tabulates.
+  const auto snap = ts.metrics().snapshot();
+  for (const char* name : names) {
+    const auto* launches =
+        mo::find_metric(snap, "kernel_launches_total", {{"name", name}});
+    ASSERT_NE(launches, nullptr) << name;
+    EXPECT_DOUBLE_EQ(launches->value, 3.0) << name;
+    EXPECT_NE(mo::find_metric(snap, "kernel_seconds", {{"name", name}}),
+              nullptr);
+    EXPECT_NE(mo::find_metric(snap, "kernel_bytes", {{"name", name}}),
+              nullptr);
+  }
+}
+
+TEST(ObsSpans, MultinodeRunsRecordCollectives) {
+  const auto data =
+      mgs::util::random_i32(static_cast<std::size_t>(kN * kG), 10);
+  const auto o = run_proposal(
+      [](mc::ScanContext& c) {
+        return mc::make_multinode_executor(c, 1, 8, {mc::PipelineMode::kSync});
+      },
+      true, "", data, kN, kG);
+  bool saw_gather = false, saw_barrier = false;
+  for (const auto& s : o.spans) {
+    if (s.kind != mo::SpanKind::kCollective) continue;
+    EXPECT_EQ(s.category, mo::Category::kMpi) << s.name;
+    saw_gather |= s.name == "MPI_Gather";
+    saw_barrier |= s.name == "MPI_Barrier";
+  }
+  EXPECT_TRUE(saw_gather);
+  EXPECT_TRUE(saw_barrier);
 }
 
 // ---------------------------------------------------------------- metrics

@@ -1,15 +1,14 @@
-// Tests for the longitudinal observability layer (mgs::obs history +
-// diff): the differential attribution's exact-telescoping invariant on
-// real traced runs (healthy vs an injected straggler must attribute the
-// delta to the right stage/device rows), the NDJSON history store's
-// append/reload round trip, the histogram percentile math against a
-// sorted reference, and the structural-change flagging that separates
-// "the schedule changed" from "the same schedule got slower".
+// Tests for the cross-run observability layer (mgs::obs history + diff):
+// the differential attribution's exact-telescoping invariant on real
+// traced runs (healthy vs an injected straggler must attribute the delta
+// to the right stage/device rows), the NDJSON run store's bit-exact
+// append/reload round trip and its reconstituted-report diff, and the
+// structural-change flagging that separates "the schedule changed" from
+// "the same schedule got slower".
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -167,7 +166,7 @@ TEST(PerfDiff, DiffJsonIsWellFormedAndRanked) {
   EXPECT_FALSE(doc.find("rows")->array.empty());
 }
 
-TEST(PerfHistory, AppendReloadRoundTrips) {
+TEST(PerfHistory, AppendReloadRoundTripsBitExactly) {
   const std::string path = "perf_diff_history_test.ndjson";
   std::filesystem::remove(path);
   obs::RunHistory hist(path);
@@ -180,89 +179,55 @@ TEST(PerfHistory, AppendReloadRoundTrips) {
   a.key.n = 1 << 20;
   a.key.g = 4;
   a.key.devices = 4;
-  a.label = "abc1234";
-  a.seconds = 3.5e-4;
+  // Values with no short decimal spelling: the golden gate compares at
+  // 1e-12, so the store must round-trip every bit.
+  a.seconds = 1.0 / 3.0 * 1e-3;
   a.payload_bytes = 1234567;
-  a.breakdown = {{"Stage1", 1.5e-4}, {"Stage2", 0.5e-4}, {"Stage3", 1.5e-4}};
-  a.by_category[obs::Category::kCompute] = 3.0e-4;
-  a.by_category[obs::Category::kP2P] = 0.5e-4;
-
-  obs::HistoryEntry b = a;
-  b.label = "def5678";
-  b.seconds = 4.2e-4;
+  a.breakdown = {{"Stage1", 0.1 / 7.0}, {"Stage2", 2e-5 / 3.0},
+                 {"Stage3", 1.5e-4}};
 
   obs::HistoryEntry c;  // a different key in the same store
   c.key.executor = "Scan-SP";
   c.key.n = 4096;
   c.key.g = 1;
   c.key.devices = 1;
-  c.label = "abc1234";
   c.seconds = 9.0e-5;
 
   hist.append(a);
-  hist.append(b);
   hist.append(c);
 
   const auto loaded = hist.load();
-  ASSERT_EQ(loaded.size(), 3u);
+  ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].key, a.key);
-  EXPECT_EQ(loaded[0].label, a.label);
-  EXPECT_DOUBLE_EQ(loaded[0].seconds, a.seconds);
+  EXPECT_EQ(loaded[0].seconds, a.seconds);
   EXPECT_EQ(loaded[0].payload_bytes, a.payload_bytes);
   EXPECT_EQ(loaded[0].breakdown, a.breakdown);
-  EXPECT_EQ(loaded[0].by_category.seconds, a.by_category.seconds);
-  EXPECT_EQ(loaded[1].key, b.key);
-  EXPECT_DOUBLE_EQ(loaded[1].seconds, b.seconds);
-  EXPECT_EQ(loaded[2].key, c.key);
-
-  // Append order per key survives: summaries see first=a, latest=b.
-  const auto sums = obs::RunHistory::summarize(loaded);
-  ASSERT_EQ(sums.size(), 2u);
-  for (const auto& s : sums) {
-    if (s.key == a.key) {
-      EXPECT_EQ(s.runs, 2);
-      EXPECT_DOUBLE_EQ(s.first, a.seconds);
-      EXPECT_DOUBLE_EQ(s.latest, b.seconds);
-      EXPECT_EQ(s.first_label, "abc1234");
-      EXPECT_EQ(s.latest_label, "def5678");
-      EXPECT_DOUBLE_EQ(s.max, b.seconds);
-      EXPECT_GT(s.trend_pct(), 0.0);
-    } else {
-      EXPECT_EQ(s.key, c.key);
-      EXPECT_EQ(s.runs, 1);
-    }
-  }
+  EXPECT_EQ(loaded[1].key, c.key);
+  EXPECT_EQ(loaded[1].seconds, c.seconds);
+  EXPECT_TRUE(loaded[1].breakdown.empty());
   std::filesystem::remove(path);
 }
 
-TEST(PerfHistory, PercentilesMatchSortedReferenceWithinABucket) {
-  const auto& bounds = obs::RunHistory::makespan_bounds();
-  ASSERT_GT(bounds.size(), 100u);
-
-  // Deterministic spread of makespans over three decades.
-  std::vector<double> values;
-  std::uint64_t x = 88172645463325252ull;
-  for (int i = 0; i < 500; ++i) {
-    x ^= x << 13; x ^= x >> 7; x ^= x << 17;  // xorshift64
-    const double u = static_cast<double>(x % 1000000ull) / 1e6;
-    values.push_back(1e-5 * std::pow(10.0, 3.0 * u));  // 1e-5 .. 1e-2
-  }
-
-  // Histogram with the store's bounds (+inf overflow bucket at the end).
-  std::vector<std::uint64_t> buckets(bounds.size() + 1, 0);
-  for (double v : values) {
-    const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
-    buckets[static_cast<std::size_t>(it - bounds.begin())]++;
-  }
-
-  auto sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  for (double q : {0.5, 0.95}) {
-    const double est = obs::percentile_from_histogram(bounds, buckets, q);
-    const double ref =
-        sorted[static_cast<std::size_t>(q * (sorted.size() - 1))];
-    // Accurate to one bucket width: bounds step by 7%.
-    EXPECT_NEAR(est, ref, 0.08 * ref) << "q=" << q;
+TEST(PerfHistory, StoredEntryDiffTelescopesExactly) {
+  // mgs_perf diff explains a moved golden key by diffing two
+  // reconstituted reports: Sigma row deltas == makespan delta, and the
+  // stage that moved is the row that carries the delta.
+  obs::HistoryEntry e;
+  e.key.executor = "Scan-MPS";
+  e.seconds = 1e-3;
+  e.breakdown = {{"Stage1", 2.5e-4}, {"Stage2", 5e-4}, {"Stage3", 2.5e-4}};
+  obs::HistoryEntry moved = e;
+  moved.seconds = 1.4e-3;
+  moved.breakdown[1].second = 9e-4;
+  const auto base = obs::report_from_entry(e);
+  const auto cur = obs::report_from_entry(moved);
+  const auto d = obs::diff_reports(base, cur);
+  EXPECT_NEAR(sum_row_deltas(d), d.delta(),
+              1e-9 * cur.critical_path.total_seconds);
+  EXPECT_DOUBLE_EQ(d.delta(), 4e-4);
+  for (const auto& row : d.rows) {
+    EXPECT_NEAR(row.delta(), row.stage == "Stage2" ? 4e-4 : 0.0, 1e-15)
+        << row.stage;
   }
 }
 

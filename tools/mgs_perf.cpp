@@ -1,405 +1,172 @@
-/// mgs_perf: cross-run performance comparison (docs/observability.md).
+/// mgs_perf: the modeled-time gate and its explanation
+/// (docs/observability.md).
 ///
-///   mgs_perf diff BASE.json CUR.json [--top N] [--json OUT]
-///       differential critical-path attribution between two run-reports:
-///       a ranked "what got slower and where" table whose rows telescope
-///       exactly to the makespan delta, with structural changes (plan
-///       shape, wave count, resumed stages) flagged separately.
-///   mgs_perf history append --report R.json --label L
-///              [--pipeline P] [--g G] [--file F]
-///       append one run-report to the NDJSON history store.
-///   mgs_perf history record --executor E --label L --seconds S
-///              [--dtype D] [--op O] [--pipeline P] [--n N] [--g G]
-///              [--devices D] [--payload-bytes B]
-///              [--breakdown a=1.5,b=2] [--file F]
-///       append a raw entry without a run-report -- pseudo-keys like the
-///       nightly chaos campaign's wall time ride the same store.
-///   mgs_perf history show [--file F]
-///       per-configuration p50/p95/max summaries (deduped by (key,
-///       label), keys sorted lexicographically -- output is stable).
-///   mgs_perf history top [--file F] [--top N]
-///       the configurations whose latest run regressed the most vs their
-///       previous run, with the stage that moved the most.
-///   mgs_perf history compact [--file F]
-///       rewrite the store deduped by (key, label), latest entry wins --
-///       run after merging a restored CI history before re-uploading.
-///   mgs_perf trend [--file F] [--window N] [--min-effect-pct P]
-///              [--mad-k K] [--ack L1,L2] [--ack-file F] [--json OUT]
-///       change-point detection over each key's label-ordered series;
-///       exits non-zero when any regression step is unacknowledged (the
-///       longitudinal CI gate).
-///   mgs_perf dashboard [--out F.html] [--title T] [trend flags]
-///       the self-contained HTML trend dashboard (sparklines, p50/p95
-///       bands, change-point markers, embedded diff tables).
+///   mgs_perf diff BASE CUR [--top N] [--json OUT]
+///       BASE and CUR are two run-reports (.json), or two NDJSON run
+///       stores (.ndjson) -- e.g. the committed golden table and a fresh
+///       scripts/golden.sh run, paired line by line on HistoryKey.
+///       Prints the differential critical-path attribution (a ranked
+///       "what got slower and where" table whose rows telescope exactly
+///       to the makespan delta, with structural changes flagged
+///       separately); for stores, one table per key that moved.
 ///
-/// The subcommand and its file operands are positional; util::Cli parses
-/// the remaining --flags.
+/// Modeled time is deterministic, so the gate is exact: exit 1 when a
+/// store key is missing or extra, or when the makespan or any breakdown
+/// entry of a pair differs by more than 1e-12 relative; exit 0 otherwise
+/// and 2 on malformed input. The subcommand and its file operands are
+/// positional; util::Cli parses the remaining --flags.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "mgs/obs/diff.hpp"
 #include "mgs/obs/history.hpp"
 #include "mgs/obs/report.hpp"
-#include "mgs/obs/trend.hpp"
 #include "mgs/util/check.hpp"
 #include "mgs/util/cli.hpp"
-#include "mgs/util/table.hpp"
 
 namespace {
 
 using namespace mgs;
 
-constexpr const char* kDefaultHistory = "bench_results/history.ndjson";
-constexpr const char* kDefaultAckFile = "bench_results/history_ack.txt";
+constexpr double kRelTol = 1e-12;
 
 int usage(int status) {
-  std::fprintf(
-      stderr,
-      "usage: mgs_perf diff BASE.json CUR.json [--top N] [--json OUT]\n"
-      "       mgs_perf history append --report R.json --label L\n"
-      "                [--pipeline P] [--g G] [--file F]\n"
-      "       mgs_perf history record --executor E --label L --seconds S\n"
-      "                [--breakdown a=1.5,b=2] [--file F] [...]\n"
-      "       mgs_perf history show [--file F]\n"
-      "       mgs_perf history top [--file F] [--top N]\n"
-      "       mgs_perf history compact [--file F]\n"
-      "       mgs_perf trend [--file F] [--window N] [--min-effect-pct P]\n"
-      "                [--mad-k K] [--ack L1,L2] [--ack-file F] "
-      "[--json OUT]\n"
-      "       mgs_perf dashboard [--out F.html] [--title T] "
-      "[trend flags]\n");
+  std::fprintf(stderr,
+               "usage: mgs_perf diff BASE.json CUR.json [--top N] "
+               "[--json OUT]\n"
+               "       mgs_perf diff BASE.ndjson CUR.ndjson [--top N]\n");
   return status;
 }
 
-int cmd_diff(const std::string& base_path, const std::string& cur_path,
-             util::Cli& cli) {
-  cli.describe("top", "show only the N largest attribution rows (0 = all)");
-  cli.describe("json", "also write the machine-readable diff here");
-  cli.reject_unknown();
-  const auto base = obs::load_run_report(base_path);
-  const auto cur = obs::load_run_report(cur_path);
-  const auto d = obs::diff_reports(base, cur);
-  std::printf("baseline: %s\ncurrent:  %s\n\n%s", base_path.c_str(),
-              cur_path.c_str(),
-              obs::format_diff(
-                  d, static_cast<std::size_t>(cli.get_int("top", 0)))
-                  .c_str());
-  const std::string out = cli.get_string("json", "");
-  if (!out.empty()) {
-    std::ofstream os(out);
-    MGS_REQUIRE(os.good(), "mgs_perf: cannot open " + out);
-    obs::write_diff_json(os, d);
-    std::printf("\nwrote %s\n", out.c_str());
+bool same(double a, double b) {
+  return std::abs(a - b) <= kRelTol * std::max(std::abs(a), std::abs(b));
+}
+
+/// The analyzer's makespan for a traced report, the header's otherwise.
+double makespan(const obs::RunReport& r) {
+  return r.critical_path.total_seconds > 0.0 ? r.critical_path.total_seconds
+                                             : r.run.seconds;
+}
+
+/// "<name> (+1.2e-09 rel)": one moved value with its relative change.
+std::string moved_item(const std::string& name, double base, double cur) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, " (%+.2e rel)",
+                base != 0.0 ? (cur - base) / std::abs(base) : 1.0);
+  return name + buf;
+}
+
+/// What moved between two runs of one configuration: the makespan and
+/// every breakdown entry whose value differs or that only one side has.
+std::vector<std::string> moved(const obs::RunReport& base,
+                               const obs::RunReport& cur) {
+  std::vector<std::string> out;
+  if (!same(makespan(base), makespan(cur))) {
+    out.push_back(moved_item("makespan", makespan(base), makespan(cur)));
   }
-  return 0;
-}
-
-int cmd_history_append(util::Cli& cli) {
-  cli.describe("report", "run-report JSON to append (required)");
-  cli.describe("label", "entry label, e.g. the git sha (required)");
-  cli.describe("pipeline", "pipeline the run used: auto/sync/overlap");
-  cli.describe("g", "problems in the batch (the report header omits G)");
-  cli.describe("file", "history store path (default bench_results/"
-                       "history.ndjson)");
-  cli.reject_unknown();
-  const std::string report = cli.get_string("report", "");
-  const std::string label = cli.get_string("label", "");
-  MGS_REQUIRE(!report.empty() && !label.empty(),
-              "mgs_perf: history append needs --report and --label");
-  const obs::RunHistory hist(cli.get_string("file", kDefaultHistory));
-  const auto entry = obs::entry_from_report(
-      obs::load_run_report(report), label,
-      cli.get_string("pipeline", "auto"), cli.get_int("g", 0));
-  hist.append(entry);
-  std::printf("appended [%s] %s  makespan %.3f us -> %s\n", label.c_str(),
-              entry.key.str().c_str(), entry.seconds * 1e6,
-              hist.path().c_str());
-  return 0;
-}
-
-/// "a=1.5,b=2" -> ordered (name, value) pairs.
-std::vector<std::pair<std::string, double>> parse_breakdown(
-    const std::string& spec) {
-  std::vector<std::pair<std::string, double>> out;
-  std::istringstream is(spec);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    MGS_REQUIRE(eq != std::string::npos && eq > 0,
-                "mgs_perf: --breakdown items must be name=value, got '" +
-                    item + "'");
-    out.emplace_back(item.substr(0, eq), std::stod(item.substr(eq + 1)));
+  const std::map<std::string, double> b(base.run.breakdown.begin(),
+                                        base.run.breakdown.end());
+  const std::map<std::string, double> c(cur.run.breakdown.begin(),
+                                        cur.run.breakdown.end());
+  for (const auto& [phase, secs] : b) {
+    const auto it = c.find(phase);
+    if (it == c.end()) {
+      out.push_back(phase + " (baseline only)");
+    } else if (!same(secs, it->second)) {
+      out.push_back(moved_item(phase, secs, it->second));
+    }
+  }
+  for (const auto& [phase, secs] : c) {
+    if (b.count(phase) == 0) out.push_back(phase + " (current only)");
   }
   return out;
 }
 
-int cmd_history_record(util::Cli& cli) {
-  cli.describe("executor", "key executor / pseudo-key name (required)");
-  cli.describe("label", "entry label, e.g. the git sha (required)");
-  cli.describe("seconds", "measured seconds, e.g. wall time (required)");
-  cli.describe("dtype", "key dtype (default i32)");
-  cli.describe("op", "key op (default plus)");
-  cli.describe("pipeline", "key pipeline (default auto)");
-  cli.describe("n", "key problem size (default 0)");
-  cli.describe("g", "key batch size (default 0)");
-  cli.describe("devices", "key device count (default 0)");
-  cli.describe("payload-bytes", "payload bytes (default 0)");
-  cli.describe("breakdown",
-               "extra name=value pairs stored as the breakdown, e.g. "
-               "scenarios=10000,violations=0");
-  cli.describe("file", "history store path");
-  cli.reject_unknown();
-  obs::HistoryEntry e;
-  e.key.executor = cli.get_string("executor", "");
-  e.label = cli.get_string("label", "");
-  e.seconds = cli.get_double("seconds", -1.0);
-  MGS_REQUIRE(!e.key.executor.empty() && !e.label.empty() && e.seconds >= 0.0,
-              "mgs_perf: history record needs --executor, --label and a "
-              "non-negative --seconds");
-  e.key.dtype = cli.get_string("dtype", "i32");
-  e.key.op = cli.get_string("op", "plus");
-  e.key.pipeline = cli.get_string("pipeline", "auto");
-  e.key.n = static_cast<std::uint64_t>(cli.get_int("n", 0));
-  e.key.g = cli.get_int("g", 0);
-  e.key.devices = static_cast<int>(cli.get_int("devices", 0));
-  e.payload_bytes =
-      static_cast<std::uint64_t>(cli.get_int("payload-bytes", 0));
-  e.breakdown = parse_breakdown(cli.get_string("breakdown", ""));
-  const obs::RunHistory hist(cli.get_string("file", kDefaultHistory));
-  hist.append(e);
-  std::printf("recorded [%s] %s  %.3f s -> %s\n", e.label.c_str(),
-              e.key.str().c_str(), e.seconds, hist.path().c_str());
-  return 0;
+std::string join(const std::vector<std::string>& items) {
+  std::string out;
+  for (const auto& s : items) out += (out.empty() ? "" : ", ") + s;
+  return out;
 }
 
-int cmd_history_show(util::Cli& cli) {
-  cli.describe("file", "history store path");
-  cli.reject_unknown();
-  const obs::RunHistory hist(cli.get_string("file", kDefaultHistory));
-  const auto entries = obs::dedup_entries(hist.load());
-  if (entries.empty()) {
-    std::printf("history: no entries in %s\n", hist.path().c_str());
+int gate_reports(const std::string& base_path, const std::string& cur_path,
+                 std::size_t top, const std::string& json_out) {
+  const auto base = obs::load_run_report(base_path);
+  const auto cur = obs::load_run_report(cur_path);
+  const auto d = obs::diff_reports(base, cur);
+  std::printf("baseline: %s\ncurrent:  %s\n\n%s", base_path.c_str(),
+              cur_path.c_str(), obs::format_diff(d, top).c_str());
+  if (!json_out.empty()) {
+    std::ofstream os(json_out);
+    MGS_REQUIRE(os.good(), "cannot open " + json_out);
+    obs::write_diff_json(os, d);
+    std::printf("\nwrote %s\n", json_out.c_str());
+  }
+  const auto m = moved(base, cur);
+  if (m.empty()) {
+    std::printf("\ngate: OK (exact match, rel tol 1e-12)\n");
     return 0;
   }
-  std::printf("history: %zu entries (deduped by key+label) in %s\n\n",
-              entries.size(), hist.path().c_str());
-  std::printf("%s",
-              obs::RunHistory::format_summary(
-                  obs::RunHistory::summarize(entries))
-                  .c_str());
-  return 0;
+  std::printf("\ngate: FAIL -- moved: %s\n", join(m).c_str());
+  return 1;
 }
 
-int cmd_history_top(util::Cli& cli) {
-  cli.describe("file", "history store path");
-  cli.describe("top", "configurations to show (default 10)");
-  cli.reject_unknown();
-  const obs::RunHistory hist(cli.get_string("file", kDefaultHistory));
-  // Dedup first: re-runs of a (key, label) pair collapse to the latest
-  // entry and the label sequence keeps first-seen order, so "previous"
-  // and "latest" mean commits, not appends.
-  const auto entries = obs::dedup_entries(hist.load());
-  // Latest vs previous entry per key: the "what got slower" ranking, with
-  // the breakdown phase that moved the most as the where.
-  struct Pair {
-    const obs::HistoryEntry* prev = nullptr;
-    const obs::HistoryEntry* latest = nullptr;
-  };
-  std::map<std::string, Pair> by_key;
-  for (const auto& e : entries) {
-    Pair& p = by_key[e.key.str()];
-    p.prev = p.latest;
-    p.latest = &e;
+/// A store indexed by key. The k-th repeat of a key (k >= 2) is spelled
+/// "<key> #k", so benches that record the same configuration (Figures 13
+/// and 14) pair up in file order.
+std::map<std::string, obs::HistoryEntry> index_store(const std::string& path) {
+  std::map<std::string, obs::HistoryEntry> out;
+  std::map<std::string, int> seen;
+  for (auto& e : obs::RunHistory(path).load()) {
+    std::string key = e.key.str();
+    if (const int k = ++seen[key]; k > 1) key += " #" + std::to_string(k);
+    out.emplace(std::move(key), std::move(e));
   }
-  struct Row {
-    const Pair* p;
-    double delta_pct;
-  };
-  std::vector<Row> rows;
-  for (const auto& [key, p] : by_key) {
-    if (p.prev == nullptr || p.prev->seconds <= 0.0) continue;
-    rows.push_back({&p, (p.latest->seconds / p.prev->seconds - 1.0) * 100.0});
-  }
-  // Worst regression first; ties keep the map's lexicographic key order
-  // (stable sort), so equal-delta output never reshuffles between runs.
-  std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return a.delta_pct > b.delta_pct;
-  });
-  const auto top = static_cast<std::size_t>(cli.get_int("top", 10));
-  if (rows.empty()) {
-    std::printf("history: need at least two runs of a configuration for a "
-                "regression ranking (%zu entries in %s)\n",
-                entries.size(), hist.path().c_str());
-    return 0;
-  }
-  util::Table t({"config", "prev(us)", "latest(us)", "delta", "slowest mover",
-                 "labels"});
-  for (std::size_t i = 0; i < std::min(top, rows.size()); ++i) {
-    const auto& [p, delta_pct] = rows[i];
-    // The breakdown phase with the largest absolute drift.
-    std::map<std::string, double> prev_phases(p->prev->breakdown.begin(),
-                                              p->prev->breakdown.end());
-    std::string mover = "-";
-    double mover_delta = 0.0;
-    for (const auto& [phase, secs] : p->latest->breakdown) {
-      const double d = secs - (prev_phases.count(phase) != 0
-                                   ? prev_phases.at(phase)
-                                   : 0.0);
-      if (std::abs(d) > std::abs(mover_delta)) {
-        mover_delta = d;
-        mover = phase;
-      }
+  return out;
+}
+
+int gate_stores(const std::string& base_path, const std::string& cur_path,
+                std::size_t top) {
+  const auto base = index_store(base_path);
+  const auto cur = index_store(cur_path);
+  // An empty baseline would pass vacuously.
+  MGS_REQUIRE(!base.empty(), "no entries in " + base_path);
+  int bad = 0;
+  for (const auto& [key, b] : base) {
+    const auto it = cur.find(key);
+    if (it == cur.end()) {
+      std::printf("MISSING  %s\n", key.c_str());
+      ++bad;
+      continue;
     }
-    char delta[32], mover_buf[96];
-    std::snprintf(delta, sizeof delta, "%+.2f%%", delta_pct);
-    std::snprintf(mover_buf, sizeof mover_buf, "%s (%+.2f us)", mover.c_str(),
-                  mover_delta * 1e6);
-    t.add_row({p->latest->key.str(),
-               util::fmt_double(p->prev->seconds * 1e6, 1),
-               util::fmt_double(p->latest->seconds * 1e6, 1), delta,
-               mover_buf,
-               (p->prev->label.empty() ? "-" : p->prev->label) + " -> " +
-                   (p->latest->label.empty() ? "-" : p->latest->label)});
+    const auto br = obs::report_from_entry(b);
+    const auto cr = obs::report_from_entry(it->second);
+    const auto m = moved(br, cr);
+    if (m.empty()) continue;
+    ++bad;
+    std::printf("MOVED    %s -- %s\n%s\n", key.c_str(), join(m).c_str(),
+                obs::format_diff(obs::diff_reports(br, cr), top).c_str());
   }
-  t.print(std::cout);
-  return 0;
-}
-
-int cmd_history_compact(util::Cli& cli) {
-  cli.describe("file", "history store path to rewrite in place");
-  cli.reject_unknown();
-  const std::string path = cli.get_string("file", kDefaultHistory);
-  const obs::RunHistory hist(path);
-  const auto entries = hist.load();
-  const auto deduped = obs::dedup_entries(entries);
-  const std::string tmp = path + ".compact.tmp";
-  std::filesystem::remove(tmp);
-  const obs::RunHistory out(tmp);
-  for (const auto& e : deduped) out.append(e);
-  std::filesystem::rename(tmp, path);
-  std::printf("compacted %s: %zu -> %zu entries\n", path.c_str(),
-              entries.size(), deduped.size());
-  return 0;
-}
-
-/// Shared trend-analysis flags + pipeline for `trend` and `dashboard`.
-struct TrendSetup {
-  obs::TrendOptions opt;
-  std::vector<obs::KeyTrend> trends;
-  std::string file;
-};
-
-void describe_trend_flags(util::Cli& cli) {
-  cli.describe("file", "history store path (default bench_results/"
-                       "history.ndjson)");
-  cli.describe("window", "points per side of the detection split "
-                         "(default 5)");
-  cli.describe("min-effect-pct", "minimum relative step to flag, percent "
-                                 "(default 10)");
-  cli.describe("mad-k", "noise floor multiplier over the trailing MAD "
-                        "(default 4)");
-  cli.describe("ack", "comma-separated labels whose change-points are "
-                      "acknowledged (never gate)");
-  cli.describe("ack-file", "file of acknowledged labels, one per line, "
-                           "'#' comments (default bench_results/"
-                           "history_ack.txt when present)");
-}
-
-std::vector<std::string> load_acks(const util::Cli& cli) {
-  std::vector<std::string> acks;
-  std::istringstream list(cli.get_string("ack", ""));
-  std::string item;
-  while (std::getline(list, item, ',')) {
-    if (!item.empty()) acks.push_back(item);
-  }
-  const std::string default_ack =
-      std::filesystem::exists(kDefaultAckFile) ? kDefaultAckFile : "";
-  const std::string ack_file = cli.get_string("ack-file", default_ack);
-  if (!ack_file.empty()) {
-    std::ifstream is(ack_file);
-    MGS_REQUIRE(is.good() || ack_file == default_ack,
-                "mgs_perf: cannot open ack file " + ack_file);
-    std::string line;
-    while (std::getline(is, line)) {
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.resize(hash);
-      // Trim whitespace; what remains is one acknowledged label.
-      const auto b = line.find_first_not_of(" \t\r");
-      if (b == std::string::npos) continue;
-      const auto e = line.find_last_not_of(" \t\r");
-      acks.push_back(line.substr(b, e - b + 1));
+  for (const auto& [key, c] : cur) {
+    if (base.count(key) == 0) {
+      std::printf("EXTRA    %s\n", key.c_str());
+      ++bad;
     }
   }
-  return acks;
+  std::printf("gate: %s -- %zu baseline keys, %zu current keys, %d differ "
+              "(rel tol 1e-12)\n  baseline: %s\n  current:  %s\n",
+              bad == 0 ? "OK" : "FAIL", base.size(), cur.size(), bad,
+              base_path.c_str(), cur_path.c_str());
+  return bad == 0 ? 0 : 1;
 }
 
-TrendSetup analyze_from_cli(const util::Cli& cli) {
-  TrendSetup s;
-  s.file = cli.get_string("file", kDefaultHistory);
-  s.opt.window = static_cast<int>(cli.get_int("window", 5));
-  s.opt.min_effect = cli.get_double("min-effect-pct", 10.0) / 100.0;
-  s.opt.mad_k = cli.get_double("mad-k", 4.0);
-  MGS_REQUIRE(s.opt.window >= 1 && s.opt.min_effect >= 0.0 &&
-                  s.opt.mad_k >= 0.0,
-              "mgs_perf: trend options must be non-negative (window >= 1)");
-  s.trends = obs::analyze_trends(obs::RunHistory(s.file).load(), s.opt);
-  obs::acknowledge(s.trends, load_acks(cli));
-  return s;
-}
-
-int cmd_trend(util::Cli& cli) {
-  describe_trend_flags(cli);
-  cli.describe("json", "also write the machine-readable trend report "
-                       "here");
-  cli.reject_unknown();
-  const TrendSetup s = analyze_from_cli(cli);
-  if (s.trends.empty()) {
-    std::printf("trend: no entries in %s\n", s.file.c_str());
-    return 0;
-  }
-  std::printf("trend: %zu configs in %s\n\n%s", s.trends.size(),
-              s.file.c_str(), obs::format_trends(s.trends, s.opt).c_str());
-  const std::string out = cli.get_string("json", "");
-  if (!out.empty()) {
-    std::ofstream os(out);
-    MGS_REQUIRE(os.good(), "mgs_perf: cannot open " + out);
-    obs::write_trend_json(os, s.trends, s.opt);
-    std::printf("wrote %s\n", out.c_str());
-  }
-  return obs::has_unacknowledged_regression(s.trends) ? 1 : 0;
-}
-
-int cmd_dashboard(util::Cli& cli) {
-  describe_trend_flags(cli);
-  cli.describe("out", "output HTML path (default bench_results/"
-                      "dashboard.html)");
-  cli.describe("title", "dashboard title");
-  cli.reject_unknown();
-  const TrendSetup s = analyze_from_cli(cli);
-  const std::string out =
-      cli.get_string("out", "bench_results/dashboard.html");
-  const auto parent = std::filesystem::path(out).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
-  std::ofstream os(out);
-  MGS_REQUIRE(os.good(), "mgs_perf: cannot open " + out);
-  obs::write_dashboard(os, s.trends, s.opt,
-                       cli.get_string("title", "mgs perf trends"));
-  MGS_REQUIRE(os.good(), "mgs_perf: write failed for " + out);
-  std::size_t cps = 0;
-  for (const auto& t : s.trends) cps += t.changes.size();
-  std::printf("dashboard: %zu configs, %zu change-point(s) -> %s\n",
-              s.trends.size(), cps, out.c_str());
-  return 0;
+bool is_store(const std::string& path) {
+  return path.size() >= 7 && path.compare(path.size() - 7, 7, ".ndjson") == 0;
 }
 
 }  // namespace
@@ -426,33 +193,28 @@ int main(int argc, char** argv) {
     if (pos.empty()) {
       return usage(cli.help_requested() ? 0 : 2);
     }
-    if (pos[0] == "diff") {
-      MGS_REQUIRE(pos.size() == 3,
-                  "mgs_perf: diff needs exactly two report paths");
-      return cmd_diff(pos[1], pos[2], cli);
+    if (pos[0] != "diff") {
+      std::fprintf(stderr, "mgs_perf: unknown command '%s'\n",
+                   pos[0].c_str());
+      return usage(2);
     }
-    if (pos[0] == "trend") {
-      MGS_REQUIRE(pos.size() == 1, "mgs_perf: trend takes flags only");
-      return cmd_trend(cli);
+    MGS_REQUIRE(pos.size() == 3,
+                "diff needs exactly two report or store paths");
+    cli.describe("top", "show only the N largest attribution rows (0 = all)");
+    cli.describe("json", "also write the machine-readable diff here "
+                         "(run-reports only)");
+    cli.reject_unknown();
+    const auto top = static_cast<std::size_t>(cli.get_int("top", 0));
+    const std::string json_out = cli.get_string("json", "");
+    MGS_REQUIRE(is_store(pos[1]) == is_store(pos[2]),
+                "diff compares two run-reports or two .ndjson "
+                "stores, not one of each");
+    if (is_store(pos[1])) {
+      MGS_REQUIRE(json_out.empty(),
+                  "--json applies to run-report diffs only");
+      return gate_stores(pos[1], pos[2], top);
     }
-    if (pos[0] == "dashboard") {
-      MGS_REQUIRE(pos.size() == 1, "mgs_perf: dashboard takes flags only");
-      return cmd_dashboard(cli);
-    }
-    if (pos[0] == "history") {
-      MGS_REQUIRE(pos.size() == 2,
-                  "mgs_perf: history needs a subcommand "
-                  "(append/record/show/top/compact)");
-      if (pos[1] == "append") return cmd_history_append(cli);
-      if (pos[1] == "record") return cmd_history_record(cli);
-      if (pos[1] == "show") return cmd_history_show(cli);
-      if (pos[1] == "top") return cmd_history_top(cli);
-      if (pos[1] == "compact") return cmd_history_compact(cli);
-      throw util::Error("mgs_perf: unknown history subcommand '" + pos[1] +
-                        "'");
-    }
-    std::fprintf(stderr, "mgs_perf: unknown command '%s'\n", pos[0].c_str());
-    return usage(2);
+    return gate_reports(pos[1], pos[2], top, json_out);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mgs_perf: %s\n", e.what());
     return 2;
