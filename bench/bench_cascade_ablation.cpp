@@ -46,12 +46,14 @@ int main(int argc, char** argv) {
     auto plan = core::derive_spl(spec, 4).plan;
     simt::Device d1(0, spec);
     auto aux1 = d1.alloc<int>(rows * row_len);
-    const auto t_contig = core::launch_intermediate_scan(
-        d1, aux1, row_len, rows, plan.s2, core::Plus<int>{});
+    const auto t_contig = core::launch_intermediate_scan_slice(
+        d1, aux1, row_len, 0, rows, 0, row_len, nullptr, plan.s2,
+        core::Plus<int>{});
     simt::Device d2(0, spec);
     auto aux2 = d2.alloc<int>(rows * row_len);
-    const auto t_strided = core::launch_intermediate_scan_ranked(
-        d2, aux2, row_len / 8, 8, rows, plan.s2, core::Plus<int>{});
+    const auto t_strided = core::launch_intermediate_scan_ranked_slice(
+        d2, aux2, row_len / 8, 8, rows, 0, rows, 0, row_len, nullptr, plan.s2,
+        core::Plus<int>{});
     std::printf(
         "  contiguous: %s (coalescing %.2f)   rank-strided: %s (coalescing "
         "%.2f)   slowdown: %.2fx\n",

@@ -31,6 +31,11 @@ int main(int argc, char** argv) {
       const auto r = bench::mppc_run(y, v, data, n, g, plan);
       // The paper's tuned plan leaves the event-driven pipeline off.
       bench::record_history(cfg, "Scan-MP-PC", n, g, y * v, "sync", r);
+      // The same point on the overlap pipeline (gated, not printed).
+      bench::record_history(
+          cfg, "Scan-MP-PC", n, g, y * v, "overlap",
+          bench::mppc_run(y, v, data, n, g,
+                          bench::overlap_plan(plan, 1, n, g / y, v)));
       row.push_back(util::fmt_double(bench::gbps(total, r.seconds), 2));
     }
     table.add_row(std::move(row));

@@ -41,6 +41,11 @@ int main(int argc, char** argv) {
     const auto plan = bench::tuned_plan_multinode(2, 4, data, n, g);
     const auto rours = bench::multinode_run(2, 4, data, n, g, plan);
     bench::record_history(cfg, "Scan-MPS-multinode", n, g, 8, "sync", rours);
+    // The same point on the Isend pipeline (gated, not printed).
+    bench::record_history(
+        cfg, "Scan-MPS-multinode", n, g, 8, "overlap",
+        bench::multinode_run(2, 4, data, n, g,
+                             bench::overlap_plan(plan, 2, n, g, 8)));
     const double ours = rours.seconds;
 
     std::vector<std::string> row = {

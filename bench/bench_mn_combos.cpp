@@ -33,7 +33,13 @@ int main(int argc, char** argv) {
     for (const auto& [m, w] : {std::pair{2, 4}, std::pair{4, 2},
                               std::pair{8, 1}}) {
       const auto plan = bench::tuned_plan_multinode(m, w, data, n, g);
-      secs.push_back(bench::multinode_run(m, w, data, n, g, plan).seconds);
+      const auto r = bench::multinode_run(m, w, data, n, g, plan);
+      // All three shapes use 8 GPUs, so the (M, W) split names the key.
+      bench::record_history(cfg,
+                            "Scan-MPS-multinode(M=" + std::to_string(m) +
+                                ",W=" + std::to_string(w) + ")",
+                            n, g, m * w, "sync", r);
+      secs.push_back(r.seconds);
     }
     const double gap = util::max_of(secs) / util::min_of(secs);
     table.add_row({std::to_string(nlog), std::to_string(g),

@@ -24,9 +24,13 @@ int main(int argc, char** argv) {
   for (int w : {1, 2, 4, 8}) {
     const auto plan = w == 1 ? bench::tuned_plan(total, 1, 1)
                              : bench::tuned_plan_multi(total / w, 1, w);
-    const double s = (w == 1)
-                         ? bench::sp_run(data, total, 1, plan).seconds
-                         : bench::mps_run(w, data, total, 1, plan).seconds;
+    const auto r = (w == 1) ? bench::sp_run(data, total, 1, plan)
+                            : bench::mps_run(w, data, total, 1, plan);
+    // Each study tags its keys: the tuned plans here differ from the
+    // planner's plans the figure benches record under the same shapes.
+    bench::record_history(cfg, w == 1 ? "Scan-SP(strong)" : "Scan-MPS(strong)",
+                          total, 1, w, "sync", r);
+    const double s = r.seconds;
     if (w == 1) t1 = s;
     strong.add_row({std::to_string(w),
                     util::fmt_double(bench::gbps(total, s), 2),
@@ -43,9 +47,11 @@ int main(int argc, char** argv) {
     const std::int64_t n = per_gpu * w;
     const auto plan = w == 1 ? bench::tuned_plan(n, 8, 1)
                              : bench::tuned_plan_multi(per_gpu, 8, w);
-    const double s = (w == 1)
-                         ? bench::sp_run(data, n, 8, plan).seconds
-                         : bench::mps_run(w, data, n, 8, plan).seconds;
+    const auto r = (w == 1) ? bench::sp_run(data, n, 8, plan)
+                            : bench::mps_run(w, data, n, 8, plan);
+    bench::record_history(cfg, w == 1 ? "Scan-SP(weak)" : "Scan-MPS(weak)", n,
+                          8, w, "sync", r);
+    const double s = r.seconds;
     if (w == 1) w1 = s;
     weak.add_row({std::to_string(w), std::to_string(n),
                   util::fmt_double(bench::gbps(n * 8, s), 2),
@@ -68,6 +74,9 @@ int main(int argc, char** argv) {
     auto b2 = core::distribute_batch<int>(c2, gpus, data, n, g);
     const auto direct = core::scan_mps_direct<int>(
         c2, gpus, b2, n, g, plan, core::ScanKind::kInclusive);
+    bench::record_history(cfg, "Scan-MPS(gather)", n, g, 4, "sync", regular);
+    bench::record_history(cfg, "Scan-MPS-direct(gather)", n, g, 4, "sync",
+                          direct);
     std::printf("  explicit 2-D gather: %s   direct P2P peer writes: %s "
                 "(%.2fx)\n",
                 util::fmt_time_us(regular.seconds).c_str(),

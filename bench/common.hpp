@@ -242,6 +242,19 @@ inline core::ScanPlan tuned_plan_multi(std::int64_t n_local, std::int64_t g,
   return plan;
 }
 
+/// `plan` with the event-driven pipeline switched on and the planner's
+/// cost-model wave count for `g` problems split across `gpus_per_problem`
+/// GPUs of an M-node cluster -- what PipelineMode::kOverlap runs.
+inline core::ScanPlan overlap_plan(core::ScanPlan plan, int nodes,
+                                   std::int64_t n, std::int64_t g,
+                                   int gpus_per_problem) {
+  auto cluster = topo::tsubame_kfc_cluster(nodes);
+  plan.pipe.overlap = true;
+  plan.pipe.waves =
+      core::pick_wave_count(cluster, n, g, gpus_per_problem, plan);
+  return plan;
+}
+
 /// Empirical K selection for a multi-node (M, W) configuration, as the
 /// paper prescribes ("for each tuple (W, V, M) possible in the system,
 /// all K values from the corresponding search space are empirically

@@ -32,6 +32,12 @@ else
   cmake --build "$BUILD_DIR" -j -- -k
 fi
 
+# The full suite includes every labelled group (dtype, chaos, faults,
+# pipeline, golden). Chaos smoke: on a violation the seeded 100-scenario
+# campaign (tool_mgs_chaos_smoke) shrinks each failure to a one-line repro
+# under $BUILD_DIR/tools/chaos_repro/, which the workflow uploads --
+# replay locally with
+#   ./$BUILD_DIR/tools/mgs_chaos --replay "<line>"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 # Sample observability artifacts (uploaded by the GitHub Actions
@@ -88,14 +94,3 @@ grep -q "ranked attribution" "$BUILD_DIR/gate_straggler.log" || {
   exit 1
 }
 echo "ci: gate self-test OK (seeded straggler caught and attributed)"
-
-# The dtype test group on its own (matrix correctness + the instantiation
-# guard that compiles every proposal over every (dtype, op) cell).
-ctest --test-dir "$BUILD_DIR" -L dtype --output-on-failure
-
-# Chaos smoke: the seeded 100-scenario campaign (tool_mgs_chaos_smoke)
-# plus the harness's own unit tests. On a violation the campaign shrinks
-# each failure to a one-line repro under $BUILD_DIR/tools/chaos_repro/,
-# which the workflow uploads -- replay locally with
-#   ./$BUILD_DIR/tools/mgs_chaos --replay "<line>"
-ctest --test-dir "$BUILD_DIR" -L chaos --output-on-failure

@@ -13,6 +13,7 @@
 /// y indexes the batch (B_y = G). Launchers return the simulated timing.
 
 #include <algorithm>
+#include <type_traits>
 
 #include "mgs/core/skeleton.hpp"
 
@@ -57,66 +58,32 @@ sim::KernelTime launch_chunk_reduce(simt::Device& dev,
   });
 }
 
-/// Stage 2, contiguous layout: `aux` holds `g` rows of `row_len` chunk
-/// totals (row r at offset r*row_len); each row is exclusively scanned in
+/// Stage 2, contiguous layout: `aux` holds rows of `row_len` chunk totals
+/// (row r at offset r*row_len); rows [g_begin, g_begin+g_count), columns
+/// [c_begin, c_begin+c_count) of each row are exclusively scanned in
 /// place. Several problems share a block (L_y^2 = s2.ly, B_x^2 = 1).
-template <typename T, typename Op>
-sim::KernelTime launch_intermediate_scan(simt::Device& dev,
-                                         simt::DeviceBuffer<T>& aux,
-                                         std::int64_t row_len, std::int64_t g,
-                                         const StagePlan& s2, Op op) {
-  MGS_CHECK(aux.size() >= row_len * g, "intermediate_scan: aux too small");
-  simt::LaunchConfig cfg;
-  cfg.name = "intermediate_scan";
-  cfg.grid = {1, static_cast<int>(util::div_up(
-                     static_cast<std::uint64_t>(g),
-                     static_cast<std::uint64_t>(s2.ly))),
-              1};
-  cfg.block = {s2.lx, s2.ly, 1};
-  cfg.regs_per_thread = s2.regs_per_thread();
-  cfg.smem_per_block = s2.smem_bytes(sizeof(T));
-  const auto auxv = aux.view();
-  return simt::launch(dev, cfg, [=](simt::BlockCtx& ctx) {
-    for (int r = 0; r < s2.ly; ++r) {
-      const std::int64_t row =
-          static_cast<std::int64_t>(ctx.block_idx().y) * s2.ly + r;
-      if (row >= g) break;
-      const std::int64_t row_base = row * row_len;
-      warp_row_scan_exclusive<T>(
-          ctx, row_len,
-          [&](std::int64_t i0, int n) {
-            return auxv.load_warp_partial(row_base + i0, n, Op::identity(),
-                                          ctx.stats());
-          },
-          [&](std::int64_t i0, int n, const simt::WarpReg<T>& v) {
-            auxv.store_warp_partial(row_base + i0, n, v, ctx.stats());
-          },
-          op);
-    }
-  });
-}
-
-/// Stage 2 slice for the wave-pipelined path, contiguous layout: rows
-/// [g_begin, g_begin+g_count) of `aux`, columns [c_begin, c_begin+c_count)
-/// of each row, exclusively scanned in place with a per-row running carry
-/// kept in `carry` (>= g_begin+g_count elements). Column chunk 0 seeds the
-/// carry from the identity; later chunks seed from (and update) the carry
-/// the previous chunk of the same row wrote, so processing every chunk of a
-/// row in ascending column order reproduces launch_intermediate_scan's
+/// The whole matrix is one call (every row, every column, no carry). The
+/// wave-pipelined path scans a row in column chunks with a per-row running
+/// carry kept in `carry` (>= g_begin+g_count elements): column chunk 0
+/// seeds the carry from the identity; later chunks seed from (and update)
+/// the carry the previous chunk of the same row wrote, so processing every
+/// chunk of a row in ascending column order reproduces the whole-row
 /// output bit-for-bit. Issue chunks of one row in column order on a single
-/// in-order stream; distinct rows are independent.
+/// in-order stream; distinct rows are independent. Without a carry buffer
+/// the launch neither loads nor stores one (c_begin must then be 0).
 template <typename T, typename Op>
 sim::KernelTime launch_intermediate_scan_slice(
     simt::Device& dev, simt::DeviceBuffer<T>& aux, std::int64_t row_len,
     std::int64_t g_begin, std::int64_t g_count, std::int64_t c_begin,
-    std::int64_t c_count, simt::DeviceBuffer<T>& carry, const StagePlan& s2,
-    Op op) {
+    std::int64_t c_count, std::type_identity_t<simt::DeviceBuffer<T>>* carry,
+    const StagePlan& s2, Op op) {
   MGS_CHECK(g_begin >= 0 && g_count >= 0, "intermediate_scan_slice: bad rows");
   MGS_CHECK(c_begin >= 0 && c_count >= 0 && c_begin + c_count <= row_len,
             "intermediate_scan_slice: bad columns");
   MGS_CHECK(aux.size() >= (g_begin + g_count) * row_len,
             "intermediate_scan_slice: aux too small");
-  MGS_CHECK(carry.size() >= g_begin + g_count,
+  MGS_CHECK(carry != nullptr ? carry->size() >= g_begin + g_count
+                             : c_begin == 0,
             "intermediate_scan_slice: carry too small");
   if (g_count == 0 || c_count == 0) return {};
   simt::LaunchConfig cfg;
@@ -129,7 +96,8 @@ sim::KernelTime launch_intermediate_scan_slice(
   cfg.regs_per_thread = s2.regs_per_thread();
   cfg.smem_per_block = s2.smem_bytes(sizeof(T));
   const auto auxv = aux.view();
-  const auto carryv = carry.view();
+  const bool carried = carry != nullptr;
+  const auto carryv = carried ? carry->view() : simt::GlobalView<T>{};
   return simt::launch(dev, cfg, [=](simt::BlockCtx& ctx) {
     for (int r = 0; r < s2.ly; ++r) {
       const std::int64_t local_row =
@@ -149,7 +117,7 @@ sim::KernelTime launch_intermediate_scan_slice(
             auxv.store_warp_partial(base + i0, n, v, ctx.stats());
           },
           op, carry_in);
-      carryv.store(row, op(carry_in, total), ctx.stats());
+      if (carried) carryv.store(row, op(carry_in, total), ctx.stats());
     }
   });
 }
@@ -157,62 +125,18 @@ sim::KernelTime launch_intermediate_scan_slice(
 /// Stage 2, strided layout (MPI_Gather output, rank-major): element i of
 /// problem row `row` lives at offset (i / bx)*(g*bx) + row*bx + (i % bx).
 /// Scalar (uncoalesced) accesses -- the honest price of the MPI layout.
-template <typename T, typename Op>
-sim::KernelTime launch_intermediate_scan_ranked(
-    simt::Device& dev, simt::DeviceBuffer<T>& aux, std::int64_t bx,
-    std::int64_t ranks, std::int64_t g, const StagePlan& s2, Op op) {
-  MGS_CHECK(aux.size() >= ranks * g * bx,
-            "intermediate_scan_ranked: aux too small");
-  simt::LaunchConfig cfg;
-  cfg.name = "intermediate_scan_ranked";
-  cfg.grid = {1, static_cast<int>(util::div_up(
-                     static_cast<std::uint64_t>(g),
-                     static_cast<std::uint64_t>(s2.ly))),
-              1};
-  cfg.block = {s2.lx, s2.ly, 1};
-  cfg.regs_per_thread = s2.regs_per_thread();
-  cfg.smem_per_block = s2.smem_bytes(sizeof(T));
-  const auto auxv = aux.view();
-  const std::int64_t row_len = ranks * bx;
-  return simt::launch(dev, cfg, [=](simt::BlockCtx& ctx) {
-    for (int r = 0; r < s2.ly; ++r) {
-      const std::int64_t row =
-          static_cast<std::int64_t>(ctx.block_idx().y) * s2.ly + r;
-      if (row >= g) break;
-      const auto offset_of = [&](std::int64_t i) {
-        return (i / bx) * (g * bx) + row * bx + (i % bx);
-      };
-      warp_row_scan_exclusive<T>(
-          ctx, row_len,
-          [&](std::int64_t i0, int n) {
-            simt::WarpReg<T> v;
-            for (int l = 0; l < simt::kWarpSize; ++l) {
-              v[l] = (l < n) ? auxv.load(offset_of(i0 + l), ctx.stats())
-                             : Op::identity();
-            }
-            return v;
-          },
-          [&](std::int64_t i0, int n, const simt::WarpReg<T>& v) {
-            for (int l = 0; l < n; ++l) {
-              auxv.store(offset_of(i0 + l), v[l], ctx.stats());
-            }
-          },
-          op);
-    }
-  });
-}
-
-/// Ranked-layout counterpart of launch_intermediate_scan_slice: element
-/// indices [c_begin, c_begin+c_count) of rows [g_begin, g_begin+g_count),
-/// addressed through the rank-major permutation. The wave-pipelined
-/// multinode Stage 2 uses one column chunk per rank (c_begin = rank*bx,
-/// c_count = bx), issued in ascending rank order per row.
+/// Rows and element-index columns select a slice exactly as in
+/// launch_intermediate_scan_slice, with the same optional carry; the
+/// wave-pipelined multinode Stage 2 uses one column chunk per rank
+/// (c_begin = rank*bx, c_count = bx), issued in ascending rank order per
+/// row.
 template <typename T, typename Op>
 sim::KernelTime launch_intermediate_scan_ranked_slice(
     simt::Device& dev, simt::DeviceBuffer<T>& aux, std::int64_t bx,
     std::int64_t ranks, std::int64_t g, std::int64_t g_begin,
     std::int64_t g_count, std::int64_t c_begin, std::int64_t c_count,
-    simt::DeviceBuffer<T>& carry, const StagePlan& s2, Op op) {
+    std::type_identity_t<simt::DeviceBuffer<T>>* carry, const StagePlan& s2,
+    Op op) {
   const std::int64_t row_len = ranks * bx;
   MGS_CHECK(g_begin >= 0 && g_count >= 0 && g_begin + g_count <= g,
             "intermediate_scan_ranked_slice: bad rows");
@@ -220,7 +144,8 @@ sim::KernelTime launch_intermediate_scan_ranked_slice(
             "intermediate_scan_ranked_slice: bad columns");
   MGS_CHECK(aux.size() >= ranks * g * bx,
             "intermediate_scan_ranked_slice: aux too small");
-  MGS_CHECK(carry.size() >= g_begin + g_count,
+  MGS_CHECK(carry != nullptr ? carry->size() >= g_begin + g_count
+                             : c_begin == 0,
             "intermediate_scan_ranked_slice: carry too small");
   if (g_count == 0 || c_count == 0) return {};
   simt::LaunchConfig cfg;
@@ -233,7 +158,8 @@ sim::KernelTime launch_intermediate_scan_ranked_slice(
   cfg.regs_per_thread = s2.regs_per_thread();
   cfg.smem_per_block = s2.smem_bytes(sizeof(T));
   const auto auxv = aux.view();
-  const auto carryv = carry.view();
+  const bool carried = carry != nullptr;
+  const auto carryv = carried ? carry->view() : simt::GlobalView<T>{};
   return simt::launch(dev, cfg, [=](simt::BlockCtx& ctx) {
     for (int r = 0; r < s2.ly; ++r) {
       const std::int64_t local_row =
@@ -262,7 +188,7 @@ sim::KernelTime launch_intermediate_scan_ranked_slice(
             }
           },
           op, carry_in);
-      carryv.store(row, op(carry_in, total), ctx.stats());
+      if (carried) carryv.store(row, op(carry_in, total), ctx.stats());
     }
   });
 }

@@ -105,9 +105,19 @@ std::vector<T> collect_batch(const std::vector<GpuBatch<T>>& batches,
   return host;
 }
 
-/// Stage-granular checkpoint for Scan-MPS. The scan functions record their
-/// progress here at every stage boundary (and per gather/scatter unit), so
-/// a mid-run device/link failure unwinds with the completed work intact:
+/// Whether Scan-MPS runs its joined schedule -- one wave, every copy on
+/// the compute engine, a barrier at each stage boundary and one
+/// whole-matrix Stage-2 launch -- instead of the overlapped wave pipeline.
+/// The pipeline needs plan.pipe.overlap and a peer to overlap with; peer
+/// writes always join (they land inside Stage 1, leaving no gather to
+/// overlap).
+inline bool mps_joined(const ScanPlan& plan, int w, bool peer_writes) {
+  return !plan.pipe.overlap || w == 1 || peer_writes;
+}
+
+/// Stage-granular checkpoint for Scan-MPS. The scan records its progress
+/// here at every stage boundary (and per gather/scatter cell), so a
+/// mid-run device/link failure unwinds with the completed work intact:
 /// the executor's recovery driver remaps the dead device's portions onto a
 /// survivor, regresses exactly the flags whose backing state died, and
 /// calls the scan again -- it continues from the last completed boundary
@@ -117,10 +127,9 @@ std::vector<T> collect_batch(const std::vector<GpuBatch<T>>& batches,
 /// instant is computed from the same clock maxima as before.
 template <typename T>
 struct MpsCheckpoint {
-  bool active = false;   ///< initialized by a scan call; false when consumed
-  bool overlap = false;  ///< which pipeline filled the flags
+  bool active = false;  ///< initialized by a scan call; false when consumed
   int w = 0;
-  int k = 1;  ///< waves (overlap path)
+  int k = 1;  ///< waves (1 on the joined schedule)
   double t0 = 0.0;
   double last_boundary = 0.0;  ///< latest completed stage boundary
   RunResult partial;           ///< breakdown accumulated so far
@@ -134,19 +143,17 @@ struct MpsCheckpoint {
   std::vector<WorkspacePool::Handle<T>> aux_local;
   std::vector<WorkspacePool::Handle<T>> prefix_local;
   WorkspacePool::Handle<T> aux_all;  ///< on the master
-  WorkspacePool::Handle<T> carry;    ///< overlap path: per-row Stage-2 carry
+  WorkspacePool::Handle<T> carry;    ///< overlapped: per-row Stage-2 carry
 
-  /// Progress flags. s1_done is per portion (size w) on both paths;
-  /// gathered/scanned/scattered are per portion on the sync path and per
-  /// (wave, device) cell (size k*w) on the overlap path.
+  /// Progress flags. s1_done is per portion (size w); gathered, scanned and
+  /// scattered are per (wave, device) cell v*w + d (size k*w).
   std::vector<char> s1_done;
   std::vector<char> gathered;
-  std::vector<char> scanned;    ///< overlap only
+  std::vector<char> scanned;
   std::vector<char> scattered;
-  bool stage2_done = false;     ///< sync only
 
-  /// Overlap-path dependency events (absolute simulated times, so they
-  /// stay valid across a resume).
+  /// Per-cell dependency events (absolute simulated times, so they stay
+  /// valid across a resume).
   std::vector<simt::Event> ev_s1;
   std::vector<simt::Event> ev_gather;
   std::vector<simt::Event> ev_scatter;
@@ -161,7 +168,7 @@ struct MpsCheckpoint {
     const auto any = [](const std::vector<char>& f) {
       return std::any_of(f.begin(), f.end(), [](char x) { return x != 0; });
     };
-    if (overlap ? any(scanned) : stage2_done) return "Stage2";
+    if (any(scanned)) return "Stage2";
     if (any(gathered)) return "AuxGather";
     if (any(s1_done)) return "Stage1";
     return "Start";
@@ -170,41 +177,122 @@ struct MpsCheckpoint {
 
 namespace detail {
 
-/// Event-driven Scan-MPS (plan.pipe.overlap): instead of global barriers
-/// between Stage 1, the aux gather, Stage 2, the prefix scatter and
-/// Stage 3, every dependency is a per-(device, wave) event. The batch
-/// dimension G is split into plan.pipe.waves sub-batches: each GPU's wave-v
-/// chunk reductions are DMA-gathered to the master the moment that GPU
-/// finishes computing them (overlapping later waves' Stage 1), the master
-/// scans each (wave, device) column chunk of the auxiliary matrix as soon
-/// as it arrives -- carrying the running row prefix in a per-row carry
-/// buffer -- and scatters the slice straight back so Stage 3 starts per
-/// GPU per wave on arrival. Stage-2 chunks of one row are issued in
-/// ascending device order on the master's in-order compute engine, so the
-/// result is bit-identical to the synchronous path (the operator
-/// application order per row is unchanged).
-///
-/// Breakdown stages are Stage1 / Stage2+Comm / Stage3, cut at the same
-/// phase-boundary instants the stage spans close at, so the entries sum to
-/// result.seconds exactly (critical-path telescoping preserved). Kernels
-/// and copies of later pipeline stages may *start* inside an earlier
-/// window -- that is the overlap -- and the critical-path analyzer clips
-/// leaf spans by time, attributing them to the window they occupy.
+/// How the Stage-1 chunk reductions reach the master: explicit strided
+/// copies after Stage 1, or UVA peer stores from inside the Stage-1 kernel
+/// (Scan-MPS-direct).
+enum class MpsGather { kCopies, kPeerWrites };
+
+/// Stage 1 of Scan-MPS-direct for portion `d` on `dev`: the chunk
+/// reductions are stored straight into the master's combined array
+/// ([g][d][c]) through UVA peer access (Section 2: P2P copies are
+/// asynchronous and overlap with computation). The peer writes ride the
+/// P2P link pipelined behind the kernel; only the non-overlapped remainder
+/// of the link time delays the pipeline.
 template <typename T, typename Op>
-RunResult scan_mps_overlapped(topo::Cluster& cluster,
-                              const std::vector<int>& gpus,
-                              std::vector<GpuBatch<T>>& batches,
-                              std::int64_t n, std::int64_t g,
-                              const ScanPlan& plan, ScanKind kind, Op op,
-                              WorkspacePool* ws, MpsCheckpoint<T>& c) {
+void reduce_into_master(topo::Cluster& cluster, topo::TransferEngine& xfer,
+                        simt::Device& dev, int master,
+                        const simt::DeviceBuffer<T>& in,
+                        simt::DeviceBuffer<T>& aux_all,
+                        const BatchLayout& lay, int w, int d,
+                        const StagePlan& sp, Op op) {
+  simt::LaunchConfig cfg;
+  cfg.name = "chunk_reduce_p2p";
+  cfg.grid = {static_cast<int>(lay.bx), static_cast<int>(lay.g), 1};
+  cfg.block = {sp.lx, 1, 1};
+  cfg.regs_per_thread = sp.regs_per_thread();
+  cfg.smem_per_block = sp.smem_bytes(sizeof(T));
+  const auto inv = in.view();
+  const auto aux_view = aux_all.view();
+  const std::int64_t dd = d;
+  const auto t = simt::launch(dev, cfg, [=](simt::BlockCtx& ctx) {
+    const std::int64_t c = ctx.block_idx().x;
+    const std::int64_t gg = ctx.block_idx().y;
+    const std::int64_t chunk_off = c * lay.chunk;
+    const std::int64_t len =
+        std::min<std::int64_t>(lay.chunk, lay.n_local - chunk_off);
+    const T total =
+        cascade_reduce(ctx, inv, gg * lay.n_local + chunk_off, len, sp, op);
+    aux_view.store(gg * (w * lay.bx) + dd * lay.bx + c, total, ctx.stats());
+  });
+  if (dev.id() == master) return;
+  const std::uint64_t wire_bytes =
+      static_cast<std::uint64_t>(lay.g) * lay.bx * sizeof(T);
+  const double wire = xfer.link_time(dev.id(), master, wire_bytes);
+  const double exposed = std::max(0.0, wire - 0.5 * t.seconds);
+  dev.clock().advance(exposed);
+  cluster.device(master).clock().sync_to(dev.clock().now());
+  if (exposed <= 0.0) return;
+  if (obs::TraceSession* ts = obs::TraceSession::current()) {
+    // The overlapped portion of the peer writes hides behind the kernel;
+    // only the exposed tail occupies the link as a span.
+    obs::SpanRecord rec;
+    rec.name = "p2p_writes";
+    rec.kind = obs::SpanKind::kTransfer;
+    rec.category = obs::Category::kP2P;
+    rec.device = master;
+    rec.src_device = dev.id();
+    rec.start_seconds = dev.clock().now() - exposed;
+    rec.end_seconds = dev.clock().now();
+    rec.bytes = wire_bytes;
+    rec.notes.emplace_back("link", "p2p");
+    ts->add_event(std::move(rec));
+    ts->metrics().add("transfer_bytes", {{"kind", "p2p"}},
+                      static_cast<double>(wire_bytes));
+  }
+}
+
+/// The one Scan-MPS schedule (Section 4.1): Stage 1 -> gather the chunk
+/// reductions to the master -> Stage 2 on the master -> scatter the
+/// scanned prefixes back -> Stage 3, over (wave, device) cells that
+/// record their progress in `c`, so a resume skips every cell whose data
+/// survived.
+///
+/// On the joined schedule (mps_joined) the cells are one wave, copies run
+/// on the compute engine and every stage boundary is a barrier cut on the
+/// compute front; the breakdown is Stage1 / AuxGather / Stage2 /
+/// AuxScatter / Stage3, with Stage1+P2PWrites in place of Stage1 +
+/// AuxGather under peer writes.
+///
+/// On the overlapped schedule the batch dimension G is split into
+/// plan.pipe.waves sub-batches and every dependency is a per-cell event:
+/// each GPU's wave-v reductions are DMA-gathered to the master the moment
+/// that GPU computed them (overlapping later waves' Stage 1), the master
+/// scans each arriving (wave, device) column chunk -- carrying the running
+/// row prefix in a per-row carry buffer -- and scatters the slice straight
+/// back, so Stage 3 starts per GPU per wave on arrival. Breakdown stages
+/// are Stage1 / Stage2+Comm / Stage3; kernels and copies of later stages
+/// may *start* inside an earlier window -- that is the overlap -- and the
+/// critical-path analyzer clips leaf spans by time.
+///
+/// Either way the master applies the operator per row in ascending device
+/// order on its in-order compute engine, so results are bit-identical
+/// across schedules, and across healthy and resumed runs; the breakdown
+/// entries are cut at the stage-span boundaries and sum to result.seconds.
+template <typename T, typename Op>
+RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
+                  std::vector<GpuBatch<T>>& batches, std::int64_t n,
+                  std::int64_t g, const ScanPlan& plan, ScanKind kind, Op op,
+                  WorkspacePool* ws, MpsCheckpoint<T>& c, MpsGather gather) {
+  plan.validate();
   const int w = static_cast<int>(gpus.size());
+  MGS_REQUIRE(w > 0 && static_cast<int>(batches.size()) == w,
+              "scan_mps: one batch per GPU required");
+  MGS_REQUIRE(n % w == 0, "scan_mps: N must be divisible by W");
   const std::int64_t n_local = n / w;
   const BatchLayout lay = make_layout(n_local, g, plan.s13);
   MGS_REQUIRE(lay.bx >= 1,
               "scan_mps: every GPU needs at least one chunk (Equation 2)");
-  const int k = static_cast<int>(
-      std::clamp<std::int64_t>(plan.pipe.waves, 1, g));
+  const bool peer = gather == MpsGather::kPeerWrites;
+  const bool joined = mps_joined(plan, w, peer);
+  const int k = joined ? 1
+                       : static_cast<int>(std::clamp<std::int64_t>(
+                             plan.pipe.waves, 1, g));
   const auto wave_begin = [&](int v) { return (g * v) / k; };
+  const std::int64_t row_len = static_cast<std::int64_t>(w) * lay.bx;
+  const sim::Engine engine =
+      joined ? sim::Engine::kCompute : sim::Engine::kDma;
+  const int master = gpus[0];
+  simt::Device& master_dev = cluster.device(master);
 
   topo::TransferEngine xfer(cluster);
   auto compute_front = [&] {
@@ -215,163 +303,212 @@ RunResult scan_mps_overlapped(topo::Cluster& cluster,
 
   if (!c.active) {
     c.active = true;
-    c.overlap = true;
     c.w = w;
     c.k = k;
     c.partial = RunResult{};
     c.partial.payload_bytes =
         2ull * static_cast<std::uint64_t>(n) * g * sizeof(T);
-    // Entry instant: both engines of every participant (free-function
-    // calls may arrive with clocks already advanced).
+    // Entry instant. The overlapped schedule also waits for the DMA
+    // engines (free-function calls may arrive with clocks already
+    // advanced); the joined one never touches them.
     double t0 = compute_front();
-    for (int d : gpus) t0 = std::max(t0, cluster.device(d).dma_clock().now());
+    if (!joined) {
+      for (int d : gpus) {
+        t0 = std::max(t0, cluster.device(d).dma_clock().now());
+      }
+    }
     c.t0 = t0;
     c.last_boundary = t0;
+    const auto cells = static_cast<std::size_t>(k * w);
     c.s1_done.assign(static_cast<std::size_t>(w), 0);
-    c.gathered.assign(static_cast<std::size_t>(k * w), 0);
-    c.scanned.assign(static_cast<std::size_t>(k * w), 0);
-    c.scattered.assign(static_cast<std::size_t>(k * w), 0);
-    c.ev_s1.assign(static_cast<std::size_t>(k * w), simt::Event{});
-    c.ev_gather.assign(static_cast<std::size_t>(k * w), simt::Event{});
-    c.ev_scatter.assign(static_cast<std::size_t>(k * w), simt::Event{});
+    c.gathered.assign(cells, 0);
+    c.scanned.assign(cells, 0);
+    c.scattered.assign(cells, 0);
+    c.ev_s1.assign(cells, simt::Event{});
+    c.ev_gather.assign(cells, simt::Event{});
+    c.ev_scatter.assign(cells, simt::Event{});
+    // Per-GPU auxiliary arrays (problem-major; peer writes need no local
+    // reductions), plus the master's combined array of G rows of W*bx
+    // totals ([g][d][c]).
     c.aux_local.clear();
     c.prefix_local.clear();
     for (int d = 0; d < w; ++d) {
       simt::Device& dev = cluster.device(gpus[static_cast<std::size_t>(d)]);
-      c.aux_local.push_back(acquire_workspace<T>(ws, dev, lay.aux_elems()));
+      if (!peer) {
+        c.aux_local.push_back(acquire_workspace<T>(ws, dev, lay.aux_elems()));
+      }
       c.prefix_local.push_back(
           acquire_workspace<T>(ws, dev, lay.aux_elems()));
     }
-    simt::Device& master_dev0 = cluster.device(gpus[0]);
-    c.aux_all = acquire_workspace<T>(ws, master_dev0, g * w * lay.bx);
-    c.carry = acquire_workspace<T>(ws, master_dev0, g);
+    c.aux_all = acquire_workspace<T>(ws, master_dev, g * row_len);
+    if (!joined) c.carry = acquire_workspace<T>(ws, master_dev, g);
   }
-  MGS_REQUIRE(c.overlap && c.w == w && c.k == k,
+  MGS_REQUIRE(c.w == w && c.k == k,
               "scan_mps: checkpoint shape mismatch on resume");
 
-  const int master = gpus[0];
-  simt::Device& master_dev = cluster.device(master);
-  const std::int64_t row_len = static_cast<std::int64_t>(w) * lay.bx;
-  const auto idx = [](int v, int d, int w_) { return v * w_ + d; };
+  const auto cell = [w](int v, int d) {
+    return static_cast<std::size_t>(v * w + d);
+  };
   const auto pending = [](const std::vector<char>& f) {
     return std::any_of(f.begin(), f.end(), [](char x) { return x == 0; });
   };
+  // One stage between two boundaries: the window opens at the later of
+  // the last boundary and the compute front and closes at the instant
+  // `body` returns (never before it opened).
+  const auto stage = [&](const char* name, int device, const auto& body) {
+    const double t_in = std::max(c.last_boundary, compute_front());
+    auto span = obs::open_stage(name, t_in, device);
+    const double t_out = std::max(t_in, body());
+    span.close(t_out);
+    c.partial.breakdown.add(name, t_out - t_in);
+    c.last_boundary = t_out;
+  };
+  // Cell copies. A copy that hits a dead device/link throws with the
+  // earlier cells' flags already set -- their data already landed.
+  const auto gather_pending = [&] {
+    for (int v = 0; v < k; ++v) {
+      const std::int64_t g0 = wave_begin(v);
+      for (int d = 0; d < w; ++d) {
+        const std::size_t i = cell(v, d);
+        if (c.gathered[i] != 0) continue;
+        c.ev_gather[i] =
+            xfer.copy_2d(c.aux_all.buffer(), g0 * row_len + d * lay.bx,
+                         row_len,
+                         c.aux_local[static_cast<std::size_t>(d)].buffer(),
+                         g0 * lay.bx, lay.bx, wave_begin(v + 1) - g0, lay.bx,
+                         c.ev_s1[i], engine)
+                .done;
+        c.gathered[i] = 1;
+      }
+    }
+  };
+  const auto scatter = [&](int v, int d, simt::Event ready) {
+    const std::size_t i = cell(v, d);
+    const std::int64_t g0 = wave_begin(v);
+    c.ev_scatter[i] =
+        xfer.copy_2d(c.prefix_local[static_cast<std::size_t>(d)].buffer(),
+                     g0 * lay.bx, lay.bx, c.aux_all.buffer(),
+                     g0 * row_len + d * lay.bx, row_len,
+                     wave_begin(v + 1) - g0, lay.bx, ready, engine)
+            .done;
+    c.scattered[i] = 1;
+  };
+  simt::Stream master_stream(master_dev);
 
   try {
-    // ---- Stage 1, split into waves per GPU; each wave records an event
-    // the gather of that wave depends on. On resume, only portions whose
+    // ---- Stage 1 on every GPU, one launch per wave, each recording the
+    // event its gather depends on. On resume only portions whose
     // reductions were lost re-run (chunk_reduce is pure, so relaunching a
     // whole portion reproduces its values and events bit-identically).
     if (pending(c.s1_done)) {
-      const double t_in = std::max(c.last_boundary, compute_front());
-      auto stage1 = obs::open_stage("Stage1", t_in);
-      for (int d = 0; d < w; ++d) {
-        if (c.s1_done[static_cast<std::size_t>(d)] != 0) continue;
-        simt::Stream s(cluster.device(gpus[static_cast<std::size_t>(d)]));
+      stage(peer ? "Stage1+P2PWrites" : "Stage1", -1, [&] {
+        for (int d = 0; d < w; ++d) {
+          if (c.s1_done[static_cast<std::size_t>(d)] != 0) continue;
+          simt::Stream s(cluster.device(gpus[static_cast<std::size_t>(d)]));
+          const auto& in = batches[static_cast<std::size_t>(d)].in;
+          if (peer) {
+            reduce_into_master(cluster, xfer, s.device(), master, in,
+                               c.aux_all.buffer(), lay, w, d, plan.s13, op);
+            c.gathered[cell(0, d)] = 1;
+          } else {
+            for (int v = 0; v < k; ++v) {
+              const std::int64_t g0 = wave_begin(v);
+              launch_chunk_reduce(
+                  s.device(), in,
+                  c.aux_local[static_cast<std::size_t>(d)].buffer(), lay,
+                  plan.s13, op, g0, wave_begin(v + 1) - g0);
+              c.ev_s1[cell(v, d)] = s.record();
+            }
+          }
+          c.s1_done[static_cast<std::size_t>(d)] = 1;
+        }
+        // The master may only start Stage 2 once every peer's writes
+        // landed.
+        if (peer) master_dev.clock().sync_to(compute_front());
+        return compute_front();
+      });
+    }
+
+    if (joined) {
+      // ---- Gather, Stage 2 on the master only (empirically better than
+      // splitting it across GPUs, per Section 4.1) and scatter, each
+      // behind a barrier. The scatter fills the separate prefix arrays,
+      // so the raw reductions stay valid for a re-gather if the master
+      // dies later.
+      if (pending(c.gathered)) {
+        stage("AuxGather", -1, [&] {
+          gather_pending();
+          return compute_front();
+        });
+      }
+      if (pending(c.scanned)) {
+        stage("Stage2", master, [&] {
+          launch_intermediate_scan_slice(master_dev, c.aux_all.buffer(),
+                                         row_len, 0, g, 0, row_len, nullptr,
+                                         plan.s2, op);
+          std::fill(c.scanned.begin(), c.scanned.end(), char{1});
+          return compute_front();
+        });
+      }
+      if (pending(c.scattered)) {
+        stage("AuxScatter", -1, [&] {
+          for (int d = 0; d < w; ++d) {
+            if (c.scattered[cell(0, d)] == 0) {
+              scatter(0, d, master_stream.record());
+            }
+          }
+          return compute_front();
+        });
+      }
+    } else if (pending(c.scattered)) {
+      // ---- Stage 2 + communication, fully event-driven: the gathers
+      // queue on the DMA engines gated only by their wave's Stage-1 event;
+      // the master consumes cells in (wave, device) program order -- and a
+      // resume replays the skip-prefix in the same order -- so the per-row
+      // carry accumulates operator applications in exactly the joined
+      // schedule's order.
+      stage("Stage2+Comm", -1, [&] {
+        gather_pending();
         for (int v = 0; v < k; ++v) {
           const std::int64_t g0 = wave_begin(v);
-          const std::int64_t gn = wave_begin(v + 1) - g0;
-          launch_chunk_reduce(
-              s.device(), batches[static_cast<std::size_t>(d)].in,
-              c.aux_local[static_cast<std::size_t>(d)].buffer(), lay,
-              plan.s13, op, g0, gn);
-          c.ev_s1[static_cast<std::size_t>(idx(v, d, w))] = s.record();
-        }
-        c.s1_done[static_cast<std::size_t>(d)] = 1;
-      }
-      const double t_out = std::max(t_in, compute_front());
-      stage1.close(t_out);
-      c.partial.breakdown.add("Stage1", t_out - t_in);
-      c.last_boundary = t_out;
-    }
-
-    // ---- Stage 2 + communication, fully event-driven. Gathers are
-    // enqueued on the DMA engines gated only by their producing wave's
-    // event; the master scans each arriving (wave, device) column chunk
-    // and scatters it straight back. Every (wave, device) cell records its
-    // progress, so a resume skips the cells whose data already lives (or
-    // landed) on the master.
-    if (pending(c.scattered)) {
-      const double t_in = std::max(c.last_boundary, compute_front());
-      auto stage2 = obs::open_stage("Stage2+Comm", t_in);
-      for (int v = 0; v < k; ++v) {
-        const std::int64_t g0 = wave_begin(v);
-        const std::int64_t gn = wave_begin(v + 1) - g0;
-        for (int d = 0; d < w; ++d) {
-          const auto i = static_cast<std::size_t>(idx(v, d, w));
-          if (c.gathered[i] != 0) continue;
-          c.ev_gather[i] =
-              xfer.copy_2d_async(
-                      c.aux_all.buffer(), g0 * row_len + d * lay.bx, row_len,
-                      c.aux_local[static_cast<std::size_t>(d)].buffer(),
-                      g0 * lay.bx, lay.bx, gn, lay.bx, c.ev_s1[i])
-                  .done;
-          c.gathered[i] = 1;
-        }
-      }
-      // The master consumes cells in (wave, device) program order -- and a
-      // resume replays the skip-prefix in the same order -- so the per-row
-      // carry accumulates operator applications in exactly the synchronous
-      // path's order: results stay bit-identical across healthy runs,
-      // overlapped runs, and resumed runs.
-      simt::Stream master_stream(master_dev);
-      for (int v = 0; v < k; ++v) {
-        const std::int64_t g0 = wave_begin(v);
-        const std::int64_t gn = wave_begin(v + 1) - g0;
-        for (int d = 0; d < w; ++d) {
-          const auto i = static_cast<std::size_t>(idx(v, d, w));
-          if (c.scanned[i] == 0) {
-            master_stream.wait(c.ev_gather[i]);
-            launch_intermediate_scan_slice(master_dev, c.aux_all.buffer(),
-                                           row_len, g0, gn, d * lay.bx,
-                                           lay.bx, c.carry.buffer(), plan.s2,
-                                           op);
-            c.scanned[i] = 1;
-          }
-          if (c.scattered[i] == 0) {
-            c.ev_scatter[i] =
-                xfer.copy_2d_async(
-                        c.prefix_local[static_cast<std::size_t>(d)].buffer(),
-                        g0 * lay.bx, lay.bx, c.aux_all.buffer(),
-                        g0 * row_len + d * lay.bx, row_len, gn, lay.bx,
-                        master_stream.record())
-                    .done;
-            c.scattered[i] = 1;
+          for (int d = 0; d < w; ++d) {
+            const std::size_t i = cell(v, d);
+            if (c.scanned[i] == 0) {
+              master_stream.wait(c.ev_gather[i]);
+              launch_intermediate_scan_slice(
+                  master_dev, c.aux_all.buffer(), row_len, g0,
+                  wave_begin(v + 1) - g0, d * lay.bx, lay.bx,
+                  &c.carry.buffer(), plan.s2, op);
+              c.scanned[i] = 1;
+            }
+            if (c.scattered[i] == 0) scatter(v, d, master_stream.record());
           }
         }
-      }
-      double t_out = t_in;
-      for (const simt::Event& e : c.ev_scatter) {
-        t_out = std::max(t_out, e.seconds);
-      }
-      stage2.close(t_out);
-      c.partial.breakdown.add("Stage2+Comm", t_out - t_in);
-      c.last_boundary = t_out;
+        double t_out = 0.0;
+        for (const simt::Event& e : c.ev_scatter) {
+          t_out = std::max(t_out, e.seconds);
+        }
+        return t_out;
+      });
     }
 
-    // ---- Stage 3 per GPU per wave, gated on that wave's prefix arrival.
+    // ---- Stage 3 per GPU per wave, gated on that cell's prefix arrival.
     // Failures can only surface in the copy stages above, so Stage 3
     // always runs whole once reached.
-    {
-      const double t_in = std::max(c.last_boundary, compute_front());
-      auto stage3 = obs::open_stage("Stage3", t_in);
+    stage("Stage3", -1, [&] {
       for (int d = 0; d < w; ++d) {
         simt::Stream s(cluster.device(gpus[static_cast<std::size_t>(d)]));
         for (int v = 0; v < k; ++v) {
           const std::int64_t g0 = wave_begin(v);
-          const std::int64_t gn = wave_begin(v + 1) - g0;
-          s.wait(c.ev_scatter[static_cast<std::size_t>(idx(v, d, w))]);
+          s.wait(c.ev_scatter[cell(v, d)]);
           launch_scan_add(s.device(), batches[static_cast<std::size_t>(d)].in,
                           batches[static_cast<std::size_t>(d)].out,
                           c.prefix_local[static_cast<std::size_t>(d)].buffer(),
-                          lay, plan.s13, kind, op, g0, gn);
+                          lay, plan.s13, kind, op, g0, wave_begin(v + 1) - g0);
         }
       }
-      const double t_out = std::max(t_in, compute_front());
-      stage3.close(t_out);
-      c.partial.breakdown.add("Stage3", t_out - t_in);
-      c.last_boundary = t_out;
-    }
+      return compute_front();
+    });
   } catch (...) {
     // Preserve the counters of the aborted attempt (this engine dies with
     // the unwind); the recovery driver re-enters with the same checkpoint.
@@ -395,192 +532,26 @@ RunResult scan_mps_overlapped(topo::Cluster& cluster,
 /// the distribute_batch layout. Returns the simulated makespan across the
 /// participating GPUs plus the phase breakdown. When `ws` is given, the
 /// auxiliary arrays are leased from it instead of allocated per call.
-/// With plan.pipe.overlap set (the planner's default for multi-GPU plans),
-/// the event-driven wave pipeline above replaces the bulk-synchronous
-/// phases; results are bit-identical either way.
+/// plan.pipe selects the joined or the overlapped schedule (see
+/// detail::run_mps); results are bit-identical either way. `ck`, when
+/// given, carries the progress a resume continues from.
 template <typename T, typename Op = Plus<T>>
 RunResult scan_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
                    std::vector<GpuBatch<T>>& batches, std::int64_t n,
                    std::int64_t g, const ScanPlan& plan, ScanKind kind,
                    Op op = {}, WorkspacePool* ws = nullptr,
                    MpsCheckpoint<T>* ck = nullptr) {
-  plan.validate();
-  const int w = static_cast<int>(gpus.size());
-  MGS_REQUIRE(w > 0 && static_cast<int>(batches.size()) == w,
-              "scan_mps: one batch per GPU required");
-  MGS_REQUIRE(n % w == 0, "scan_mps: N must be divisible by W");
   MpsCheckpoint<T> local_ck;
-  MpsCheckpoint<T>& c = ck != nullptr ? *ck : local_ck;
-  if (plan.pipe.overlap && w > 1) {
-    return detail::scan_mps_overlapped(cluster, gpus, batches, n, g, plan,
-                                       kind, op, ws, c);
-  }
-  const std::int64_t n_local = n / w;
-  const BatchLayout lay = make_layout(n_local, g, plan.s13);
-  MGS_REQUIRE(lay.bx >= 1,
-              "scan_mps: every GPU needs at least one chunk (Equation 2)");
-
-  topo::TransferEngine xfer(cluster);
-  auto phase_start = [&] {
-    double t = 0.0;
-    for (int d : gpus) t = std::max(t, cluster.device(d).clock().now());
-    return t;
-  };
-
-  if (!c.active) {
-    c.active = true;
-    c.overlap = false;
-    c.w = w;
-    c.k = 1;
-    c.partial = RunResult{};
-    c.partial.payload_bytes =
-        2ull * static_cast<std::uint64_t>(n) * g * sizeof(T);
-    c.t0 = phase_start();
-    c.last_boundary = c.t0;
-    c.s1_done.assign(static_cast<std::size_t>(w), 0);
-    c.gathered.assign(static_cast<std::size_t>(w), 0);
-    c.scanned.clear();
-    c.scattered.assign(static_cast<std::size_t>(w), 0);
-    c.stage2_done = false;
-    // Per-GPU auxiliary arrays (problem-major): aux_local holds the raw
-    // chunk reductions, prefix_local the scanned prefixes coming back;
-    // plus the master's combined array, G rows of W*bx totals ([g][d][c]).
-    c.aux_local.clear();
-    c.prefix_local.clear();
-    for (int d = 0; d < w; ++d) {
-      simt::Device& dev = cluster.device(gpus[static_cast<std::size_t>(d)]);
-      c.aux_local.push_back(acquire_workspace<T>(ws, dev, lay.aux_elems()));
-      c.prefix_local.push_back(
-          acquire_workspace<T>(ws, dev, lay.aux_elems()));
-    }
-    c.aux_all =
-        acquire_workspace<T>(ws, cluster.device(gpus[0]), g * w * lay.bx);
-  }
-  MGS_REQUIRE(!c.overlap && c.w == w,
-              "scan_mps: checkpoint shape mismatch on resume");
-
-  const int master = gpus[0];
-  const auto pending = [](const std::vector<char>& f) {
-    return std::any_of(f.begin(), f.end(), [](char x) { return x == 0; });
-  };
-
-  try {
-    // ---- Stage 1 on every GPU (concurrent; each device clock advances
-    // independently). On resume, only portions whose reductions died
-    // re-run (chunk_reduce is pure, so the values come back identical).
-    if (pending(c.s1_done)) {
-      const double t_in = std::max(c.last_boundary, phase_start());
-      auto stage1 = obs::open_stage("Stage1", t_in);
-      for (int d = 0; d < w; ++d) {
-        if (c.s1_done[static_cast<std::size_t>(d)] != 0) continue;
-        launch_chunk_reduce(cluster.device(gpus[static_cast<std::size_t>(d)]),
-                            batches[static_cast<std::size_t>(d)].in,
-                            c.aux_local[static_cast<std::size_t>(d)].buffer(),
-                            lay, plan.s13, op);
-        c.s1_done[static_cast<std::size_t>(d)] = 1;
-      }
-      const double t_out = std::max(t_in, phase_start());
-      stage1.close(t_out);
-      c.partial.breakdown.add("Stage1", t_out - t_in);
-      c.last_boundary = t_out;
-    }
-
-    // ---- Gather the chunk reductions on the master: per source GPU one
-    // strided 2-D copy (G rows of bx), problem-major on arrival. A copy
-    // that hits a dead device/link throws here with the earlier portions'
-    // flags already set -- their data lives in the master's aux_all.
-    if (pending(c.gathered)) {
-      const double t_in = std::max(c.last_boundary, phase_start());
-      auto gather_stage = obs::open_stage("AuxGather", t_in);
-      for (int d = 0; d < w; ++d) {
-        if (c.gathered[static_cast<std::size_t>(d)] != 0) continue;
-        xfer.copy_2d(c.aux_all.buffer(),
-                     static_cast<std::int64_t>(d) * lay.bx,
-                     static_cast<std::int64_t>(w) * lay.bx,
-                     c.aux_local[static_cast<std::size_t>(d)].buffer(), 0,
-                     lay.bx, g, lay.bx);
-        c.gathered[static_cast<std::size_t>(d)] = 1;
-      }
-      const double t_out = std::max(t_in, phase_start());
-      gather_stage.close(t_out);
-      c.partial.breakdown.add("AuxGather", t_out - t_in);
-      c.last_boundary = t_out;
-    }
-
-    // ---- Stage 2 on the master only (empirically better than splitting
-    // it across GPUs, per Section 4.1).
-    if (!c.stage2_done) {
-      const double t_in = std::max(c.last_boundary, phase_start());
-      auto stage2 = obs::open_stage("Stage2", t_in, master);
-      launch_intermediate_scan(cluster.device(master), c.aux_all.buffer(),
-                               static_cast<std::int64_t>(w) * lay.bx, g,
-                               plan.s2, op);
-      c.stage2_done = true;
-      const double t_out = std::max(t_in, phase_start());
-      stage2.close(t_out);
-      c.partial.breakdown.add("Stage2", t_out - t_in);
-      c.last_boundary = t_out;
-    }
-
-    // ---- Scatter each GPU's slice of scanned prefixes back (into the
-    // separate prefix arrays; the raw reductions in aux_local stay valid
-    // for a re-gather if the master dies later).
-    if (pending(c.scattered)) {
-      const double t_in = std::max(c.last_boundary, phase_start());
-      auto scatter_stage = obs::open_stage("AuxScatter", t_in);
-      for (int d = 0; d < w; ++d) {
-        if (c.scattered[static_cast<std::size_t>(d)] != 0) continue;
-        xfer.copy_2d(c.prefix_local[static_cast<std::size_t>(d)].buffer(), 0,
-                     lay.bx, c.aux_all.buffer(),
-                     static_cast<std::int64_t>(d) * lay.bx,
-                     static_cast<std::int64_t>(w) * lay.bx, g, lay.bx);
-        c.scattered[static_cast<std::size_t>(d)] = 1;
-      }
-      const double t_out = std::max(t_in, phase_start());
-      scatter_stage.close(t_out);
-      c.partial.breakdown.add("AuxScatter", t_out - t_in);
-      c.last_boundary = t_out;
-    }
-
-    // ---- Stage 3 on every GPU (no transfers left: always runs whole).
-    {
-      const double t_in = std::max(c.last_boundary, phase_start());
-      auto stage3 = obs::open_stage("Stage3", t_in);
-      for (int d = 0; d < w; ++d) {
-        launch_scan_add(
-            cluster.device(gpus[static_cast<std::size_t>(d)]),
-            batches[static_cast<std::size_t>(d)].in,
-            batches[static_cast<std::size_t>(d)].out,
-            c.prefix_local[static_cast<std::size_t>(d)].buffer(), lay,
-            plan.s13, kind, op);
-      }
-      const double t_out = std::max(t_in, phase_start());
-      stage3.close(t_out);
-      c.partial.breakdown.add("Stage3", t_out - t_in);
-      c.last_boundary = t_out;
-    }
-  } catch (...) {
-    c.counters.merge(xfer.fault_counters());
-    throw;
-  }
-
-  RunResult result = std::move(c.partial);
-  c.partial = RunResult{};
-  c.active = false;
-  result.seconds = c.last_boundary - c.t0;
-  c.counters.merge(xfer.fault_counters());
-  result.faults.counters = c.counters;
-  result.faults.resumed_stages = c.resumed_stages;
-  return result;
+  return detail::run_mps(cluster, gpus, batches, n, g, plan, kind, op, ws,
+                         ck != nullptr ? *ck : local_ck,
+                         detail::MpsGather::kCopies);
 }
 
 /// Scan-MPS variant with direct peer writes: when every participating GPU
 /// shares a PCIe network with the master, Stage 1 writes its chunk
 /// reductions straight into the master's combined auxiliary array through
-/// UVA peer access (Section 2: P2P copies are asynchronous and overlap
-/// with computation), eliminating the separate gather step. The scattered
-/// peer writes ride the P2P link pipelined behind the kernel; the model
-/// charges the link time minus the overlap with Stage 1.
+/// UVA peer access, eliminating the separate gather step. Always runs the
+/// joined schedule.
 ///
 /// Requires all GPUs on one PCIe network (throws util::Error otherwise);
 /// the scatter-back still uses explicit copies (Stage 3 needs the data
@@ -590,137 +561,16 @@ RunResult scan_mps_direct(topo::Cluster& cluster, const std::vector<int>& gpus,
                           std::vector<GpuBatch<T>>& batches, std::int64_t n,
                           std::int64_t g, const ScanPlan& plan, ScanKind kind,
                           Op op = {}, WorkspacePool* ws = nullptr) {
-  plan.validate();
-  const int w = static_cast<int>(gpus.size());
-  MGS_REQUIRE(w > 0 && static_cast<int>(batches.size()) == w,
-              "scan_mps_direct: one batch per GPU required");
-  MGS_REQUIRE(n % w == 0, "scan_mps_direct: N must be divisible by W");
-  const int master = gpus[0];
+  MGS_REQUIRE(!gpus.empty(), "scan_mps_direct: one batch per GPU required");
   for (int d : gpus) {
-    const auto link = cluster.link_between(master, d);
+    const auto link = cluster.link_between(gpus[0], d);
     MGS_REQUIRE(link == topo::LinkType::kSelf || link == topo::LinkType::kP2P,
                 "scan_mps_direct: all GPUs must share the master's PCIe "
                 "network (peer access)");
   }
-  const std::int64_t n_local = n / w;
-  const BatchLayout lay = make_layout(n_local, g, plan.s13);
-
-  RunResult result;
-  result.payload_bytes = 2ull * static_cast<std::uint64_t>(n) * g * sizeof(T);
-  topo::TransferEngine xfer(cluster);
-  auto phase_start = [&] {
-    double t = 0.0;
-    for (int d : gpus) t = std::max(t, cluster.device(d).clock().now());
-    return t;
-  };
-  const double t0 = phase_start();
-
-  auto aux_all =
-      acquire_workspace<T>(ws, cluster.device(master), g * w * lay.bx);
-  const auto aux_view = aux_all.view();
-
-  // ---- Stage 1 with direct peer writes into the master's array.
-  auto stage1 = obs::open_stage("Stage1+P2PWrites", t0);
-  for (int d = 0; d < w; ++d) {
-    simt::Device& dev = cluster.device(gpus[static_cast<std::size_t>(d)]);
-    simt::LaunchConfig cfg;
-    cfg.name = "chunk_reduce_p2p";
-    cfg.grid = {static_cast<int>(lay.bx), static_cast<int>(g), 1};
-    cfg.block = {plan.s13.lx, 1, 1};
-    cfg.regs_per_thread = plan.s13.regs_per_thread();
-    cfg.smem_per_block = plan.s13.smem_bytes(sizeof(T));
-    const auto inv = batches[static_cast<std::size_t>(d)].in.view();
-    const StagePlan sp = plan.s13;
-    const std::int64_t dd = d;
-    const auto t = simt::launch(dev, cfg, [=](simt::BlockCtx& ctx) {
-      const std::int64_t c = ctx.block_idx().x;
-      const std::int64_t gg = ctx.block_idx().y;
-      const std::int64_t chunk_off = c * lay.chunk;
-      const std::int64_t len =
-          std::min<std::int64_t>(lay.chunk, lay.n_local - chunk_off);
-      const T total =
-          cascade_reduce(ctx, inv, gg * lay.n_local + chunk_off, len, sp, op);
-      // UVA peer store into the master's [g][d][c] slot.
-      aux_view.store(gg * (w * lay.bx) + dd * lay.bx + c, total, ctx.stats());
-    });
-    if (gpus[static_cast<std::size_t>(d)] != master) {
-      // The peer writes ride the P2P link behind the kernel; only the
-      // non-overlapped remainder delays the pipeline.
-      const double wire = xfer.link_time(
-          gpus[static_cast<std::size_t>(d)], master,
-          static_cast<std::uint64_t>(g) * lay.bx * sizeof(T));
-      const double exposed = std::max(0.0, wire - 0.5 * t.seconds);
-      dev.clock().advance(exposed);
-      cluster.device(master).clock().sync_to(dev.clock().now());
-      if (exposed > 0.0) {
-        if (obs::TraceSession* ts = obs::TraceSession::current()) {
-          // The overlapped portion of the peer writes hides behind the
-          // kernel; only the exposed tail occupies the link as a span.
-          obs::SpanRecord rec;
-          rec.name = "p2p_writes";
-          rec.kind = obs::SpanKind::kTransfer;
-          rec.category = obs::Category::kP2P;
-          rec.device = master;
-          rec.src_device = gpus[static_cast<std::size_t>(d)];
-          rec.start_seconds = dev.clock().now() - exposed;
-          rec.end_seconds = dev.clock().now();
-          const std::uint64_t wire_bytes =
-              static_cast<std::uint64_t>(g) * lay.bx * sizeof(T);
-          rec.bytes = wire_bytes;
-          rec.notes.emplace_back("link", "p2p");
-          ts->add_event(std::move(rec));
-          ts->metrics().add("transfer_bytes", {{"kind", "p2p"}},
-                            static_cast<double>(wire_bytes));
-        }
-      }
-    }
-  }
-  const double t_stage1 = phase_start();
-  // The master may only start Stage 2 once every peer's writes landed.
-  cluster.device(master).clock().sync_to(t_stage1);
-  stage1.close(t_stage1);
-  result.breakdown.add("Stage1+P2PWrites", t_stage1 - t0);
-
-  // ---- Stage 2 on the master.
-  auto stage2 = obs::open_stage("Stage2", t_stage1, master);
-  launch_intermediate_scan(cluster.device(master), aux_all.buffer(),
-                           static_cast<std::int64_t>(w) * lay.bx, g, plan.s2,
-                           op);
-  const double t_stage2 = phase_start();
-  stage2.close(t_stage2);
-  result.breakdown.add("Stage2", t_stage2 - t_stage1);
-
-  // ---- Scatter slices back, then Stage 3 (same as regular MPS).
-  auto scatter_stage = obs::open_stage("AuxScatter", t_stage2);
-  std::vector<WorkspacePool::Handle<T>> aux_local;
-  aux_local.reserve(static_cast<std::size_t>(w));
-  for (int d = 0; d < w; ++d) {
-    aux_local.push_back(acquire_workspace<T>(
-        ws, cluster.device(gpus[static_cast<std::size_t>(d)]),
-        lay.aux_elems()));
-    xfer.copy_2d(aux_local.back().buffer(), 0, lay.bx, aux_all.buffer(),
-                 static_cast<std::int64_t>(d) * lay.bx,
-                 static_cast<std::int64_t>(w) * lay.bx, g, lay.bx);
-  }
-  const double t_scatter = phase_start();
-  scatter_stage.close(t_scatter);
-  result.breakdown.add("AuxScatter", t_scatter - t_stage2);
-
-  auto stage3 = obs::open_stage("Stage3", t_scatter);
-  for (int d = 0; d < w; ++d) {
-    launch_scan_add(cluster.device(gpus[static_cast<std::size_t>(d)]),
-                    batches[static_cast<std::size_t>(d)].in,
-                    batches[static_cast<std::size_t>(d)].out,
-                    aux_local[static_cast<std::size_t>(d)].buffer(), lay,
-                    plan.s13, kind, op);
-  }
-  const double t_end = phase_start();
-  stage3.close(t_end);
-  result.breakdown.add("Stage3", t_end - t_scatter);
-
-  result.seconds = t_end - t0;
-  result.faults.counters = xfer.fault_counters();
-  return result;
+  MpsCheckpoint<T> ck;
+  return detail::run_mps(cluster, gpus, batches, n, g, plan, kind, op, ws, ck,
+                         detail::MpsGather::kPeerWrites);
 }
 
 }  // namespace mgs::core

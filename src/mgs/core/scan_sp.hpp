@@ -45,7 +45,8 @@ RunResult scan_sp(simt::Device& dev, const simt::DeviceBuffer<T>& in,
     result.breakdown.add("Stage1", t1.seconds);
     auto stage2 = obs::open_stage("Stage2", dev.clock().now(), dev.id());
     const auto t2 =
-        launch_intermediate_scan(dev, aux.buffer(), lay.bx, lay.g, plan.s2, op);
+        launch_intermediate_scan_slice(dev, aux.buffer(), lay.bx, 0, lay.g, 0,
+                                       lay.bx, nullptr, plan.s2, op);
     stage2.close(dev.clock().now());
     result.breakdown.add("Stage2", t2.seconds);
     auto stage3 = obs::open_stage("Stage3", dev.clock().now(), dev.id());

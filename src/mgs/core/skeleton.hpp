@@ -264,11 +264,12 @@ T cascade_scan(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
 ///
 /// LoadFn:  (int64 i0, int n) -> WarpReg<T>   -- row elements [i0, i0+n)
 /// StoreFn: (int64 i0, int n, const WarpReg<T>&)
-/// Like warp_row_scan_exclusive below, but the row's exclusive prefix
-/// starts at `carry_in` instead of the identity, and the row total
-/// (excluding carry_in) is returned. This is what lets the wave-pipelined
-/// Stage 2 process a row in column chunks: chunk c seeds with the running
-/// carry written by chunk c-1 and hands its updated carry to chunk c+1.
+///
+/// The row's exclusive prefix starts at `carry_in` (Op::identity() for a
+/// whole row), and the row total (excluding carry_in) is returned. This is
+/// what lets the wave-pipelined Stage 2 process a row in column chunks:
+/// chunk c seeds with the running carry written by chunk c-1 and hands its
+/// updated carry to chunk c+1.
 template <typename T, typename Op, typename LoadFn, typename StoreFn>
 T warp_row_scan_exclusive_carry(simt::BlockCtx& ctx, std::int64_t len,
                                 LoadFn load, StoreFn store, Op op,
@@ -292,12 +293,6 @@ T warp_row_scan_exclusive_carry(simt::BlockCtx& ctx, std::int64_t len,
     }
   }
   return total;
-}
-
-template <typename T, typename Op, typename LoadFn, typename StoreFn>
-void warp_row_scan_exclusive(simt::BlockCtx& ctx, std::int64_t len,
-                             LoadFn load, StoreFn store, Op op) {
-  warp_row_scan_exclusive_carry<T>(ctx, len, load, store, op, Op::identity());
 }
 
 }  // namespace mgs::core

@@ -401,7 +401,7 @@ simt::Event Communicator::isend(int src_rank, int dst_rank,
               d.begin() + recv_offset);
   }
 
-  // DMA-queue pipelining (see TransferEngine::account_on): the engines
+  // DMA-queue pipelining (see TransferEngine::account): the engines
   // are released after the payload time; the fixed MPI + wire latency
   // delays completion but overlaps with the next queued message.
   const double engine_release =

@@ -17,7 +17,8 @@
 ///   Stream compute(dev);                 // SM engine
 ///   auto t = compute.launch(cfg, body);  // advances compute clock
 ///   Event done = compute.record();
-///   auto r = xfer.copy_async(..., done); // DMA starts when kernel done
+///   auto r = xfer.copy_2d(..., done, sim::Engine::kDma);
+///                                        // DMA starts when kernel done
 ///   other_compute.wait(r.done);          // consumer waits on the copy
 
 #include "mgs/sim/timeline.hpp"

@@ -106,18 +106,8 @@ double TransferEngine::latency_of(LinkType link) const {
 TransferResult TransferEngine::account(int src_dev, int dst_dev,
                                        std::uint64_t bytes,
                                        std::uint64_t rows, bool is_2d,
-                                       bool& corrupt_once) {
-  return account_on(src_dev, dst_dev, bytes, rows, is_2d, corrupt_once,
-                    sim::Engine::kCompute, 0.0, nullptr);
-}
-
-TransferResult TransferEngine::account_on(int src_dev, int dst_dev,
-                                          std::uint64_t bytes,
-                                          std::uint64_t rows, bool is_2d,
-                                          bool& corrupt_once,
-                                          sim::Engine engine,
-                                          double earliest_start,
-                                          double* completed_at) {
+                                       bool& corrupt_once, sim::Engine engine,
+                                       double earliest_start) {
   TransferResult r;
   r.bytes = bytes;
   LinkType link = cluster_->link_between(src_dev, dst_dev);
@@ -249,7 +239,7 @@ TransferResult TransferEngine::account_on(int src_dev, int dst_dev,
           : seconds;
   src_clock.sync_to(start + occupancy);
   dst_clock.sync_to(start + occupancy);
-  if (completed_at != nullptr) *completed_at = start + seconds;
+  r.done = simt::Event{start + seconds};
 
   breakdown_.add(to_string(link), seconds);
   if (ts != nullptr) {

@@ -38,17 +38,12 @@ class TransferError : public util::Error {
   int dst_dev;
 };
 
-/// Outcome of one copy.
+/// Outcome of one copy, with its completion as an event consumers can
+/// wait on (simt::Stream::wait).
 struct TransferResult {
   double seconds = 0.0;
   LinkType link = LinkType::kSelf;
   std::uint64_t bytes = 0;
-};
-
-/// Outcome of an asynchronous copy: the usual accounting plus a completion
-/// event consumers can wait on (simt::Stream::wait).
-struct AsyncResult {
-  TransferResult result;
   simt::Event done;
 };
 
@@ -95,14 +90,27 @@ class TransferEngine {
   /// plus a per-row DMA descriptor overhead -- with many small per-problem
   /// auxiliary rows (large G), the row overhead dominates, which is the
   /// paper's explanation for the W=8 drop in Figure 9.
+  ///
+  /// `engine` picks the per-device clocks the copy serializes on: the
+  /// compute engine (default) is the synchronous copy; the DMA engine is
+  /// cudaMemcpy2DAsync, overlapping with kernels on either device. `ready`
+  /// is an upstream dependency (typically the producer kernel's completion
+  /// event): the copy cannot start before it. Data moves immediately
+  /// either way (functional substrate); only the modeled times differ.
   template <typename T>
   TransferResult copy_2d(simt::DeviceBuffer<T>& dst, std::int64_t dst_off,
                          std::int64_t dst_stride,
                          const simt::DeviceBuffer<T>& src,
                          std::int64_t src_off, std::int64_t src_stride,
-                         std::int64_t rows, std::int64_t row_len) {
+                         std::int64_t rows, std::int64_t row_len,
+                         simt::Event ready = {},
+                         sim::Engine engine = sim::Engine::kCompute) {
     MGS_CHECK(rows >= 0 && row_len >= 0, "copy_2d: negative shape");
-    if (rows == 0 || row_len == 0) return {};
+    if (rows == 0 || row_len == 0) {
+      TransferResult none;
+      none.done = ready;
+      return none;
+    }
     MGS_CHECK(src_off >= 0 &&
                   src_off + (rows - 1) * src_stride + row_len <= src.size(),
               "copy_2d: source range out of bounds");
@@ -115,15 +123,14 @@ class TransferEngine {
     bool corrupt_once = false;
     const TransferResult r =
         account(src.device_id(), dst.device_id(), bytes,
-                static_cast<std::uint64_t>(rows), true, corrupt_once);
+                static_cast<std::uint64_t>(rows), true, corrupt_once, engine,
+                ready.seconds);
 
     const auto s = src.host_span();
     auto d = dst.host_span();
     for (std::int64_t row = 0; row < rows; ++row) {
-      for (std::int64_t i = 0; i < row_len; ++i) {
-        d[static_cast<std::size_t>(dst_off + row * dst_stride + i)] =
-            s[static_cast<std::size_t>(src_off + row * src_stride + i)];
-      }
+      const auto sb = s.begin() + (src_off + row * src_stride);
+      std::copy(sb, sb + row_len, d.begin() + (dst_off + row * dst_stride));
     }
     if (corrupt_once) {
       // Verify/repair row by row (the checksum covers the strided ranges).
@@ -133,85 +140,6 @@ class TransferEngine {
       }
     }
     return r;
-  }
-
-  /// Asynchronous copy (cudaMemcpyPeerAsync): serializes on the two
-  /// endpoints' DMA engines instead of their compute clocks, so a copy can
-  /// overlap with kernels running on either device. `ready` is an upstream
-  /// dependency (typically the producer kernel's completion event): the
-  /// copy cannot start before it. Data still moves immediately (functional
-  /// substrate); only the modeled start/finish times differ from copy().
-  /// The fault-retry loop is identical to the synchronous path.
-  template <typename T>
-  AsyncResult copy_async(simt::DeviceBuffer<T>& dst, std::int64_t dst_off,
-                         const simt::DeviceBuffer<T>& src,
-                         std::int64_t src_off, std::int64_t count,
-                         simt::Event ready = {}) {
-    MGS_CHECK(count >= 0, "TransferEngine::copy_async: negative count");
-    MGS_CHECK(src_off >= 0 && src_off + count <= src.size(),
-              "TransferEngine::copy_async: source range out of bounds");
-    MGS_CHECK(dst_off >= 0 && dst_off + count <= dst.size(),
-              "TransferEngine::copy_async: destination range out of bounds");
-
-    const std::uint64_t bytes =
-        static_cast<std::uint64_t>(count) * sizeof(T);
-    bool corrupt_once = false;
-    double done = 0.0;
-    const TransferResult r =
-        account_on(src.device_id(), dst.device_id(), bytes, 0, false,
-                   corrupt_once, sim::Engine::kDma, ready.seconds, &done);
-
-    const auto s = src.host_span();
-    auto d = dst.host_span();
-    if (count > 0) {
-      std::copy(s.begin() + src_off, s.begin() + (src_off + count),
-                d.begin() + dst_off);
-    }
-    if (corrupt_once && count > 0) {
-      verify_and_repair(d, dst_off, s, src_off, count);
-    }
-    return AsyncResult{r, simt::Event{done}};
-  }
-
-  /// Asynchronous strided 2-D copy; see copy_2d and copy_async.
-  template <typename T>
-  AsyncResult copy_2d_async(simt::DeviceBuffer<T>& dst, std::int64_t dst_off,
-                            std::int64_t dst_stride,
-                            const simt::DeviceBuffer<T>& src,
-                            std::int64_t src_off, std::int64_t src_stride,
-                            std::int64_t rows, std::int64_t row_len,
-                            simt::Event ready = {}) {
-    MGS_CHECK(rows >= 0 && row_len >= 0, "copy_2d_async: negative shape");
-    if (rows == 0 || row_len == 0) return AsyncResult{{}, ready};
-    MGS_CHECK(src_off >= 0 &&
-                  src_off + (rows - 1) * src_stride + row_len <= src.size(),
-              "copy_2d_async: source range out of bounds");
-    MGS_CHECK(dst_off >= 0 &&
-                  dst_off + (rows - 1) * dst_stride + row_len <= dst.size(),
-              "copy_2d_async: destination range out of bounds");
-
-    const std::uint64_t bytes =
-        static_cast<std::uint64_t>(rows) * row_len * sizeof(T);
-    bool corrupt_once = false;
-    double done = 0.0;
-    const TransferResult r =
-        account_on(src.device_id(), dst.device_id(), bytes,
-                   static_cast<std::uint64_t>(rows), true, corrupt_once,
-                   sim::Engine::kDma, ready.seconds, &done);
-
-    const auto s = src.host_span();
-    auto d = dst.host_span();
-    for (std::int64_t row = 0; row < rows; ++row) {
-      const auto sb = s.begin() + (src_off + row * src_stride);
-      std::copy(sb, sb + row_len, d.begin() + (dst_off + row * dst_stride));
-    }
-    if (corrupt_once) {
-      for (std::int64_t row = 0; row < rows; ++row) {
-        verify_and_repair(d, dst_off + row * dst_stride, s,
-                          src_off + row * src_stride, row_len);
-      }
-    }
-    return AsyncResult{r, simt::Event{done}};
   }
 
   /// Per-link-type accumulated seconds ("p2p", "host-staged", ...).
@@ -238,21 +166,15 @@ class TransferEngine {
  private:
   /// Single timed-and-clocked accounting path behind copy/copy_2d: picks
   /// the (possibly rerouted) link, runs the retry loop when an injector is
-  /// attached, advances both device clocks, and reports whether the final
-  /// payload must be corrupted-then-repaired by the caller.
+  /// attached, advances both endpoints' `engine` clocks (compute = fully
+  /// serialized synchronous copies, DMA = overlapped), and reports whether
+  /// the final payload must be corrupted-then-repaired by the caller.
+  /// `earliest_start` is an additional lower bound on the start time (an
+  /// upstream completion event); the result's `done` is the completion.
   TransferResult account(int src_dev, int dst_dev, std::uint64_t bytes,
-                         std::uint64_t rows, bool is_2d, bool& corrupt_once);
-
-  /// Engine-parameterized core behind account() and the *_async entry
-  /// points. `engine` selects which per-device clocks the copy serializes
-  /// on (compute = legacy synchronous semantics, DMA = overlapped);
-  /// `earliest_start` is an additional lower bound on the start time
-  /// (an upstream completion event). `completed_at`, when non-null,
-  /// receives the absolute completion time.
-  TransferResult account_on(int src_dev, int dst_dev, std::uint64_t bytes,
-                            std::uint64_t rows, bool is_2d,
-                            bool& corrupt_once, sim::Engine engine,
-                            double earliest_start, double* completed_at);
+                         std::uint64_t rows, bool is_2d, bool& corrupt_once,
+                         sim::Engine engine = sim::Engine::kCompute,
+                         double earliest_start = 0.0);
 
   /// Time of `bytes` over a specific link class (reroutes pick their
   /// class explicitly; link_time resolves the class from the topology).

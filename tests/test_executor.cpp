@@ -288,6 +288,28 @@ TEST(ExecutorRegistry, ListsTheFiveProposals) {
   }
 }
 
+// describe() names the schedule that runs. The planner asks for the
+// overlap pipeline on every multi-GPU plan, but peer writes (and a single
+// GPU) always run the joined, synchronous schedule.
+TEST(ExecutorRegistry, DescribeNamesTheScheduleThatRuns) {
+  auto cluster = mt::tsubame_kfc_cluster(1);
+  mc::ScanContext ctx(cluster);
+  const auto pipeline_of = [](const mc::ScanExecutor& ex) {
+    const std::string d = ex.describe();
+    const auto at = d.find("pipeline: ");
+    return at == std::string::npos ? d : d.substr(at);
+  };
+  auto direct = mc::make_mps_executor(ctx, 4, true);
+  direct->prepare(1 << 12, 4);
+  EXPECT_EQ(pipeline_of(*direct), "pipeline: synchronous");
+  auto single = mc::make_mps_executor(ctx, 1);
+  single->prepare(1 << 12, 4);
+  EXPECT_EQ(pipeline_of(*single), "pipeline: synchronous");
+  auto mps = mc::make_mps_executor(ctx, 4);
+  mps->prepare(1 << 12, 4);
+  EXPECT_EQ(pipeline_of(*mps).rfind("pipeline: overlapped, waves=", 0), 0u);
+}
+
 TEST(ExecutorRegistry, UnknownNameThrows) {
   auto cluster = mt::tsubame_kfc_cluster(1);
   mc::ScanContext ctx(cluster);

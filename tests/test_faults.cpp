@@ -501,45 +501,6 @@ double stage_midpoint(const std::vector<mgs::obs::SpanRecord>& spans,
 
 }  // namespace
 
-// The flagship resume scenario: a non-master device dies in the middle of
-// Stage 2 on the synchronous Scan-MPS path. Completed Stage-1 and gather
-// work must survive -- the run resumes from the Stage2 boundary
-// (re-scattering only the dead device's portions) without re-running
-// Stage 1, and the output stays bit-identical to the healthy run.
-TEST(ExecutorFaults, MidStage2DeviceDownResumesWithoutRerunningStage1) {
-  const auto data =
-      mgs::util::random_i32(static_cast<std::size_t>(kN * kG), 19);
-  Factory mps_sync = [](mc::ScanContext& c) {
-    return mc::make_mps_executor(
-        c, 4, false, mc::PipelineChoice{mc::PipelineMode::kSync, 0});
-  };
-  const auto healthy = run_traced(mps_sync, nullptr, data, kN, kG);
-  const double at = stage_midpoint(healthy.spans, "Stage2");
-  ASSERT_GT(at, 0.0);
-
-  ms::FaultPlan plan;
-  ms::FaultEvent ev;
-  ev.kind = ms::FaultKind::kDeviceDown;
-  ev.device = 1;  // non-master: the master keeps the gathered aux array
-  ev.at_seconds = at;
-  plan.events.push_back(ev);
-  const auto faulted = run_traced(mps_sync, &plan, data, kN, kG);
-
-  EXPECT_EQ(faulted.o.out, healthy.o.out);  // bit-identical, not just close
-  const auto& f = faulted.o.result.faults;
-  ASSERT_EQ(f.resumed_stages.size(), 1u);
-  EXPECT_EQ(f.resumed_stages.front(), "Stage2");
-  EXPECT_TRUE(f.degraded);
-  EXPECT_EQ(f.excluded_devices, std::vector<int>{1});
-  // The span trace proves Stage 1 never re-ran: one Stage1 span, one
-  // Recovery span covering the re-plan window.
-  EXPECT_EQ(count_stage(faulted.spans, "Stage1"), 1u);
-  EXPECT_EQ(count_stage(faulted.spans, "Recovery"), 1u);
-  EXPECT_EQ(count_stage(healthy.spans, "Recovery"), 0u);
-  // Recovery costs time: the degraded run is slower, never faster.
-  EXPECT_GT(faulted.o.seconds, healthy.o.seconds);
-}
-
 // Same mid-run loss on the event-driven overlap pipeline: the checkpoint
 // must resume (from whichever boundary held) with bit-identical output.
 TEST(ExecutorFaults, OverlapMidRunDeviceDownResumesBitIdentical) {
@@ -568,33 +529,117 @@ TEST(ExecutorFaults, OverlapMidRunDeviceDownResumesBitIdentical) {
   EXPECT_EQ(count_stage(faulted.spans, "Recovery"), f.resumed_stages.size());
 }
 
+// ------------------------------------- resume matrix over both schedules
+
+/// The Scan-MPS resume scenarios, run on the synchronous (joined) and the
+/// overlapped schedule. Every case checks what any resume must hold:
+/// output bit-identical to the healthy run, one Recovery span per resumed
+/// stage, and the dead device excluded from the degraded report.
+class MpsResume : public ::testing::TestWithParam<mc::PipelineMode> {
+ protected:
+  /// Two waves, so the overlapped checkpoint holds several cells per
+  /// device (the synchronous schedule ignores the wave count).
+  Factory mps() const {
+    const auto mode = GetParam();
+    return [mode](mc::ScanContext& c) {
+      return mc::make_mps_executor(c, 4, false, mc::PipelineChoice{mode, 2});
+    };
+  }
+  bool overlap() const { return GetParam() == mc::PipelineMode::kOverlap; }
+  /// The stage span Stage 2 runs inside on this schedule.
+  const char* stage2() const { return overlap() ? "Stage2+Comm" : "Stage2"; }
+
+  /// Kill `dev` at `at`, rerun, and check the invariants of every resume.
+  Traced kill(const Traced& healthy, int dev, double at,
+              std::span<const std::int32_t> data) const {
+    ms::FaultPlan plan;
+    ms::FaultEvent ev;
+    ev.kind = ms::FaultKind::kDeviceDown;
+    ev.device = dev;
+    ev.at_seconds = at;
+    plan.events.push_back(ev);
+    Traced faulted = run_traced(mps(), &plan, data, kN, kG);
+    EXPECT_EQ(faulted.o.out, healthy.o.out);  // bit-identical, not close
+    const auto& f = faulted.o.result.faults;
+    EXPECT_FALSE(f.resumed_stages.empty());
+    EXPECT_EQ(count_stage(faulted.spans, "Recovery"), f.resumed_stages.size());
+    EXPECT_EQ(count_stage(healthy.spans, "Recovery"), 0u);
+    EXPECT_TRUE(f.degraded);
+    EXPECT_EQ(f.excluded_devices, std::vector<int>{dev});
+    // Recovery costs time: the degraded run is slower, never faster.
+    EXPECT_GT(faulted.o.seconds, healthy.o.seconds);
+    return faulted;
+  }
+};
+
+// The flagship resume scenario: a non-master device dies in the middle of
+// Stage 2. Its cells were all gathered already, so completed Stage-1 and
+// gather work survives -- the run resumes from the Stage2 boundary
+// (re-scattering only the dead device's portions) without re-running
+// Stage 1. Device 3 is scattered to last on both schedules, so its
+// scatter is still ahead of the fault.
+TEST_P(MpsResume, MidStage2DeviceDownResumesWithoutRerunningStage1) {
+  const auto data =
+      mgs::util::random_i32(static_cast<std::size_t>(kN * kG), 19);
+  const auto healthy = run_traced(mps(), nullptr, data, kN, kG);
+  const double at = stage_midpoint(healthy.spans, stage2());
+  ASSERT_GT(at, 0.0);
+  const auto faulted = kill(healthy, 3, at, data);
+  EXPECT_EQ(faulted.o.result.faults.resumed_stages,
+            std::vector<std::string>{"Stage2"});
+  // The span trace proves Stage 1 never re-ran.
+  EXPECT_EQ(count_stage(faulted.spans, "Stage1"), 1u);
+}
+
 // Death of the MASTER mid-run: the gathered aux array dies with it, so
 // the resume must regress the gather/scan flags, re-place the master role
-// and still produce bit-identical output.
-TEST(ExecutorFaults, MasterDeathMidRunResumesOnNewMaster) {
+// and re-run Stage 1 for the master's own portion (its reductions were
+// only on the master).
+TEST_P(MpsResume, MasterDeathMidRunResumesOnNewMaster) {
   const auto data =
       mgs::util::random_i32(static_cast<std::size_t>(kN * kG), 21);
-  Factory mps_sync = [](mc::ScanContext& c) {
-    return mc::make_mps_executor(
-        c, 4, false, mc::PipelineChoice{mc::PipelineMode::kSync, 0});
-  };
-  const auto healthy = run_traced(mps_sync, nullptr, data, kN, kG);
-  const double at = stage_midpoint(healthy.spans, "Stage2");
+  const auto healthy = run_traced(mps(), nullptr, data, kN, kG);
+  const double at = stage_midpoint(healthy.spans, stage2());
   ASSERT_GT(at, 0.0);
-
-  ms::FaultPlan plan;
-  ms::FaultEvent ev;
-  ev.kind = ms::FaultKind::kDeviceDown;
-  ev.device = 0;  // the master
-  ev.at_seconds = at;
-  plan.events.push_back(ev);
-  const auto faulted = run_traced(mps_sync, &plan, data, kN, kG);
-
-  EXPECT_EQ(faulted.o.out, healthy.o.out);
-  EXPECT_TRUE(faulted.o.result.faults.degraded);
-  EXPECT_EQ(faulted.o.result.faults.excluded_devices, std::vector<int>{0});
-  EXPECT_FALSE(faulted.o.result.faults.resumed_stages.empty());
+  const auto faulted = kill(healthy, 0, at, data);
+  EXPECT_EQ(count_stage(faulted.spans, "Stage1"), 2u);
 }
+
+// A non-master device dies while the gather is in flight -- mid AuxGather
+// on the synchronous schedule, mid the first gather copy on the
+// overlapped one -- before its chunk reductions reached the master
+// (device 3 is gathered last on both schedules). The resume regenerates
+// them on the replacement (a second Stage1 span) and continues from the
+// gather boundary.
+TEST_P(MpsResume, MidGatherDeviceDownRegeneratesLostReductions) {
+  const auto data =
+      mgs::util::random_i32(static_cast<std::size_t>(kN * kG), 25);
+  const auto healthy = run_traced(mps(), nullptr, data, kN, kG);
+  double at = 0.0;
+  if (overlap()) {
+    const auto first = std::find_if(
+        healthy.spans.begin(), healthy.spans.end(), [](const auto& s) {
+          return s.kind == mgs::obs::SpanKind::kTransfer;
+        });
+    ASSERT_NE(first, healthy.spans.end());
+    at = (first->start_seconds + first->end_seconds) / 2.0;
+  } else {
+    at = stage_midpoint(healthy.spans, "AuxGather");
+  }
+  ASSERT_GT(at, 0.0);
+  const auto faulted = kill(healthy, 3, at, data);
+  EXPECT_EQ(faulted.o.result.faults.resumed_stages,
+            std::vector<std::string>{"AuxGather"});
+  EXPECT_EQ(count_stage(faulted.spans, "Stage1"), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, MpsResume,
+    ::testing::Values(mc::PipelineMode::kSync, mc::PipelineMode::kOverlap),
+    [](const ::testing::TestParamInfo<mc::PipelineMode>& info) {
+      return info.param == mc::PipelineMode::kSync ? std::string("Sync")
+                                                   : std::string("Overlap");
+    });
 
 // A device death the placement could not see (at > 0) must still end in a
 // correct scan for every multi-GPU proposal: Scan-MPS resumes from its

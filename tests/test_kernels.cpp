@@ -84,7 +84,8 @@ TEST(IntermediateScan, ExclusiveRowsInPlace) {
   auto aux = dev.alloc<int>(rows * len);
   std::copy(data.begin(), data.end(), aux.host_span().begin());
 
-  mc::launch_intermediate_scan(dev, aux, len, rows, plan.s2, Plus<int>{});
+  mc::launch_intermediate_scan_slice(dev, aux, len, 0, rows, 0, len, nullptr,
+                                     plan.s2, Plus<int>{});
   for (std::int64_t r = 0; r < rows; ++r) {
     int acc = 0;
     for (std::int64_t i = 0; i < len; ++i) {
@@ -106,8 +107,9 @@ TEST(IntermediateScanRanked, MatchesLogicalRowScan) {
   auto aux = dev.alloc<int>(ranks * rows * bx);
   std::copy(data.begin(), data.end(), aux.host_span().begin());
 
-  mc::launch_intermediate_scan_ranked(dev, aux, bx, ranks, rows, plan.s2,
-                                      Plus<int>{});
+  mc::launch_intermediate_scan_ranked_slice(dev, aux, bx, ranks, rows, 0,
+                                            rows, 0, ranks * bx, nullptr,
+                                            plan.s2, Plus<int>{});
   for (std::int64_t row = 0; row < rows; ++row) {
     int acc = 0;
     for (std::int64_t i = 0; i < ranks * bx; ++i) {
@@ -126,10 +128,11 @@ TEST(IntermediateScanRanked, StridedAccessesCostMore) {
   const std::int64_t rows = 64, len = 1024;
   auto a = dev1.alloc<int>(rows * len);
   auto b = dev2.alloc<int>(rows * len);
-  const auto t_contig =
-      mc::launch_intermediate_scan(dev1, a, len, rows, plan.s2, Plus<int>{});
-  const auto t_ranked = mc::launch_intermediate_scan_ranked(
-      dev2, b, len / 8, 8, rows, plan.s2, Plus<int>{});
+  const auto t_contig = mc::launch_intermediate_scan_slice(
+      dev1, a, len, 0, rows, 0, len, nullptr, plan.s2, Plus<int>{});
+  const auto t_ranked = mc::launch_intermediate_scan_ranked_slice(
+      dev2, b, len / 8, 8, rows, 0, rows, 0, len, nullptr, plan.s2,
+      Plus<int>{});
   EXPECT_GT(t_ranked.seconds, t_contig.seconds);
   EXPECT_LT(t_ranked.coalescing, t_contig.coalescing);
 }

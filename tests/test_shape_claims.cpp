@@ -60,11 +60,12 @@ const std::vector<std::string> kLibs = {"CUDPP", "Thrust", "ModernGPU",
                                         "CUB", "LightScan"};
 
 TEST_F(GoldenTable, CoversEveryFigurePoint) {
-  // 3 x 53 Figure 9 + 14 Figure 10 + 72 Figure 11 + 56 Figure 12 +
-  // 8 Figure 13 + 8 Figure 14 lines, less the repeats: Figure 14 reruns
-  // Figure 13's 8 points, and Figure 12's G = 1 point reruns Figure 11's
-  // Scan-SP and 5 library points.
-  EXPECT_EQ(table().size(), 303u);
+  // 3 x 53 Figure 9 + 2 x 14 Figure 10 (sync and overlap) + 72 Figure 11
+  // + 56 Figure 12 + 2 x 8 Figure 13 (sync and overlap) + 8 Figure 14 +
+  // 10 scaling-study + 24 (M, W) combination lines, less the repeats:
+  // Figure 14 reruns Figure 13's 8 sync points, and Figure 12's G = 1
+  // point reruns Figure 11's Scan-SP and 5 library points.
+  EXPECT_EQ(table().size(), 359u);
 }
 
 TEST_F(GoldenTable, Fig9OverlapNeverLosesToSync) {

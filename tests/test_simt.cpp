@@ -375,6 +375,11 @@ TEST(Launch, GridIndexingAndClock) {
 }
 
 TEST(Launch, SharedMemoryBudgetEnforced) {
+  // The death statement launches on the thread pool. A "fast" death test
+  // forks while earlier tests' pool workers are alive, and the child can
+  // inherit a lock a worker held at that instant and block forever; the
+  // threadsafe style runs the statement in a freshly executed process.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   st::Device dev = make_device();
   st::LaunchConfig cfg;
   cfg.grid = {1, 1, 1};

@@ -207,7 +207,7 @@ TEST(Skeleton, RowScanExclusive) {
   const auto view = buf.view();
 
   in_block(dev, 64, [&](st::BlockCtx& ctx) {
-    mc::warp_row_scan_exclusive<int>(
+    mc::warp_row_scan_exclusive_carry<int>(
         ctx, len,
         [&](std::int64_t i0, int cnt) {
           return view.load_warp_partial(i0, cnt, 0, ctx.stats());
@@ -215,7 +215,7 @@ TEST(Skeleton, RowScanExclusive) {
         [&](std::int64_t i0, int cnt, const st::WarpReg<int>& v) {
           view.store_warp_partial(i0, cnt, v, ctx.stats());
         },
-        Plus<int>{});
+        Plus<int>{}, 0);
   });
   int acc = 0;
   for (std::int64_t i = 0; i < len; ++i) {
