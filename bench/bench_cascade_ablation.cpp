@@ -114,6 +114,34 @@ int main(int argc, char** argv) {
         util::fmt_time_us(plain.seconds).c_str(),
         util::fmt_time_us(seg.seconds).c_str(), seg.seconds / plain.seconds);
   }
+  // The same extension through the executor stack: one batch of 16
+  // sequences per SegmentedScan, on Scan-SP and on Scan-MPS W=4 with each
+  // pipeline. Recorded for the golden table only; nothing is printed.
+  if (!cfg.history_file.empty()) {
+    const std::int64_t sn = 1 << 17;
+    const std::int64_t sg = 16;
+    const auto values =
+        util::random_i32(static_cast<std::size_t>(sn * sg), cfg.seed + 2);
+    std::vector<int> flags(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      flags[i] = (values[i] & 1023) == 0 ? 1 : 0;  // ~1k-element segments
+    }
+    std::vector<int> out(values.size());
+    bench::BenchContext bc(1);
+    const auto record = [&](const std::string& executor, int devices,
+                            const core::ExecutorParams& p,
+                            const std::string& pipeline) {
+      core::SegmentedScan<int> seg(bc.ctx(), executor, p);
+      seg.prepare(sn, sg);
+      const auto r = seg.run(values, flags, out);
+      bench::record_history(cfg, executor + "(segmented)", sn, sg, devices,
+                            pipeline, r);
+    };
+    record("Scan-SP", 1, {}, "sync");
+    record("Scan-MPS", 4, {.w = 4, .pipeline = core::PipelineMode::kSync},
+           "sync");
+    record("Scan-MPS", 4, {.w = 4}, "overlap");
+  }
 
   print_overlap();
   return 0;

@@ -375,33 +375,6 @@ inline double gbps(std::int64_t elems, double seconds, int elem_bytes = 4) {
          seconds / 1e9;
 }
 
-/// Typed twins of sp_run / mps_run for dtype/op sweeps. The int versions
-/// above keep the exact legacy shape the i32 baselines track.
-template <typename T, typename Op = core::Plus<T>>
-core::RunResult sp_run_t(std::span<const T> data, std::int64_t n,
-                         std::int64_t g, const core::ScanPlan& plan) {
-  simt::Device dev(0, sim::k80_spec());
-  auto in = dev.alloc<T>(n * g);
-  auto out = dev.alloc<T>(n * g);
-  std::copy(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(n * g),
-            in.host_span().begin());
-  return core::scan_sp<T, Op>(dev, in, out, n, g, plan,
-                              core::ScanKind::kInclusive);
-}
-
-template <typename T, typename Op = core::Plus<T>>
-core::RunResult mps_run_t(int w, std::span<const T> data, std::int64_t n,
-                          std::int64_t g, const core::ScanPlan& plan) {
-  auto cluster = topo::tsubame_kfc_cluster(1);
-  std::vector<int> gpus;
-  for (int i = 0; i < w; ++i) {
-    gpus.push_back(cluster.global_id(0, i / 4, i % 4));
-  }
-  auto batches = core::distribute_batch<T>(cluster, gpus, data, n, g);
-  return core::scan_mps<T, Op>(cluster, gpus, batches, n, g, plan,
-                               core::ScanKind::kInclusive);
-}
-
 /// Persistent harness state for the unified API: one cluster, one
 /// ScanContext (shared plan cache + workspace pool) and one executor per
 /// (proposal, placement) pair, reused across every data point of a sweep.
@@ -428,8 +401,6 @@ class BenchContext {
     cluster_.set_fault_injector(injector_.get());
   }
 
-  const sim::FaultInjector* faults() const { return injector_.get(); }
-
   /// The cached executor for (name, params); created on first use.
   core::ScanExecutor& executor(const std::string& name,
                                const core::ExecutorParams& params = {}) {
@@ -454,14 +425,7 @@ class BenchContext {
                       std::span<const int> data, std::int64_t n,
                       std::int64_t g,
                       core::ScanKind kind = core::ScanKind::kInclusive) {
-    auto& ex = executor(name, params);
-    ex.prepare(n, g);
-    if (static_cast<std::int64_t>(out_.size()) < n * g) {
-      out_.resize(static_cast<std::size_t>(n * g));
-    }
-    return ex.run(data.first(static_cast<std::size_t>(n * g)),
-                  std::span<int>(out_).first(static_cast<std::size_t>(n * g)),
-                  kind);
+    return run_typed<int>(name, params, data, n, g, kind);
   }
 
   /// Dtype/op-generic spelling of run(): the executor is instantiated for
@@ -510,7 +474,6 @@ class BenchContext {
   core::ScanContext ctx_;
   std::unique_ptr<sim::FaultInjector> injector_;
   std::map<std::string, std::unique_ptr<core::ScanExecutor>> executors_;
-  std::vector<int> out_;
   std::array<std::shared_ptr<void>, core::kNumDTypes> typed_out_;
 };
 

@@ -4,8 +4,8 @@
 # --total-log2 20 --min-n-log2 13 -- Figure 9 sync and overlap for
 # i32/plus, f64/max and i64/min, then Figures 10-14 with the Figure 11/12
 # library columns (Figures 10 and 13 also on the overlap pipeline), the
-# scaling study (including Scan-MPS-direct) and the Section 5.2 (M, W)
-# combinations.
+# scaling study (including Scan-MPS-direct), the Section 5.2 (M, W)
+# combinations and the segmented scan through Scan-SP and Scan-MPS W=4.
 #
 #   scripts/golden.sh BUILD_DIR OUT
 #
@@ -36,7 +36,7 @@ for cfg in "i32 plus" "f64 max" "i64 min"; do
 done
 for b in bench_fig10_mppc bench_fig11_g1 bench_fig12_batch \
          bench_fig13_multinode bench_fig14_breakdown bench_scaling \
-         bench_mn_combos; do
+         bench_mn_combos bench_cascade_ablation; do
   run "$b"
 done
 echo "golden: $(wc -l <"$OUT") points -> $OUT"

@@ -115,6 +115,15 @@ std::vector<T> reference_segmented(const std::vector<T>& values,
   return excl;
 }
 
+/// The executor must run the scenario's own cell: a replay routed to
+/// another (dtype, op) would report a pass it never earned.
+void require_cell(const core::ScanExecutor& ex, const Scenario& s) {
+  MGS_CHECK(ex.dtype() == s.dtype && ex.op() == s.op,
+            "chaos: " + to_string(s) + " ran on the " +
+                core::to_string(ex.dtype()) + "/" + core::to_string(ex.op()) +
+                " cell");
+}
+
 template <typename T, typename Op>
 RunOutcome run_typed(const Scenario& s) {
   RunOutcome o;
@@ -134,9 +143,7 @@ RunOutcome run_typed(const Scenario& s) {
   p.pipeline = s.pipeline;
   p.waves = s.waves;
   p.dtype = *core::dtype_of_v<T>;
-  p.op = Op::name() == std::string("plus") ? core::OpTag::kPlus
-         : Op::name() == std::string("max") ? core::OpTag::kMax
-                                            : core::OpTag::kMin;
+  p.op = *core::op_tag_of_v<Op>;
   const auto data = scenario_data<T>(s);
   std::vector<T> out(data.size());
   std::vector<T> ref;
@@ -144,12 +151,14 @@ RunOutcome run_typed(const Scenario& s) {
     if (s.segmented) {
       const auto flags = scenario_flags<T>(s);
       core::SegmentedScan<T, Op> seg(ctx, s.executor, p);
+      require_cell(seg.executor(), s);
       seg.prepare(s.n, s.g);
       o.result = seg.run(std::span<const T>(data), std::span<const T>(flags),
                          std::span<T>(out), s.kind);
       ref = reference_segmented<T, Op>(data, flags, s.n, s.kind);
     } else {
       auto ex = core::make_executor(s.executor, ctx, p);
+      require_cell(*ex, s);
       ex->prepare(s.n, s.g);
       o.result = ex->run(std::span<const T>(data), std::span<T>(out), s.kind);
       ref = baselines::reference_batch_scan<T, Op>(data, s.n, s.g, s.kind);
@@ -173,19 +182,24 @@ RunOutcome run_typed(const Scenario& s) {
 template <typename T>
 RunOutcome run_with_op(const Scenario& s) {
   switch (s.op) {
+    case core::OpTag::kPlus: return run_typed<T, core::Plus<T>>(s);
     case core::OpTag::kMax: return run_typed<T, core::Max<T>>(s);
     case core::OpTag::kMin: return run_typed<T, core::Min<T>>(s);
-    default: return run_typed<T, core::Plus<T>>(s);
   }
+  MGS_REQUIRE(false, "chaos: unhandled operator");
+  return {};
 }
 
 RunOutcome run_scenario_once(const Scenario& s) {
   switch (s.dtype) {
-    case core::DType::kF64: return run_with_op<double>(s);
-    case core::DType::kF32: return run_with_op<float>(s);
+    case core::DType::kI32: return run_with_op<std::int32_t>(s);
     case core::DType::kI64: return run_with_op<std::int64_t>(s);
-    default: return run_with_op<std::int32_t>(s);
+    case core::DType::kU32: return run_with_op<std::uint32_t>(s);
+    case core::DType::kF32: return run_with_op<float>(s);
+    case core::DType::kF64: return run_with_op<double>(s);
   }
+  MGS_REQUIRE(false, "chaos: unhandled dtype");
+  return {};
 }
 
 std::optional<std::string> check_impl(const Scenario& s, bool* rejected) {

@@ -11,7 +11,8 @@
 /// per-call virtual dispatch on the data type.
 ///
 /// TypedSpan / ConstTypedSpan are the erased data carriers: a pointer +
-/// DType + element count. The typed std::span convenience overloads on
+/// DType (+ the segmented flag for packed value/flag pairs) + element
+/// count. The typed std::span convenience overloads on
 /// ScanExecutor wrap and unwrap them, so callers that know their type
 /// statically never spell the erasure out.
 
@@ -86,8 +87,8 @@ DType parse_dtype(const std::string& s);
 OpTag parse_op(const std::string& s);
 
 /// C++ type -> DType. Primary template is empty: types outside the matrix
-/// (e.g. SegPair<T> on the internal segmented path) have no erased
-/// carrier and can only be driven through the typed executor interface.
+/// have no DType (SegPair<T> is carried as its scalar DType with the
+/// segmented flag set; see PlanTypeOf).
 template <typename T>
 struct DTypeOf {
   static constexpr std::optional<DType> value = std::nullopt;
@@ -154,30 +155,49 @@ struct PlanTypeOf {
   static constexpr bool segmented = false;
 };
 
-/// Mutable erased host range: pointer + dtype + element count.
+namespace detail {
+
+/// "i32", or "i32/seg" for a span of packed segmented pairs.
+inline std::string carrier_name(DType d, bool segmented) {
+  return std::string(to_string(d)) + (segmented ? "/seg" : "");
+}
+
+/// Throws util::Error unless an erased span holding (dtype, segmented)
+/// elements may be viewed as T, so a wrongly-routed buffer can never be
+/// reinterpreted silently.
+template <typename T>
+void require_carrier(const char* who, DType dtype, bool segmented) {
+  MGS_REQUIRE(dtype == PlanTypeOf<T>::dtype &&
+                  segmented == PlanTypeOf<T>::segmented,
+              std::string(who) + ": dtype mismatch (span holds " +
+                  carrier_name(dtype, segmented) + ", caller wants " +
+                  carrier_name(PlanTypeOf<T>::dtype,
+                               PlanTypeOf<T>::segmented) +
+                  ")");
+}
+
+}  // namespace detail
+
+/// Mutable erased host range: pointer + element identity + element count.
+/// The identity is PlanTypeOf's: a scalar DType, or the same DType with
+/// `segmented` set for SegPair elements (segmented.hpp).
 struct TypedSpan {
   void* data = nullptr;
   DType dtype = DType::kI32;
   std::int64_t count = 0;
+  bool segmented = false;
 
   template <typename T>
   static TypedSpan of(std::span<T> s) {
-    static_assert(dtype_of_v<T>.has_value(),
-                  "TypedSpan: type outside the DType matrix");
-    return TypedSpan{s.data(), *dtype_of_v<T>,
-                     static_cast<std::int64_t>(s.size())};
+    return TypedSpan{s.data(), PlanTypeOf<T>::dtype,
+                     static_cast<std::int64_t>(s.size()),
+                     PlanTypeOf<T>::segmented};
   }
 
-  /// Recover the typed view; throws util::Error on a dtype mismatch so a
-  /// wrongly-routed buffer can never be reinterpreted silently.
+  /// Recover the typed view; throws util::Error on an element mismatch.
   template <typename T>
   std::span<T> as() const {
-    static_assert(dtype_of_v<T>.has_value(),
-                  "TypedSpan: type outside the DType matrix");
-    MGS_REQUIRE(dtype == *dtype_of_v<T>,
-                std::string("TypedSpan: dtype mismatch (span holds ") +
-                    to_string(dtype) + ", caller wants " +
-                    to_string(*dtype_of_v<T>) + ")");
+    detail::require_carrier<T>("TypedSpan", dtype, segmented);
     return std::span<T>(static_cast<T*>(data),
                         static_cast<std::size_t>(count));
   }
@@ -188,23 +208,18 @@ struct ConstTypedSpan {
   const void* data = nullptr;
   DType dtype = DType::kI32;
   std::int64_t count = 0;
+  bool segmented = false;
 
   template <typename T>
   static ConstTypedSpan of(std::span<const T> s) {
-    static_assert(dtype_of_v<T>.has_value(),
-                  "ConstTypedSpan: type outside the DType matrix");
-    return ConstTypedSpan{s.data(), *dtype_of_v<T>,
-                          static_cast<std::int64_t>(s.size())};
+    return ConstTypedSpan{s.data(), PlanTypeOf<T>::dtype,
+                          static_cast<std::int64_t>(s.size()),
+                          PlanTypeOf<T>::segmented};
   }
 
   template <typename T>
   std::span<const T> as() const {
-    static_assert(dtype_of_v<T>.has_value(),
-                  "ConstTypedSpan: type outside the DType matrix");
-    MGS_REQUIRE(dtype == *dtype_of_v<T>,
-                std::string("ConstTypedSpan: dtype mismatch (span holds ") +
-                    to_string(dtype) + ", caller wants " +
-                    to_string(*dtype_of_v<T>) + ")");
+    detail::require_carrier<T>("ConstTypedSpan", dtype, segmented);
     return std::span<const T>(static_cast<const T*>(data),
                               static_cast<std::size_t>(count));
   }

@@ -10,11 +10,11 @@ namespace {
 
 using detail::FactoryTable;
 
-// The five dispatch tables -- the single place (besides the CI
-// instantiation guard) where every proposal is instantiated over the
-// whole (DType, OpTag) matrix. Built at compile time; density is
-// static_asserted so a new enumerator without a maker row is a build
-// error, not a null dispatch.
+// The five dispatch tables -- the single place where every proposal is
+// instantiated over the whole scalar (DType, OpTag) matrix
+// (segmented_executor.cpp does the same for the packed pairs). Built at
+// compile time; density is static_asserted so a new enumerator without a
+// maker row is a build error, not a null dispatch.
 constexpr FactoryTable kSpTable = detail::make_table<detail::SpMaker>();
 constexpr FactoryTable kMpsTable = detail::make_table<detail::MpsMaker>();
 constexpr FactoryTable kMpsDirectTable =
@@ -34,14 +34,6 @@ static_assert(detail::table_is_dense(kMppcTable),
 static_assert(
     detail::table_is_dense(kMultinodeTable),
     "Scan-MPS-multinode dispatch table has unfilled (dtype, op) cells");
-
-/// The one runtime dispatch: (dtype, op) -> monomorphic instantiation.
-std::unique_ptr<ScanExecutor> dispatch(const FactoryTable& table,
-                                       ScanContext& ctx,
-                                       const ExecutorParams& p, DType dtype,
-                                       OpTag op) {
-  return table.at(dtype, op)(ctx, p);
-}
 
 }  // namespace
 
@@ -126,47 +118,38 @@ void ScanExecutor::finish_run(obs::ScopedSpan& span, RunResult& r) const {
   r.metrics = ts->metrics().snapshot();
 }
 
+// The factories: the one runtime dispatch, (dtype, op) -> monomorphic
+// instantiation.
 std::unique_ptr<ScanExecutor> make_sp_executor(ScanContext& ctx, int device_id,
                                                DType dtype, OpTag op) {
-  ExecutorParams p;
-  p.device = device_id;
-  return dispatch(kSpTable, ctx, p, dtype, op);
+  return kSpTable.at(dtype, op)(ctx, {.device = device_id});
 }
 
 std::unique_ptr<ScanExecutor> make_mps_executor(ScanContext& ctx, int w,
                                                 bool direct,
                                                 PipelineChoice pipe,
                                                 DType dtype, OpTag op) {
-  ExecutorParams p;
-  p.w = w;
-  p.pipeline = pipe.mode;
-  p.waves = pipe.waves;
-  return dispatch(direct ? kMpsDirectTable : kMpsTable, ctx, p, dtype, op);
+  return (direct ? kMpsDirectTable : kMpsTable)
+      .at(dtype, op)(ctx, {.w = w, .pipeline = pipe.mode, .waves = pipe.waves});
 }
 
 std::unique_ptr<ScanExecutor> make_mppc_executor(ScanContext& ctx, int y,
                                                  int v, int m,
                                                  PipelineChoice pipe,
                                                  DType dtype, OpTag op) {
-  ExecutorParams p;
-  p.y = y;
-  p.v = v;
-  p.m = m;
-  p.pipeline = pipe.mode;
-  p.waves = pipe.waves;
-  return dispatch(kMppcTable, ctx, p, dtype, op);
+  return kMppcTable.at(dtype, op)(ctx, {.y = y,
+                                        .v = v,
+                                        .m = m,
+                                        .pipeline = pipe.mode,
+                                        .waves = pipe.waves});
 }
 
 std::unique_ptr<ScanExecutor> make_multinode_executor(ScanContext& ctx, int m,
                                                       int w,
                                                       PipelineChoice pipe,
                                                       DType dtype, OpTag op) {
-  ExecutorParams p;
-  p.m = m;
-  p.w = w;
-  p.pipeline = pipe.mode;
-  p.waves = pipe.waves;
-  return dispatch(kMultinodeTable, ctx, p, dtype, op);
+  return kMultinodeTable.at(dtype, op)(
+      ctx, {.w = w, .m = m, .pipeline = pipe.mode, .waves = pipe.waves});
 }
 
 }  // namespace mgs::core

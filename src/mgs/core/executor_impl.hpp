@@ -5,14 +5,13 @@
 /// operator), plus the dispatch-table machinery that maps a runtime
 /// (DType, OpTag) pair to one instantiation.
 ///
-/// Most code includes executor.hpp only and never sees this header; it
-/// exists for the two TUs that must instantiate the matrix (executor.cpp
-/// builds the factory tables; the CI instantiation guard instantiates all
-/// of it explicitly) and for typed wrappers such as SegmentedScan, which
-/// needs a TypedScanExecutor over SegPair elements -- a type that has no
-/// erased carrier and therefore can never come out of the tables.
-/// Keeping the table *variables* out of this header keeps ordinary TUs
-/// from paying the 5 proposals x 5 dtypes x 3 ops instantiation cost.
+/// Only the two core TUs that build factory tables include this header:
+/// executor.cpp instantiates every proposal over the scalar (DType, OpTag)
+/// matrix, segmented_executor.cpp over the packed SegPair elements of the
+/// same matrix. Everyone else reaches the executors through the erased
+/// factories of executor.hpp, executor_registry.hpp and
+/// segmented_context.hpp, so no other TU pays the proposals x dtypes x
+/// ops instantiation cost.
 
 #include <algorithm>
 #include <optional>
@@ -32,10 +31,8 @@
 namespace mgs::core {
 
 /// Intermediate base fixing the element type and operator of an executor.
-/// The erased run() unwraps the TypedSpans (checking the dtype once) and
-/// forwards to run_typed(); for element types outside the DType matrix
-/// (SegPair on the internal segmented path) the erased entry point is
-/// compiled to a hard error path, and only run_typed() is usable.
+/// The erased run() unwraps the TypedSpans (checking the element type
+/// once) and forwards to run_typed().
 template <typename T, typename Op>
 class TypedScanExecutor : public ScanExecutor {
  public:
@@ -48,15 +45,7 @@ class TypedScanExecutor : public ScanExecutor {
   using ScanExecutor::run;  // keep the typed std::span overloads visible
 
   RunResult run(ConstTypedSpan in, TypedSpan out, ScanKind kind) final {
-    if constexpr (dtype_of_v<T>.has_value()) {
-      return run_typed(in.template as<T>(), out.template as<T>(), kind);
-    } else {
-      MGS_REQUIRE(false,
-                  "ScanExecutor: this instantiation's element type has no "
-                  "erased carrier (packed segmented elements); call "
-                  "run_typed() on the TypedScanExecutor instead");
-      return {};
-    }
+    return run_typed(in.template as<T>(), out.template as<T>(), kind);
   }
 
   /// The monomorphic entry point: same contract as the erased run(), with
@@ -1066,47 +1055,9 @@ class MultinodeExecutorT final : public TypedScanExecutor<T, Op> {
   SpFallbackT<T, Op> sp_;
 };
 
-}  // namespace detail
-
-/// Build one typed proposal executor by registry name. This is the typed
-/// twin of make_executor(): wrappers that hold the executor by its
-/// TypedScanExecutor interface (SegmentedScan) use it to keep run_typed()
-/// callable; everyone else goes through the erased factories.
-template <typename T, typename Op = Plus<T>>
-std::unique_ptr<TypedScanExecutor<T, Op>> make_typed_executor(
-    const std::string& name, ScanContext& ctx, const ExecutorParams& p = {}) {
-  const PipelineChoice pipe{p.pipeline, p.waves};
-  if (name == "Scan-SP") {
-    return std::make_unique<detail::SpExecutorT<T, Op>>(ctx, p.device);
-  }
-  if (name == "Scan-MPS") {
-    return std::make_unique<detail::MpsExecutorT<T, Op>>(ctx, p.w,
-                                                         /*direct=*/false,
-                                                         pipe);
-  }
-  if (name == "Scan-MPS-direct") {
-    return std::make_unique<detail::MpsExecutorT<T, Op>>(ctx, p.w,
-                                                         /*direct=*/true,
-                                                         pipe);
-  }
-  if (name == "Scan-MP-PC") {
-    return std::make_unique<detail::MppcExecutorT<T, Op>>(
-        ctx, p.y, p.v, p.m > 0 ? p.m : 1, pipe);
-  }
-  if (name == "Scan-MPS-multinode") {
-    return std::make_unique<detail::MultinodeExecutorT<T, Op>>(ctx, p.m, p.w,
-                                                               pipe);
-  }
-  MGS_REQUIRE(false, "make_typed_executor: unknown executor '" + name + "'");
-  return nullptr;
-}
-
-namespace detail {
-
 /// One (DType, OpTag) -> executor-factory dispatch table. The table
-/// *variables* are built only in executor.cpp and in the CI instantiation
-/// guard -- never as inline header constants -- so ordinary TUs including
-/// this header do not instantiate the full proposal x dtype x op matrix.
+/// *variables* are built only in executor.cpp and segmented_executor.cpp,
+/// never as inline header constants.
 using ExecutorFactory = std::unique_ptr<ScanExecutor> (*)(
     ScanContext&, const ExecutorParams&);
 
@@ -1124,9 +1075,9 @@ struct FactoryTable {
   }
 };
 
-/// Every cell filled? static_asserted over each table in executor.cpp and
-/// the guard TU, so a new DType/OpTag enumerator that misses a maker row
-/// breaks the build rather than null-dispatching at runtime.
+/// Every cell filled? static_asserted over each table where it is built,
+/// so a new DType/OpTag enumerator that misses a maker row breaks the
+/// build rather than null-dispatching at runtime.
 constexpr bool table_is_dense(const FactoryTable& t) {
   for (int d = 0; d < kNumDTypes; ++d) {
     for (int o = 0; o < kNumOpTags; ++o) {
@@ -1137,7 +1088,9 @@ constexpr bool table_is_dense(const FactoryTable& t) {
 }
 
 /// Maker shims: one static make() per (proposal, T, Op) with the uniform
-/// ExecutorFactory signature the tables store.
+/// ExecutorFactory signature the tables store. Taking make()'s address
+/// emits the executor's vtable, which instantiates every virtual member,
+/// so a member that fails to compile for some cell breaks the build.
 template <typename T, typename Op>
 struct SpMaker {
   static std::unique_ptr<ScanExecutor> make(ScanContext& ctx,
@@ -1169,7 +1122,7 @@ struct MppcMaker {
   static std::unique_ptr<ScanExecutor> make(ScanContext& ctx,
                                             const ExecutorParams& p) {
     return std::make_unique<MppcExecutorT<T, Op>>(
-        ctx, p.y, p.v, p.m > 0 ? p.m : 1, PipelineChoice{p.pipeline, p.waves});
+        ctx, p.y, p.v, p.m, PipelineChoice{p.pipeline, p.waves});
   }
 };
 
@@ -1195,7 +1148,7 @@ constexpr void fill_row(FactoryTable& t) {
 }
 
 /// The full 5 x 3 table for one proposal. Instantiates that proposal over
-/// the whole matrix -- call only from executor.cpp / the guard TU.
+/// the whole matrix -- call only from the two table TUs.
 template <template <typename, typename> class Maker>
 constexpr FactoryTable make_table() {
   FactoryTable t;

@@ -27,7 +27,7 @@ const std::vector<ExecutorInfo>& all_executors() {
        "per-PCIe-network groups with prioritized communications "
        "(Section 4.1.1)",
        [](ScanContext& ctx, const ExecutorParams& p) {
-         return make_mppc_executor(ctx, p.y, p.v, p.m > 0 ? p.m : 1,
+         return make_mppc_executor(ctx, p.y, p.v, p.m,
                                    PipelineChoice{p.pipeline, p.waves},
                                    p.dtype, p.op);
        }},

@@ -42,10 +42,10 @@ struct SegOp {
   static constexpr const char* name() { return "seg"; }
 };
 
-/// Plan-cache identity of the packed representation: the scalar dtype with
-/// the segmented flag set (elem_bytes doubles). This is what lets SegPair
-/// workloads ride the ScanContext plan cache and the executor stack even
-/// though SegPair itself has no erased TypedSpan carrier.
+/// Plan-cache and TypedSpan identity of the packed representation: the
+/// scalar dtype with the segmented flag set (elem_bytes doubles). This is
+/// what lets SegPair workloads ride the ScanContext plan cache and the
+/// erased executor stack.
 template <typename T>
 struct PlanTypeOf<SegPair<T>> {
   static constexpr DType dtype = PlanTypeOf<T>::dtype;

@@ -2,15 +2,17 @@
 /// \file segmented_context.hpp
 /// Segmented scan through the unified ScanContext/ScanExecutor path. The
 /// free function segmented_scan_sp (segmented.hpp) re-derives nothing but
-/// also amortizes nothing; SegmentedScan wraps a TypedScanExecutor over
-/// the packed SegPair representation, so segmented traffic gets the same
-/// plan-cache hits, workspace reuse, overlap pipelining and degraded-mode
-/// re-planning as the plain scans -- on any of the five proposals.
+/// also amortizes nothing; SegmentedScan packs (value, flag) pairs and
+/// drives a proposal executor over them, so segmented traffic gets the
+/// same plan-cache hits, workspace reuse, overlap pipelining and
+/// degraded-mode re-planning as the plain scans -- on any of the five
+/// proposals.
 ///
-/// SegPair has no erased TypedSpan carrier (it is not in the DType
-/// matrix), so the wrapper holds the executor by its typed interface and
-/// the plan cache keys it as (scalar dtype, segmented=true), doubling the
-/// element bytes the plan budgets for.
+/// The executors over SegPair<T> come from make_segmented_executor, whose
+/// dense (DType, OpTag) tables are built once in segmented_executor.cpp;
+/// the packed pairs travel through the erased run() as TypedSpans with
+/// the segmented flag set, and the plan cache keys them as (scalar dtype,
+/// segmented=true), doubling the element bytes the plan budgets for.
 ///
 /// Exclusive segmented scans are offered here, unlike the free function:
 /// the inner scan always runs inclusively (a flag-restarting operator has
@@ -25,21 +27,31 @@
 #include <string>
 #include <vector>
 
-#include "mgs/core/executor_impl.hpp"
+#include "mgs/core/executor_registry.hpp"
 #include "mgs/core/segmented.hpp"
 
 namespace mgs::core {
 
+/// One of the five proposals (by registry name) over SegPair elements of
+/// the (params.dtype, params.op) cell with the flag-respecting operator.
+/// Throws util::Error for an unknown name.
+std::unique_ptr<ScanExecutor> make_segmented_executor(
+    const std::string& name, ScanContext& ctx,
+    const ExecutorParams& params = {});
+
 template <typename T, typename Op = Plus<T>>
 class SegmentedScan {
  public:
-  /// Wrap one of the five proposals (by registry name) instantiated over
-  /// SegPair<T> with the flag-respecting operator.
+  static_assert(dtype_of_v<T>.has_value() && op_tag_of_v<Op>.has_value(),
+                "SegmentedScan: (T, Op) outside the DType x OpTag matrix");
+
+  /// Wrap one of the five proposals (by registry name) over SegPair<T>
+  /// with the flag-respecting operator; params.dtype/op are set from
+  /// (T, Op).
   explicit SegmentedScan(ScanContext& ctx,
                          const std::string& executor = "Scan-SP",
                          const ExecutorParams& params = {})
-      : ex_(make_typed_executor<SegPair<T>, SegOp<T, Op>>(executor, ctx,
-                                                          params)) {}
+      : ex_(make_segmented_executor(executor, ctx, cell(params))) {}
 
   /// Plan + staging for a batch of G independent sequences of N elements
   /// each (G = 1 is the single-sequence case). Every sequence restarts
@@ -68,9 +80,10 @@ class SegmentedScan {
           SegPair<T>{values[static_cast<std::size_t>(i)],
                      flags[static_cast<std::size_t>(i)]};
     }
-    RunResult r = ex_->run_typed(std::span<const SegPair<T>>(packed_),
-                                 std::span<SegPair<T>>(packed_out_),
-                                 ScanKind::kInclusive);
+    RunResult r = ex_->run(
+        ConstTypedSpan::of(std::span<const SegPair<T>>(packed_)),
+        TypedSpan::of(std::span<SegPair<T>>(packed_out_)),
+        ScanKind::kInclusive);
     if (kind == ScanKind::kInclusive) {
       for (std::int64_t i = 0; i < total; ++i) {
         out[static_cast<std::size_t>(i)] =
@@ -93,7 +106,13 @@ class SegmentedScan {
   const ScanExecutor& executor() const { return *ex_; }
 
  private:
-  std::unique_ptr<TypedScanExecutor<SegPair<T>, SegOp<T, Op>>> ex_;
+  static ExecutorParams cell(ExecutorParams p) {
+    p.dtype = *dtype_of_v<T>;
+    p.op = *op_tag_of_v<Op>;
+    return p;
+  }
+
+  std::unique_ptr<ScanExecutor> ex_;
   std::vector<SegPair<T>> packed_;
   std::vector<SegPair<T>> packed_out_;
 };

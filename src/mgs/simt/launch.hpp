@@ -107,6 +107,12 @@ std::span<StatsSlot> stats_slots(int count);
 /// The calling thread's shared-memory arena, zero-filled to `bytes` and
 /// reused across blocks and launches (a worker runs one block at a time).
 std::span<std::byte> smem_arena(std::size_t bytes);
+
+/// The type-independent tail of launch(), compiled once: sum the blocks'
+/// stats slots, evaluate the cost model, advance the device clock and
+/// trace the kernel.
+sim::KernelTime finish_launch(Device& dev, const LaunchConfig& cfg,
+                              std::span<const StatsSlot> slots);
 }  // namespace detail
 
 /// Execute `body(BlockCtx&)` for every block of cfg.grid on the shared
@@ -117,15 +123,8 @@ template <typename Fn>
 sim::KernelTime launch(Device& dev, const LaunchConfig& cfg, Fn&& body) {
   detail::validate_launch(dev, cfg);
 
-  sim::KernelStats total;
-  total.blocks = static_cast<std::uint64_t>(cfg.grid.count());
-  total.threads_per_block = static_cast<int>(cfg.block.count());
-  total.regs_per_thread = cfg.regs_per_thread;
-  total.smem_per_block = cfg.smem_per_block;
-
   // Each block adds its counters into its worker's slot; the slots are
-  // summed after the join. Integer sums, so the total is exact in any
-  // order.
+  // summed after the join.
   ThreadPool& pool = ThreadPool::instance();
   const std::span<detail::StatsSlot> slots =
       detail::stats_slots(pool.slots());
@@ -146,47 +145,7 @@ sim::KernelTime launch(Device& dev, const LaunchConfig& cfg, Fn&& body) {
     slot.mem_transactions += ctx.stats().mem_transactions;
     slot.alu_ops += ctx.stats().alu_ops;
   });
-  for (const detail::StatsSlot& slot : slots) {
-    total.bytes_read += slot.bytes_read;
-    total.bytes_written += slot.bytes_written;
-    total.mem_transactions += slot.mem_transactions;
-    total.alu_ops += slot.alu_ops;
-  }
-
-  sim::KernelTime t = sim::kernel_time(dev.spec(), total);
-  const double start = dev.clock().now();
-  // A straggling device runs its kernels slower too, not just its
-  // transfers (FaultKind::kStraggler). No injector -> bit-identical time.
-  double straggle = 1.0;
-  if (const sim::FaultInjector* fi = dev.fault_injector()) {
-    straggle = fi->compute_slowdown(dev.id(), start);
-    if (straggle > 1.0) t.seconds *= straggle;
-  }
-  dev.clock().advance(t.seconds);
-
-  if (obs::TraceSession* ts = obs::TraceSession::current()) {
-    obs::SpanRecord rec;
-    rec.name = cfg.name;
-    rec.kind = obs::SpanKind::kKernel;
-    rec.category = obs::Category::kCompute;
-    rec.device = dev.id();
-    rec.start_seconds = start;
-    rec.end_seconds = start + t.seconds;
-    rec.bytes = total.total_bytes();
-    rec.alu_ops = total.alu_ops;
-    rec.occupancy = t.occ.warp_occupancy;
-    if (straggle > 1.0) {
-      rec.notes.emplace_back("straggler_factor", std::to_string(straggle));
-    }
-    ts->add_event(std::move(rec));
-    obs::MetricsRegistry& m = ts->metrics();
-    if (straggle > 1.0) m.inc("straggler_kernels_total");
-    m.inc("kernel_launches_total", {{"name", cfg.name}});
-    m.add("kernel_seconds", {{"name", cfg.name}}, t.seconds);
-    m.add("kernel_bytes", {{"name", cfg.name}},
-          static_cast<double>(total.total_bytes()));
-  }
-  return t;
+  return detail::finish_launch(dev, cfg, slots);
 }
 
 }  // namespace mgs::simt

@@ -179,6 +179,21 @@ TEST(ChaosCheck, SegmentedScenariosHoldEveryInvariant) {
   EXPECT_EQ(ch::check_scenario(faulted), std::nullopt);
 }
 
+TEST(ChaosCheck, U32LinesReplayOnTheU32Cell) {
+  // The runner checks that the executor it built runs the line's own
+  // (dtype, op) cell, so a u32 replay routed to another cell aborts
+  // instead of passing without touching u32.
+  for (const char* line :
+       {"exec=Scan-MPS;dtype=u32;op=max;kind=inclusive;n=1024;g=2;nodes=1;"
+        "w=4;y=0;v=0;m=0;pipe=overlap;waves=2;seed=7;index=3",
+        "exec=Scan-SP;dtype=u32;op=plus;kind=exclusive;n=1000;g=3;nodes=1;"
+        "w=0;y=0;v=0;m=0;pipe=auto;waves=0;seed=7;index=4;seg=1"}) {
+    const ch::Scenario s = ch::parse_scenario(line);
+    ASSERT_EQ(s.dtype, mgs::core::DType::kU32);
+    EXPECT_EQ(ch::check_scenario(s), std::nullopt) << line;
+  }
+}
+
 TEST(ChaosShrink, DropsSegmentedWrapperWhenPlainScanStillFails) {
   ch::Scenario s;
   s.segmented = true;

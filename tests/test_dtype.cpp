@@ -150,6 +150,34 @@ TEST(DTypeMatrix, MismatchedSpanDtypeThrows) {
       mgs::util::Error);
 }
 
+// Packed segmented pairs carry their scalar dtype plus the segmented flag:
+// neither side of the boundary can take the other's buffer.
+TEST(DTypeMatrix, SegmentedAndScalarSpansDoNotMix) {
+  auto cluster = mt::tsubame_kfc_cluster(1);
+  mc::ScanContext ctx(cluster);
+  auto plain = mc::make_executor("Scan-SP", ctx);  // i32/plus
+  auto seg = mc::make_segmented_executor("Scan-SP", ctx);
+  plain->prepare(kN, 1);
+  seg->prepare(kN, 1);
+  std::vector<int> data(static_cast<std::size_t>(kN), 1);
+  std::vector<int> out(data.size());
+  std::vector<mc::SegPair<int>> pairs(data.size());
+  std::vector<mc::SegPair<int>> pairs_out(data.size());
+  const auto scalar_in = mc::ConstTypedSpan::of(std::span<const int>(data));
+  const auto scalar_out = mc::TypedSpan::of(std::span<int>(out));
+  const auto pair_in =
+      mc::ConstTypedSpan::of(std::span<const mc::SegPair<int>>(pairs));
+  const auto pair_out =
+      mc::TypedSpan::of(std::span<mc::SegPair<int>>(pairs_out));
+  EXPECT_EQ(pair_in.dtype, mc::DType::kI32);
+  EXPECT_TRUE(pair_in.segmented);
+  EXPECT_THROW(plain->run(pair_in, pair_out, mc::ScanKind::kInclusive),
+               mgs::util::Error);
+  EXPECT_THROW(seg->run(scalar_in, scalar_out, mc::ScanKind::kInclusive),
+               mgs::util::Error);
+  EXPECT_NO_THROW(seg->run(pair_in, pair_out, mc::ScanKind::kInclusive));
+}
+
 // ------------------------------------------------------------- plan cache
 
 TEST(DTypePlanCache, KeysSeparateDtypeOpAndSegmented) {

@@ -15,6 +15,7 @@
 #include "mgs/core/scan_mppc.hpp"
 #include "mgs/core/scan_multinode.hpp"
 #include "mgs/core/scan_sp.hpp"
+#include "mgs/core/segmented_context.hpp"
 #include "mgs/core/tuning.hpp"
 #include "mgs/util/random.hpp"
 
@@ -310,10 +311,43 @@ TEST(ExecutorRegistry, DescribeNamesTheScheduleThatRuns) {
   EXPECT_EQ(pipeline_of(*mps).rfind("pipeline: overlapped, waves=", 0), 0u);
 }
 
+// Every registry name builds every (dtype, op) cell, plain and segmented,
+// and reports the cell it was built for. Construction alone proves each
+// dispatch table routes every cell, so nothing is prepared or run.
+TEST(ExecutorRegistry, EveryNameBuildsEveryCell) {
+  auto cluster = mt::tsubame_kfc_cluster(1);
+  mc::ScanContext ctx(cluster);
+  int built = 0;
+  for (const auto& info : mc::all_executors()) {
+    for (int d = 0; d < mc::kNumDTypes; ++d) {
+      for (int o = 0; o < mc::kNumOpTags; ++o) {
+        mc::ExecutorParams p;
+        p.dtype = static_cast<mc::DType>(d);
+        p.op = static_cast<mc::OpTag>(o);
+        const auto plain = mc::make_executor(info.name, ctx, p);
+        const auto seg = mc::make_segmented_executor(info.name, ctx, p);
+        for (const mc::ScanExecutor* ex : {plain.get(), seg.get()}) {
+          const std::string cell = info.name + " " +
+                                   mc::to_string(p.dtype) + "/" +
+                                   mc::to_string(p.op);
+          EXPECT_EQ(ex->name(), info.name) << cell;
+          EXPECT_EQ(ex->dtype(), p.dtype) << cell;
+          EXPECT_EQ(ex->op(), p.op) << cell;
+          EXPECT_EQ(ex->segmented(), ex == seg.get()) << cell;
+          ++built;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(built, 2 * 5 * mc::kNumDTypes * mc::kNumOpTags);
+}
+
 TEST(ExecutorRegistry, UnknownNameThrows) {
   auto cluster = mt::tsubame_kfc_cluster(1);
   mc::ScanContext ctx(cluster);
   EXPECT_THROW(mc::make_executor("Scan-XXL", ctx), mgs::util::Error);
+  EXPECT_THROW(mc::make_segmented_executor("Scan-XXL", ctx),
+               mgs::util::Error);
 }
 
 TEST(ExecutorRegistry, PlannerChoiceMapsToExecutor) {

@@ -5,7 +5,9 @@
 
 #include "mgs/baselines/reference.hpp"
 #include "mgs/core/segmented.hpp"
+#include "mgs/core/segmented_context.hpp"
 #include "mgs/core/tuning.hpp"
+#include "mgs/topo/topology.hpp"
 #include "mgs/util/random.hpp"
 
 namespace mc = mgs::core;
@@ -113,4 +115,69 @@ TEST(Segmented, FlagOverheadCostsTime) {
   const auto plain =
       mc::scan_sp<int>(dev, in, out, n, 1, plan, mc::ScanKind::kInclusive);
   EXPECT_GT(seg.seconds, 1.5 * plain.seconds);
+}
+
+namespace {
+
+/// SegmentedScan over Scan-SP, Scan-MPS sync and Scan-MPS overlap against
+/// G sequential calls of the free per-sequence segmented_scan_sp. Integral
+/// operators are association-free, so the outputs must match bit for bit.
+template <typename T, typename Op>
+void expect_executors_match_free_path() {
+  constexpr std::int64_t n = 1 << 12;
+  constexpr std::int64_t g = 8;
+  const auto seed = mgs::util::random_i32(static_cast<std::size_t>(n * g), 7);
+  const std::vector<T> values(seed.begin(), seed.end());
+  std::vector<T> flags(values.size());
+  for (std::size_t i = 0; i < flags.size(); ++i) {
+    flags[i] = (seed[i] & 63) == 0 ? T{1} : T{0};
+  }
+
+  std::vector<T> expected(values.size());
+  mgs::simt::Device dev(0, mgs::sim::k80_spec());
+  const auto plan = paper_plan();
+  auto in = dev.alloc<T>(n);
+  auto fl = dev.alloc<T>(n);
+  auto out = dev.alloc<T>(n);
+  for (std::int64_t j = 0; j < g; ++j) {
+    const auto base = static_cast<std::ptrdiff_t>(j * n);
+    std::copy(values.begin() + base, values.begin() + base + n,
+              in.host_span().begin());
+    std::copy(flags.begin() + base, flags.begin() + base + n,
+              fl.host_span().begin());
+    mc::segmented_scan_sp<T, Op>(dev, in, fl, out, n, plan);
+    std::copy(out.host_span().begin(), out.host_span().begin() + n,
+              expected.begin() + base);
+  }
+
+  auto cluster = mgs::topo::tsubame_kfc_cluster(1);
+  mc::ScanContext ctx(cluster);
+  struct Variant {
+    const char* executor;
+    mc::ExecutorParams params;
+  };
+  const Variant variants[] = {
+      {"Scan-SP", {}},
+      {"Scan-MPS", {.w = 4, .pipeline = mc::PipelineMode::kSync}},
+      {"Scan-MPS",
+       {.w = 4, .pipeline = mc::PipelineMode::kOverlap, .waves = 4}},
+  };
+  for (const auto& v : variants) {
+    mc::SegmentedScan<T, Op> seg(ctx, v.executor, v.params);
+    seg.prepare(n, g);
+    std::vector<T> got(values.size());
+    seg.run(values, flags, got);
+    EXPECT_EQ(got, expected) << v.executor << " pipeline "
+                             << static_cast<int>(v.params.pipeline);
+  }
+}
+
+}  // namespace
+
+TEST(SegmentedScan, ExecutorsMatchFreePathI32Plus) {
+  expect_executors_match_free_path<std::int32_t, mc::Plus<std::int32_t>>();
+}
+
+TEST(SegmentedScan, ExecutorsMatchFreePathI64Min) {
+  expect_executors_match_free_path<std::int64_t, mc::Min<std::int64_t>>();
 }

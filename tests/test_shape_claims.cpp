@@ -62,10 +62,11 @@ const std::vector<std::string> kLibs = {"CUDPP", "Thrust", "ModernGPU",
 TEST_F(GoldenTable, CoversEveryFigurePoint) {
   // 3 x 53 Figure 9 + 2 x 14 Figure 10 (sync and overlap) + 72 Figure 11
   // + 56 Figure 12 + 2 x 8 Figure 13 (sync and overlap) + 8 Figure 14 +
-  // 10 scaling-study + 24 (M, W) combination lines, less the repeats:
-  // Figure 14 reruns Figure 13's 8 sync points, and Figure 12's G = 1
-  // point reruns Figure 11's Scan-SP and 5 library points.
-  EXPECT_EQ(table().size(), 359u);
+  // 10 scaling-study + 24 (M, W) combination + 3 segmented-scan lines,
+  // less the repeats: Figure 14 reruns Figure 13's 8 sync points, and
+  // Figure 12's G = 1 point reruns Figure 11's Scan-SP and 5 library
+  // points.
+  EXPECT_EQ(table().size(), 362u);
 }
 
 TEST_F(GoldenTable, Fig9OverlapNeverLosesToSync) {
@@ -146,6 +147,19 @@ TEST_F(GoldenTable, Fig12LoserOrderingAndMpPcLeadsEverywhere) {
       EXPECT_LT(ours, lib(name, nlog)) << name << " n=2^" << nlog;
     }
   }
+}
+
+TEST_F(GoldenTable, SegmentedScanGainsFromWidthAndOverlap) {
+  // The packed segmented batch (n = 2^17, G = 16) rides the executors
+  // like a plain scan: four GPUs beat one, and the overlapped Scan-MPS
+  // schedule beats the synchronous one.
+  const auto seg = [&](const std::string& executor,
+                       const std::string& pipeline, int devices) {
+    return seconds(executor + "(segmented)", "i32", "plus", pipeline, 17, 16,
+                   devices);
+  };
+  EXPECT_LT(seg("Scan-MPS", "sync", 4), seg("Scan-SP", "sync", 1));
+  EXPECT_LT(seg("Scan-MPS", "overlap", 4), seg("Scan-MPS", "sync", 4));
 }
 
 }  // namespace
