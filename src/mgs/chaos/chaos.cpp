@@ -1,5 +1,6 @@
 #include "mgs/chaos/chaos.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -54,7 +55,34 @@ struct RunOutcome {
   bool reference_match = false;
   core::RunResult result;
   std::size_t recovery_spans = 0;  ///< "Recovery" kStage spans recorded
+  std::string kernel_overlap;      ///< first overlapping kernel pair, if any
 };
+
+/// The first two kernel spans that overlap on one device, described; empty
+/// when every device runs its kernels one after another (a device's
+/// compute clock is its compute stream's queue).
+std::string first_kernel_overlap(const std::vector<obs::SpanRecord>& spans) {
+  std::vector<const obs::SpanRecord*> kernels;
+  for (const auto& sp : spans) {
+    if (sp.kind == obs::SpanKind::kKernel) kernels.push_back(&sp);
+  }
+  std::stable_sort(kernels.begin(), kernels.end(), [](auto* x, auto* y) {
+    return std::pair(x->device, x->start_seconds) <
+           std::pair(y->device, y->start_seconds);
+  });
+  for (std::size_t i = 1; i < kernels.size(); ++i) {
+    const obs::SpanRecord& prev = *kernels[i - 1];
+    const obs::SpanRecord& next = *kernels[i];
+    if (next.device == prev.device && next.start_seconds < prev.end_seconds) {
+      std::ostringstream os;
+      os << "device " << next.device << ": " << next.name << " starts at "
+         << next.start_seconds << " inside " << prev.name << " ["
+         << prev.start_seconds << ", " << prev.end_seconds << ")";
+      return os.str();
+    }
+  }
+  return {};
+}
 
 /// Deterministic input: small-magnitude values (|x| < 7) keep float
 /// partial sums exactly representable, so scans are association-free and
@@ -166,9 +194,11 @@ RunOutcome run_typed(const Scenario& s) {
   } catch (const std::exception& e) {
     o.threw = true;
     o.error = e.what();
-    return o;
   }
-  for (const auto& sp : ts.spans()) {
+  const auto spans = ts.spans();
+  o.kernel_overlap = first_kernel_overlap(spans);
+  if (o.threw) return o;
+  for (const auto& sp : spans) {
     if (sp.kind == obs::SpanKind::kStage && sp.name == "Recovery") {
       ++o.recovery_spans;
     }
@@ -210,6 +240,11 @@ std::optional<std::string> check_impl(const Scenario& s, bool* rejected) {
   if (a.threw != b.threw) {
     return "nondeterministic: one replay threw ('" +
            (a.threw ? a.error : b.error) + "'), the other did not";
+  }
+  // Invariant 6: one compute engine per device, even across a failed
+  // attempt and its recovery.
+  if (!a.kernel_overlap.empty()) {
+    return "kernel spans overlap on one device: " + a.kernel_overlap;
   }
   if (a.threw) {
     if (a.error != b.error) {

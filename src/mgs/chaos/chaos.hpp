@@ -16,7 +16,10 @@
 ///  4. determinism -- replaying the scenario from fresh state reproduces
 ///     the same bits, the same makespan, and the same fault summary;
 ///  5. span consistency -- one "Recovery" stage span per recorded
-///     resumed_stages entry.
+///     resumed_stages entry;
+///  6. one compute engine per device -- no two kernel spans on the same
+///     device overlap in simulated time (a failed attempt's kernels
+///     included).
 ///
 /// On a violation the harness greedily shrinks the scenario to a minimal
 /// reproducer, printable as a one-line spec whose `faults=` tail pastes

@@ -3,6 +3,7 @@
 #include "mgs/core/scan_sp.hpp"
 #include "mgs/core/segmented.hpp"
 #include "mgs/core/tuning.hpp"
+#include "mgs/obs/span.hpp"
 #include "mgs/sim/occupancy.hpp"
 #include "mgs/util/math.hpp"
 
@@ -68,6 +69,9 @@ double probe_scan(const sim::DeviceSpec& spec, const ScanPlan& plan,
 
 double Autotuner::measure(const ScanPlan& plan, std::int64_t n,
                           std::int64_t g, int elem_bytes) const {
+  // Probes run on a throwaway device: none of their kernels belongs in the
+  // caller's trace.
+  const obs::TracePause untraced;
   switch (elem_bytes) {
     case 8:
       return probe_scan<double>(spec_, plan, n, g);

@@ -163,17 +163,14 @@ inline std::string carrier_name(DType d, bool segmented) {
 }
 
 /// Throws util::Error unless an erased span holding (dtype, segmented)
-/// elements may be viewed as T, so a wrongly-routed buffer can never be
-/// reinterpreted silently.
-template <typename T>
-void require_carrier(const char* who, DType dtype, bool segmented) {
-  MGS_REQUIRE(dtype == PlanTypeOf<T>::dtype &&
-                  segmented == PlanTypeOf<T>::segmented,
+/// elements may be viewed as (want, want_segmented) elements, so a
+/// wrongly-routed buffer can never be reinterpreted silently.
+inline void require_carrier(const char* who, DType dtype, bool segmented,
+                            DType want, bool want_segmented) {
+  MGS_REQUIRE(dtype == want && segmented == want_segmented,
               std::string(who) + ": dtype mismatch (span holds " +
                   carrier_name(dtype, segmented) + ", caller wants " +
-                  carrier_name(PlanTypeOf<T>::dtype,
-                               PlanTypeOf<T>::segmented) +
-                  ")");
+                  carrier_name(want, want_segmented) + ")");
 }
 
 }  // namespace detail
@@ -197,7 +194,8 @@ struct TypedSpan {
   /// Recover the typed view; throws util::Error on an element mismatch.
   template <typename T>
   std::span<T> as() const {
-    detail::require_carrier<T>("TypedSpan", dtype, segmented);
+    detail::require_carrier("TypedSpan", dtype, segmented,
+                            PlanTypeOf<T>::dtype, PlanTypeOf<T>::segmented);
     return std::span<T>(static_cast<T*>(data),
                         static_cast<std::size_t>(count));
   }
@@ -219,7 +217,8 @@ struct ConstTypedSpan {
 
   template <typename T>
   std::span<const T> as() const {
-    detail::require_carrier<T>("ConstTypedSpan", dtype, segmented);
+    detail::require_carrier("ConstTypedSpan", dtype, segmented,
+                            PlanTypeOf<T>::dtype, PlanTypeOf<T>::segmented);
     return std::span<const T>(static_cast<const T*>(data),
                               static_cast<std::size_t>(count));
   }

@@ -9,20 +9,21 @@
 /// shape).
 ///
 /// Element type and operator are erased over the (DType, OpTag) matrix of
-/// dtype.hpp: run() takes TypedSpan carriers and the factories take a
-/// (dtype, op) pair that selects the fully templated executor
-/// instantiation from a dispatch table at construction. Dispatch happens
-/// exactly once -- after construction the hot path runs the same
-/// monomorphic kernels a hand-instantiated scan_sp<T, Op> call would, with
-/// no per-element or per-call type dispatch. Typed std::span convenience
-/// overloads wrap the erasure so callers that know their type statically
-/// (including every pre-refactor caller) compile unchanged.
+/// dtype.hpp, below placement: run() takes TypedSpan carriers, and the
+/// factories pair a type-free proposal executor (placement, plans,
+/// describe(), recovery; placed_executor.cpp) with the typed data path of
+/// one (dtype, op) cell, picked from a dispatch table at construction
+/// (executor_impl.hpp). Dispatch happens exactly once -- after
+/// construction the hot path runs the same monomorphic kernels a
+/// hand-instantiated scan_sp<T, Op> call would, with no per-element or
+/// per-call type dispatch. Typed std::span convenience overloads wrap the
+/// erasure so callers that know their type statically compile unchanged.
 ///
 /// Protocol: prepare(n, g) derives/caches the plan and leases persistent
 /// staging for the shape (idempotent for an unchanged shape); run() scans
 /// G host problems of N contiguous elements into `out` and returns the
-/// simulated RunResult. run() resets the cluster clocks, so repeated runs
-/// of one shape report identical modeled times (determinism).
+/// simulated RunResult. run() resets the cluster clocks once, so repeated
+/// runs of one shape report identical modeled times (determinism).
 ///
 /// Degraded mode: when the cluster carries a sim::FaultInjector, prepare()
 /// places the run on the surviving GPUs only, and both prepare() and run()
@@ -33,7 +34,11 @@
 /// each PCIe network, the multi-node proposal drops dead ranks -- and
 /// every proposal collapses to Scan-SP when a single device remains. The
 /// RunResult's FaultReport records the degradation (excluded devices,
-/// re-planned placement, invalidated plan-cache entries).
+/// re-planned placement, invalidated plan-cache entries). A device lost
+/// mid-run is survived by one recovery driver: Scan-MPS resumes from its
+/// checkpoint, the other proposals re-place and restart at the instant
+/// the loss was diagnosed, charging the discarded work as a Restart
+/// window.
 
 #include <cstdint>
 #include <memory>
@@ -69,7 +74,7 @@ class ScanExecutor {
   /// Requires prepare(); spans must hold N*G elements and their dtype must
   /// match the executor's (checked once per call -- never reinterpreted
   /// silently). Clocks are reset, so the result is a function of the
-  /// shape alone.
+  /// shape (and the fault schedule) alone.
   virtual RunResult run(ConstTypedSpan in, TypedSpan out, ScanKind kind) = 0;
 
   /// Typed convenience overloads over the erased entry point, one per
@@ -106,36 +111,9 @@ class ScanExecutor {
   bool segmented() const { return segmented_; }
 
  protected:
-  /// Shared argument checking for run() implementations (counts only; the
-  /// dtype check already happened in the TypedSpan recovery).
-  void require_ready(std::int64_t in_count, std::int64_t out_count) const;
-
-  /// The context plan-cache key for this executor's element type and
-  /// operator at the given shape.
-  PlanKey plan_key(const ScanContext& ctx, std::int64_t n, std::int64_t g,
-                   int gpus_per_problem) const;
-
-  /// " [i32/plus]"-style suffix for describe().
-  std::string type_suffix() const;
-
-  /// Copy the placement-time degradation record into a run's report
-  /// (counters stay whatever the proposal accumulated).
-  void stamp_report(RunResult& r) const;
-
-  /// Open the kRun span for this run (simulated t = 0, i.e. the clock
-  /// reset), with a kPlan child describing the placement and -- for a
-  /// degraded placement -- kFault "replan" children. Inactive (and free
-  /// beyond one branch) when no TraceSession is installed.
-  obs::ScopedSpan trace_run() const;
-  /// Close the run span at the run's makespan and snapshot the session's
-  /// metrics into r.metrics. Call after stamp_report on every return path.
-  void finish_run(obs::ScopedSpan& span, RunResult& r) const;
-
   std::int64_t n_ = 0;  ///< prepared shape; 0 = not prepared
   std::int64_t g_ = 0;
-  std::uint64_t fault_epoch_ = 0;   ///< liveness epoch of the placement
-  sim::FaultReport prep_report_;    ///< degradation recorded at prepare()
-  DType dtype_ = DType::kI32;       ///< set by TypedScanExecutor
+  DType dtype_ = DType::kI32;  ///< set from the executor's data path
   OpTag op_ = OpTag::kPlus;
   bool segmented_ = false;
 };

@@ -20,11 +20,38 @@ struct MppcPartition {
   int v = 1;                             ///< GPUs per group
 };
 
-/// Build the partition: `y` PCIe networks per node across `nodes` nodes,
-/// `v` GPUs from each network, G problems spread as evenly as possible.
-/// When G is smaller than the number of networks, the group count is
-/// reduced (the paper: "the number of PCI-e being used has to be
-/// reduced"). Throws util::Error if the shape exceeds the hardware.
+/// Build the partition from per-network GPU lists: the first `v` GPUs of
+/// each of the first min(nets, G) networks form one group each, and the G
+/// problems are spread over the groups as evenly as possible. When G is
+/// smaller than the number of networks, the group count is reduced (the
+/// paper: "the number of PCI-e being used has to be reduced"). A degraded
+/// placement passes the surviving GPUs of each network.
+inline MppcPartition make_mppc_partition(
+    const std::vector<std::vector<int>>& nets, int v, std::int64_t g) {
+  MGS_REQUIRE(g >= 1, "mppc: empty batch");
+  MppcPartition part;
+  part.v = v;
+  const std::int64_t total_groups =
+      std::min<std::int64_t>(static_cast<std::int64_t>(nets.size()), g);
+  std::int64_t next_g = 0;
+  for (std::int64_t grp = 0; grp < total_groups; ++grp) {
+    const auto& ids = nets[static_cast<std::size_t>(grp)];
+    MGS_REQUIRE(v >= 1 && static_cast<int>(ids.size()) >= v,
+                "mppc: a network has fewer than V GPUs");
+    part.groups.emplace_back(ids.begin(), ids.begin() + v);
+    const std::int64_t share =
+        g / total_groups + ((grp < g % total_groups) ? 1 : 0);
+    part.g_of_group.push_back(share);
+    part.g_offset.push_back(next_g);
+    next_g += share;
+  }
+  MGS_CHECK(next_g == g, "mppc: problem partition does not cover the batch");
+  return part;
+}
+
+/// The paper's partition: `y` PCIe networks per node across `nodes`
+/// nodes, `v` GPUs from each network. Throws util::Error if the shape
+/// exceeds the hardware.
 inline MppcPartition make_mppc_partition(const topo::Cluster& cluster, int y,
                                          int v, std::int64_t g,
                                          int nodes = 1) {
@@ -34,29 +61,17 @@ inline MppcPartition make_mppc_partition(const topo::Cluster& cluster, int y,
               "mppc: more networks requested than the node provides");
   MGS_REQUIRE(v >= 1 && v <= cfg.gpus_per_network,
               "mppc: more GPUs per network than the hardware provides");
-  MGS_REQUIRE(g >= 1, "mppc: empty batch");
-
-  MppcPartition part;
-  part.v = v;
-  std::int64_t total_groups =
-      std::min<std::int64_t>(static_cast<std::int64_t>(nodes) * y, g);
-  std::int64_t next_g = 0;
-  for (std::int64_t grp = 0; grp < total_groups; ++grp) {
-    const int node = static_cast<int>(grp) / y;
-    const int network = static_cast<int>(grp) % y;
-    std::vector<int> ids;
-    for (int s = 0; s < v; ++s) {
-      ids.push_back(cluster.global_id(node, network, s));
+  std::vector<std::vector<int>> nets;
+  for (int node = 0; node < nodes; ++node) {
+    for (int network = 0; network < y; ++network) {
+      std::vector<int> ids;
+      for (int s = 0; s < v; ++s) {
+        ids.push_back(cluster.global_id(node, network, s));
+      }
+      nets.push_back(std::move(ids));
     }
-    part.groups.push_back(std::move(ids));
-    const std::int64_t share =
-        g / total_groups + ((grp < g % total_groups) ? 1 : 0);
-    part.g_of_group.push_back(share);
-    part.g_offset.push_back(next_g);
-    next_g += share;
   }
-  MGS_CHECK(next_g == g, "mppc: problem partition does not cover the batch");
-  return part;
+  return make_mppc_partition(nets, v, g);
 }
 
 /// Place host data for every group (untimed; see distribute_batch).

@@ -125,8 +125,16 @@ inline bool mps_joined(const ScanPlan& plan, int w, bool peer_writes) {
 /// function-local one, which makes the first pass bit-identical to the
 /// pre-checkpoint code: every guard is all-pending and every boundary
 /// instant is computed from the same clock maxima as before.
-template <typename T>
-struct MpsCheckpoint {
+///
+/// MpsProgress is the type-free part -- flags, events, instants and resume
+/// bookkeeping -- which the recovery driver reads and regresses without
+/// knowing the element type; MpsCheckpoint<T> adds the device buffers.
+struct MpsProgress {
+  MpsProgress() = default;
+  MpsProgress(const MpsProgress&) = delete;
+  MpsProgress& operator=(const MpsProgress&) = delete;
+  virtual ~MpsProgress() = default;
+
   bool active = false;  ///< initialized by a scan call; false when consumed
   int w = 0;
   int k = 1;  ///< waves (1 on the joined schedule)
@@ -134,16 +142,6 @@ struct MpsCheckpoint {
   double last_boundary = 0.0;  ///< latest completed stage boundary
   RunResult partial;           ///< breakdown accumulated so far
   sim::FaultCounters counters; ///< transfer counters incl. aborted attempts
-
-  /// Device-resident partial state. aux_local holds the raw Stage-1 chunk
-  /// reductions; prefix_local receives the scanned prefixes scattered
-  /// back. They are separate buffers so a master death can re-gather the
-  /// raw reductions -- a generic operator cannot reconstruct them from
-  /// prefixes (max/min are not invertible).
-  std::vector<WorkspacePool::Handle<T>> aux_local;
-  std::vector<WorkspacePool::Handle<T>> prefix_local;
-  WorkspacePool::Handle<T> aux_all;  ///< on the master
-  WorkspacePool::Handle<T> carry;    ///< overlapped: per-row Stage-2 carry
 
   /// Progress flags. s1_done is per portion (size w); gathered, scanned and
   /// scattered are per (wave, device) cell v*w + d (size k*w).
@@ -173,6 +171,19 @@ struct MpsCheckpoint {
     if (any(s1_done)) return "Stage1";
     return "Start";
   }
+};
+
+template <typename T>
+struct MpsCheckpoint : MpsProgress {
+  /// Device-resident partial state. aux_local holds the raw Stage-1 chunk
+  /// reductions; prefix_local receives the scanned prefixes scattered
+  /// back. They are separate buffers so a master death can re-gather the
+  /// raw reductions -- a generic operator cannot reconstruct them from
+  /// prefixes (max/min are not invertible).
+  std::vector<WorkspacePool::Handle<T>> aux_local;
+  std::vector<WorkspacePool::Handle<T>> prefix_local;
+  WorkspacePool::Handle<T> aux_all;  ///< on the master
+  WorkspacePool::Handle<T> carry;    ///< overlapped: per-row Stage-2 carry
 };
 
 namespace detail {

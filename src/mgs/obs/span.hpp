@@ -112,6 +112,24 @@ class TraceSession {
   MetricsRegistry metrics_;
   TraceSession* prev_ = nullptr;
   static TraceSession* current_;
+  friend class TracePause;
+};
+
+/// Suspends tracing for its scope: TraceSession::current() reads nullptr
+/// until the pause ends, so work done inside -- the autotuner's probe
+/// scans on a throwaway device -- records no spans or metrics in the
+/// caller's session.
+class TracePause {
+ public:
+  TracePause() : saved_(TraceSession::current_) {
+    TraceSession::current_ = nullptr;
+  }
+  ~TracePause() { TraceSession::current_ = saved_; }
+  TracePause(const TracePause&) = delete;
+  TracePause& operator=(const TracePause&) = delete;
+
+ private:
+  TraceSession* saved_;
 };
 
 /// RAII span for scopes that may unwind: closes at the given end time, or

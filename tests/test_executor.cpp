@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <numeric>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mgs/baselines/reference.hpp"
@@ -17,6 +22,7 @@
 #include "mgs/core/scan_sp.hpp"
 #include "mgs/core/segmented_context.hpp"
 #include "mgs/core/tuning.hpp"
+#include "mgs/sim/fault.hpp"
 #include "mgs/util/random.hpp"
 
 namespace mc = mgs::core;
@@ -420,4 +426,164 @@ TEST(EasyScan, ContextOverloadCachesPlans) {
   EXPECT_GE(ctx.plan_cache_hits(), 1u);
   EXPECT_EQ(r1.output, r2.output);
   EXPECT_EQ(r1.run.seconds, r2.run.seconds);
+}
+
+// ------------------------------------------------------ placement pinning
+
+namespace {
+
+using Make =
+    std::function<std::unique_ptr<mc::ScanExecutor>(mc::ScanContext&)>;
+
+/// One fresh run under `spec` ("" = no injector), rendered as describe()
+/// plus the FaultReport fields placement and recovery decide.
+std::string placement_record(const Make& make, const std::string& spec) {
+  auto cluster = mt::tsubame_kfc_cluster(1);
+  std::unique_ptr<mgs::sim::FaultInjector> fi;
+  if (!spec.empty()) {
+    fi = std::make_unique<mgs::sim::FaultInjector>(
+        mgs::sim::parse_fault_plan(spec));
+    cluster.set_fault_injector(fi.get());
+  }
+  mc::ScanContext ctx(cluster);
+  auto ex = make(ctx);
+  ex->prepare(kN, kG);
+  const auto data =
+      mgs::util::random_i32(static_cast<std::size_t>(kN * kG), 31);
+  std::vector<int> out(data.size());
+  const auto f = ex->run(data, out, mc::ScanKind::kInclusive).faults;
+  std::ostringstream os;
+  os << ex->describe() << "\nmode: " << f.degraded_mode << "\nexcluded:";
+  for (int d : f.excluded_devices) os << ' ' << d;
+  for (const auto& step : f.replanned) os << "\nreplanned: " << step;
+  os << "\nsummary: " << f.summary();
+  return os.str();
+}
+
+}  // namespace
+
+// describe() and the placement-decided FaultReport fields of every
+// proposal, byte for byte, healthy, with GPU 1 down from the start, and
+// collapsed to Scan-SP -- plus the replanned line of a mid-run resume and
+// a mid-run restart. A refactor of placement or recovery must not move a
+// character of them.
+TEST(ExecutorPlacement, DescribeAndFaultReportArePinned) {
+  const std::vector<std::pair<const char*, Make>> proposals = {
+      {"Scan-SP", [](mc::ScanContext& c) { return mc::make_sp_executor(c, 1); }},
+      {"Scan-MPS", [](mc::ScanContext& c) { return mc::make_mps_executor(c, 4); }},
+      {"Scan-MPS-direct",
+       [](mc::ScanContext& c) { return mc::make_mps_executor(c, 4, true); }},
+      {"Scan-MP-PC",
+       [](mc::ScanContext& c) { return mc::make_mppc_executor(c, 2, 4); }},
+      {"Scan-MPS-multinode",
+       [](mc::ScanContext& c) { return mc::make_multinode_executor(c, 1, 8); }},
+  };
+  const std::vector<std::pair<const char*, std::string>> placements = {
+      {"healthy", ""},
+      {"gpu1-down", "device-down:dev=1"},
+      {"collapsed",
+       "device-down:dev=1;device-down:dev=2;device-down:dev=3;"
+       "device-down:dev=4;device-down:dev=5;device-down:dev=6;"
+       "device-down:dev=7"},
+  };
+  std::vector<std::pair<std::string, std::string>> got;
+  for (const auto& [pname, make] : proposals) {
+    for (const auto& [where, spec] : placements) {
+      got.emplace_back(std::string(pname) + " " + where,
+                       placement_record(make, spec));
+    }
+  }
+  // GPU 1 dies mid-run: Scan-MPS resumes, Scan-MPS-direct restarts.
+  for (std::size_t p : {1u, 2u}) {
+    got.emplace_back(std::string(proposals[p].first) + " mid-run",
+                     placement_record(proposals[p].second,
+                                      "device-down:dev=1,at=1e-9"));
+  }
+  const std::vector<std::string> expect = {
+      "Scan-SP on device 1 [i32/plus]; n=4096 g=4; stage1/3: (s=3, p=4, l=8, K=1) [P=16, Lx=256, chunk=4096, regs=112]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous\n"
+      "mode: \n"
+      "excluded:\n"
+      "summary: healthy",
+      "Scan-SP on device 0 [i32/plus]; n=4096 g=4; stage1/3: (s=3, p=4, l=8, K=1) [P=16, Lx=256, chunk=4096, regs=112]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous [degraded: Scan-SP on device 0]\n"
+      "mode: Scan-SP on device 0\n"
+      "excluded: 1\n"
+      "replanned: Scan-SP: device 1 -> 0\n"
+      "summary: degraded [Scan-SP on device 0]: retries=0 timeouts=0 corruptions=0 rerouted_bytes=0 invalidated_plans=0",
+      "Scan-SP on device 0 [i32/plus]; n=4096 g=4; stage1/3: (s=3, p=4, l=8, K=1) [P=16, Lx=256, chunk=4096, regs=112]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous [degraded: Scan-SP on device 0]\n"
+      "mode: Scan-SP on device 0\n"
+      "excluded: 1\n"
+      "replanned: Scan-SP: device 1 -> 0\n"
+      "summary: degraded [Scan-SP on device 0]: retries=0 timeouts=0 corruptions=0 rerouted_bytes=0 invalidated_plans=0",
+      "Scan-MPS over 4 GPUs of node 0 (master 0) [i32/plus]; n=4096 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1\n"
+      "mode: \n"
+      "excluded:\n"
+      "summary: healthy",
+      "Scan-MPS over 2 GPUs of node 0 (master 0) [i32/plus]; n=4096 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1 [degraded: Scan-MPS W=2]\n"
+      "mode: Scan-MPS W=2\n"
+      "excluded: 1\n"
+      "replanned: Scan-MPS: W=4 -> 2\n"
+      "summary: degraded [Scan-MPS W=2]: retries=0 timeouts=0 corruptions=0 rerouted_bytes=0 invalidated_plans=0",
+      "Scan-MPS over 1 GPUs of node 0 (master 0) [i32/plus]; n=4096 g=4; stage1/3: (s=3, p=4, l=8, K=1) [P=16, Lx=256, chunk=4096, regs=112]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous [degraded: Scan-SP on device 0]\n"
+      "mode: Scan-SP on device 0\n"
+      "excluded: 1 2 3\n"
+      "replanned: Scan-MPS: W=4 -> 1\n"
+      "summary: degraded [Scan-SP on device 0]: retries=0 timeouts=0 corruptions=0 rerouted_bytes=0 invalidated_plans=0",
+      "Scan-MPS-direct over 4 GPUs of node 0 (master 0) [i32/plus]; n=4096 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous\n"
+      "mode: \n"
+      "excluded:\n"
+      "summary: healthy",
+      "Scan-MPS-direct over 2 GPUs of node 0 (master 0) [i32/plus]; n=4096 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous [degraded: Scan-MPS-direct W=2]\n"
+      "mode: Scan-MPS-direct W=2\n"
+      "excluded: 1\n"
+      "replanned: Scan-MPS-direct: W=4 -> 2\n"
+      "summary: degraded [Scan-MPS-direct W=2]: retries=0 timeouts=0 corruptions=0 rerouted_bytes=0 invalidated_plans=0",
+      "Scan-MPS-direct over 1 GPUs of node 0 (master 0) [i32/plus]; n=4096 g=4; stage1/3: (s=3, p=4, l=8, K=1) [P=16, Lx=256, chunk=4096, regs=112]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous [degraded: Scan-SP on device 0]\n"
+      "mode: Scan-SP on device 0\n"
+      "excluded: 1 2 3\n"
+      "replanned: Scan-MPS-direct: W=4 -> 1\n"
+      "summary: degraded [Scan-SP on device 0]: retries=0 timeouts=0 corruptions=0 rerouted_bytes=0 invalidated_plans=0",
+      "Scan-MP-PC with Y=2 networks/node, V=4 GPUs/network, M=1 nodes [i32/plus] (2 groups); n=4096 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1\n"
+      "mode: \n"
+      "excluded:\n"
+      "summary: healthy",
+      "Scan-MP-PC with Y=2 networks/node, V=2 GPUs/network, M=1 nodes [i32/plus] (2 groups); n=4096 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1 [degraded: Scan-MP-PC 2 groups x V=2]\n"
+      "mode: Scan-MP-PC 2 groups x V=2\n"
+      "excluded: 1\n"
+      "replanned: Scan-MP-PC: V=4 -> 2, groups -> 2\n"
+      "summary: degraded [Scan-MP-PC 2 groups x V=2]: retries=0 timeouts=0 corruptions=0 rerouted_bytes=0 invalidated_plans=0",
+      "Scan-MP-PC with Y=2 networks/node, V=1 GPUs/network, M=1 nodes [i32/plus] (0 groups); n=4096 g=4; stage1/3: (s=3, p=4, l=8, K=1) [P=16, Lx=256, chunk=4096, regs=112]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous [degraded: Scan-SP on device 0]\n"
+      "mode: Scan-SP on device 0\n"
+      "excluded: 1 2 3 4 5 6 7\n"
+      "replanned: Scan-MP-PC: V=4 -> 1, groups -> 1\n"
+      "summary: degraded [Scan-SP on device 0]: retries=0 timeouts=0 corruptions=0 rerouted_bytes=0 invalidated_plans=0",
+      "Scan-MPS-multinode over 1 nodes x 8 GPUs (one MPI rank per GPU) [i32/plus]; n=4096 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1\n"
+      "mode: \n"
+      "excluded:\n"
+      "summary: healthy",
+      "Scan-MPS-multinode over 1 nodes x 8 GPUs (one MPI rank per GPU) [i32/plus]; n=4096 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1 [degraded: Scan-MPS-multinode on 4 ranks]\n"
+      "mode: Scan-MPS-multinode on 4 ranks\n"
+      "excluded: 1\n"
+      "replanned: Scan-MPS-multinode: ranks 8 -> 4 (3 surviving ranks idled so ranks divide N)\n"
+      "summary: degraded [Scan-MPS-multinode on 4 ranks]: retries=0 timeouts=0 corruptions=0 rerouted_bytes=0 invalidated_plans=0",
+      "Scan-MPS-multinode over 1 nodes x 8 GPUs (one MPI rank per GPU) [i32/plus]; n=4096 g=4; stage1/3: (s=3, p=4, l=8, K=1) [P=16, Lx=256, chunk=4096, regs=112]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous [degraded: Scan-SP on device 0]\n"
+      "mode: Scan-SP on device 0\n"
+      "excluded: 1 2 3 4 5 6 7\n"
+      "replanned: Scan-MPS-multinode: ranks 8 -> 1\n"
+      "summary: degraded [Scan-SP on device 0]: retries=0 timeouts=0 corruptions=0 rerouted_bytes=0 invalidated_plans=0",
+      "Scan-MPS over 4 GPUs of node 0 (master 0) [i32/plus]; n=4096 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1\n"
+      "mode: Scan-MPS: lost device 1 mid-run, resumed from AuxGather\n"
+      "excluded: 1\n"
+      "replanned: Scan-MPS: lost device 1 mid-run, resumed from AuxGather\n"
+      "summary: degraded [Scan-MPS: lost device 1 mid-run, resumed from AuxGather]: retries=0 timeouts=0 corruptions=0 rerouted_bytes=0 invalidated_plans=0 resumed=AuxGather",
+      "Scan-MPS-direct over 2 GPUs of node 0 (master 0) [i32/plus]; n=4096 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous [degraded: Scan-MPS-direct W=2]\n"
+      "mode: Scan-MPS-direct W=2\n"
+      "excluded: 1\n"
+      "replanned: Scan-MPS-direct: W=4 -> 2\n"
+      "replanned: Scan-MPS-direct: lost device 1 mid-run (restarted on survivors)\n"
+      "summary: degraded [Scan-MPS-direct W=2]: retries=0 timeouts=0 corruptions=0 rerouted_bytes=0 invalidated_plans=0",
+  };
+  ASSERT_EQ(got.size(), expect.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].second, expect[i]) << got[i].first;
+  }
 }

@@ -660,6 +660,47 @@ TEST(ExecutorFaults, MidRunDeviceDownRecoversEveryProposal) {
   }
 }
 
+// A restart keeps the work it threw away on the clock. GPU 1 dies at 10%
+// of the healthy makespan and the direct, MP-PC and multinode proposals
+// restart on the survivors where the failed attempt was cut off: the run
+// costs that instant plus a run placed on the survivors from the start,
+// charged as one Restart window that keeps the breakdown telescoping.
+TEST(ExecutorFaults, RestartKeepsTheLostWindowOnTheClock) {
+  const auto data =
+      mgs::util::random_i32(static_cast<std::size_t>(kN * kG), 26);
+  for (const auto& p : multi_gpu_proposals()) {
+    if (std::string(p.name) == "Scan-MPS") continue;  // resumes instead
+    const auto healthy = run_traced(p.make, nullptr, data, kN, kG);
+    ms::FaultPlan plan;
+    ms::FaultEvent ev;
+    ev.kind = ms::FaultKind::kDeviceDown;
+    ev.device = 1;
+    ev.at_seconds = 0.1 * healthy.o.seconds;
+    plan.events.push_back(ev);
+    const auto faulted = run_traced(p.make, &plan, data, kN, kG);
+    const auto survivors =
+        run_proposal(p.make, "device-down:dev=1", data, kN, kG);
+
+    EXPECT_EQ(faulted.o.out, healthy.o.out) << p.name;
+    std::vector<double> restarts;
+    for (const auto& s : faulted.spans) {
+      if (s.kind == mgs::obs::SpanKind::kFault && s.name == "restart") {
+        restarts.push_back(s.start_seconds);
+      }
+    }
+    ASSERT_EQ(restarts.size(), 1u) << p.name;
+    const double t = restarts.front();
+    EXPECT_GE(t, ev.at_seconds) << p.name;
+    const auto& r = faulted.o.result;
+    EXPECT_EQ(r.breakdown.get("Restart"), t) << p.name;
+    EXPECT_EQ(count_stage(faulted.spans, "Restart"), 1u) << p.name;
+    EXPECT_NEAR(r.breakdown.total(), r.seconds, 1e-12 + 1e-9 * r.seconds)
+        << p.name;
+    EXPECT_NEAR(r.seconds, t + survivors.seconds, 1e-12 * r.seconds)
+        << p.name;
+  }
+}
+
 // --------------------------------------------------- compute stragglers
 
 // kStraggler now reaches compute kernels through simt::launch, not just

@@ -268,6 +268,29 @@ TEST(ObsSpans, ScanSpKernelsRecordBackToBackWithPerKernelMetrics) {
   }
 }
 
+// The autotuner's probe scans run on a throwaway device with tracing
+// paused: a traced Scan-SP run on device 1 whose plan misses the cache
+// records kernels on device 1 only, none for the probes' device 0.
+TEST(ObsSpans, PlanMissProbesStayOutOfTheTrace) {
+  auto cluster = mt::tsubame_kfc_cluster(1);
+  mc::ScanContext ctx(cluster);
+  mo::TraceSession ts;
+  auto ex = mc::make_sp_executor(ctx, 1);
+  ex->prepare(kN, kG);
+  ASSERT_EQ(ctx.plan_cache_misses(), 1u);
+  const auto data =
+      mgs::util::random_i32(static_cast<std::size_t>(kN * kG), 5);
+  std::vector<std::int32_t> out(data.size());
+  ex->run(data, out, mc::ScanKind::kInclusive);
+  std::size_t kernels = 0;
+  for (const auto& s : ts.spans()) {
+    if (s.kind != mo::SpanKind::kKernel) continue;
+    EXPECT_EQ(s.device, 1) << s.name;
+    ++kernels;
+  }
+  EXPECT_GT(kernels, 0u);
+}
+
 TEST(ObsSpans, MultinodeRunsRecordCollectives) {
   const auto data =
       mgs::util::random_i32(static_cast<std::size_t>(kN * kG), 10);
