@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
               choice.y, choice.rationale.c_str());
   auto executor = ctx.executor_for({n, g});
 
-  // 3. prepare() derives the tuned plan (Premises 1-3) once and leases
-  //    persistent staging from the workspace pool.
+  // 3. prepare() derives the tuned plan (Premises 1-3) once and reserves
+  //    each GPU's portion of the problems in device memory.
   executor->prepare(n, g);
   std::printf("Executor: %s\n\n", executor->describe().c_str());
 

@@ -24,9 +24,9 @@ struct EasyScanResult {
 
 /// Scan `input` (a batch of `g` problems of input.size()/g contiguous
 /// elements) on device 0 of the context's cluster. The plan comes from
-/// the context's memoized autotuner cache and the staging/auxiliary
-/// buffers from its workspace pool, so repeated calls through one context
-/// amortize both.
+/// the context's memoized autotuner cache and the auxiliary buffers from
+/// its workspace pool, so repeated calls through one context amortize
+/// both.
 template <typename T, typename Op = Plus<T>>
 EasyScanResult<T> scan(ScanContext& ctx, std::span<const T> input,
                        ScanKind kind = ScanKind::kInclusive,

@@ -3,9 +3,9 @@
 /// The unified proposal interface. Each of the paper's five proposals
 /// (Scan-SP, Scan-MPS, Scan-MPS-direct, Scan-MP-PC, multi-node Scan-MPS)
 /// is wrapped in a ScanExecutor that draws its plan from the ScanContext's
-/// memoized cache and its device staging/auxiliary buffers from the
-/// context's WorkspacePool, so repeated invocations pay neither re-tuning
-/// nor re-allocation (the clppScan / LightScan "construct once, scan many"
+/// memoized cache and its auxiliary buffers from the context's
+/// WorkspacePool, so repeated invocations pay neither re-tuning nor
+/// re-allocation (the clppScan / LightScan "construct once, scan many"
 /// shape).
 ///
 /// Element type and operator are erased over the (DType, OpTag) matrix of
@@ -19,10 +19,15 @@
 /// per-call type dispatch. Typed std::span convenience overloads wrap the
 /// erasure so callers that know their type statically compile unchanged.
 ///
-/// Protocol: prepare(n, g) derives/caches the plan and leases persistent
-/// staging for the shape (idempotent for an unchanged shape); run() scans
-/// G host problems of N contiguous elements into `out` and returns the
-/// simulated RunResult. run() resets the cluster clocks once, so repeated
+/// Protocol: prepare(n, g) derives/caches the plan and reserves each
+/// portion's input and output bytes on its GPU -- the device budget, no
+/// host storage (idempotent for an unchanged shape). run() scans G host
+/// problems of N contiguous elements into `out` where they lie: portion d
+/// of each problem is viewed as memory of the placement's d-th GPU (the
+/// paper times scans of data already resident in GPU memory), so no call
+/// stages a copy in or out. When `out` overlaps `in`, run() first copies
+/// `in` once into a host snapshot kept by the executor. run() returns the
+/// simulated RunResult and resets the cluster clocks once, so repeated
 /// runs of one shape report identical modeled times (determinism).
 ///
 /// Degraded mode: when the cluster carries a sim::FaultInjector, prepare()
@@ -64,17 +69,20 @@ class ScanExecutor {
   virtual std::string describe() const = 0;
 
   /// Set up for G problems of N elements: plan lookup (cache hit after the
-  /// first call for a shape) + persistent staging leases. Throws
-  /// util::Error for shapes the proposal cannot place. Idempotent when the
-  /// shape is unchanged; re-prepares (returning old leases to the pool)
-  /// when it differs.
+  /// first call for a shape) + each portion's device-memory reservation.
+  /// Throws util::Error for shapes the proposal cannot place, including a
+  /// portion larger than its GPU's memory (the paper's Case 2). Idempotent
+  /// when the shape is unchanged; re-prepares (releasing the old
+  /// reservations) when it differs.
   virtual void prepare(std::int64_t n, std::int64_t g) = 0;
 
   /// Scan problem g of `in` (at offset g*N) into the same region of `out`.
   /// Requires prepare(); spans must hold N*G elements and their dtype must
   /// match the executor's (checked once per call -- never reinterpreted
-  /// silently). Clocks are reset, so the result is a function of the
-  /// shape (and the fault schedule) alone.
+  /// silently). `out` may alias or overlap `in`. Clocks are reset, so the
+  /// result is a function of the shape (and the fault schedule) alone.
+  /// The kernels write `out` in place, so after a typed error (a loss the
+  /// run could not route around) its contents are unspecified.
   virtual RunResult run(ConstTypedSpan in, TypedSpan out, ScanKind kind) = 0;
 
   /// Typed convenience overloads over the erased entry point, one per

@@ -7,8 +7,8 @@
 /// TUs include it: executor.cpp over the scalar matrix,
 /// segmented_executor.cpp over its packed SegPair elements.
 
-#include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -27,96 +27,60 @@ class TypedPath final : public DataPath {
       : DataPath(PlanTypeOf<T>::dtype, op_tag_of_v<Op>.value_or(OpTag::kPlus),
                  PlanTypeOf<T>::segmented, sizeof(T)) {}
 
-  void release() override {
-    ins_.clear();
-    outs_.clear();
-  }
-
-  void lease(ScanContext& ctx, std::size_t i, int device,
-             std::int64_t elems) override {
-    simt::Device& dev = ctx.cluster().device(device);
-    if (i == ins_.size()) {
-      ins_.emplace_back();
-      outs_.emplace_back();
-    }
-    ins_[i] = ctx.workspace().template acquire<T>(dev, elems);
-    outs_[i] = ctx.workspace().template acquire<T>(dev, elems);
+  ConstTypedSpan snapshot(ConstTypedSpan in) override {
+    const auto src = in.template as<T>();
+    snapshot_.assign(src.begin(), src.end());
+    return ConstTypedSpan::of(std::span<const T>(snapshot_));
   }
 
   RunResult scan_sp(const Call& c, int device) override {
-    return staged(c, 1, true, [&](std::vector<GpuBatch<T>>& b) {
-      return core::scan_sp<T, Op>(c.ctx.cluster().device(device), b[0].in,
-                                  b[0].out, c.n, c.g, c.plan, c.kind, Op{},
-                                  &c.ctx.workspace());
-    });
+    auto b = borrow(c, {device}, 0, c.g);
+    return core::scan_sp<T, Op>(c.ctx.cluster().device(device), b[0].in,
+                                b[0].out, c.n, c.g, c.plan, c.kind, Op{},
+                                &c.ctx.workspace());
   }
 
   RunResult scan_mps(const Call& c, const std::vector<int>& gpus,
-                     MpsProgress* ck, bool stage_in) override {
-    return staged(c, gpus.size(), stage_in, [&](std::vector<GpuBatch<T>>& b) {
-      topo::Cluster& cluster = c.ctx.cluster();
-      if (ck == nullptr) {
-        return scan_mps_direct<T, Op>(cluster, gpus, b, c.n, c.g, c.plan,
-                                      c.kind, Op{}, &c.ctx.workspace());
-      }
-      return core::scan_mps<T, Op>(cluster, gpus, b, c.n, c.g, c.plan, c.kind,
-                                   Op{}, &c.ctx.workspace(),
-                                   static_cast<MpsCheckpoint<T>*>(ck));
-    });
+                     MpsProgress* ck) override {
+    auto b = borrow(c, gpus, 0, c.g);
+    topo::Cluster& cluster = c.ctx.cluster();
+    if (ck == nullptr) {
+      return scan_mps_direct<T, Op>(cluster, gpus, b, c.n, c.g, c.plan,
+                                    c.kind, Op{}, &c.ctx.workspace());
+    }
+    return core::scan_mps<T, Op>(cluster, gpus, b, c.n, c.g, c.plan, c.kind,
+                                 Op{}, &c.ctx.workspace(),
+                                 static_cast<MpsCheckpoint<T>*>(ck));
   }
 
   RunResult scan_mppc(const Call& c, const MppcPartition& part) override {
-    const auto in = c.in.template as<T>();
-    const auto out = c.out.template as<T>();
-    const auto rows = [&](auto span, std::size_t grp) {
-      return span.subspan(static_cast<std::size_t>(part.g_offset[grp] * c.n),
-                          static_cast<std::size_t>(part.g_of_group[grp] * c.n));
-    };
     std::vector<std::vector<GpuBatch<T>>> batches;
-    for (std::size_t grp = 0, slot = 0; grp < part.groups.size(); ++grp) {
-      batches.push_back(slots(slot, part.groups[grp].size()));
-      slot += part.groups[grp].size();
-      scatter_batch<T>(rows(in, grp), batches.back(), c.n,
-                       part.g_of_group[grp]);
+    for (std::size_t grp = 0; grp < part.groups.size(); ++grp) {
+      batches.push_back(borrow(c, part.groups[grp], part.g_offset[grp],
+                               part.g_of_group[grp]));
     }
-    RunResult r = core::scan_mppc<T, Op>(c.ctx.cluster(), part, batches, c.n,
-                                         c.plan, c.kind, Op{},
-                                         &c.ctx.workspace());
-    for (std::size_t grp = 0; grp < batches.size(); ++grp) {
-      gather_batch<T>(batches[grp], c.n, part.g_of_group[grp], rows(out, grp));
-    }
-    return r;
+    return core::scan_mppc<T, Op>(c.ctx.cluster(), part, batches, c.n,
+                                  c.plan, c.kind, Op{}, &c.ctx.workspace());
   }
 
   RunResult scan_multinode(const Call& c, msg::Communicator& comm) override {
-    return staged(c, static_cast<std::size_t>(comm.size()), true,
-                  [&](std::vector<GpuBatch<T>>& b) {
-                    return scan_mps_multinode<T, Op>(comm, b, c.n, c.g, c.plan,
-                                                     c.kind, Op{},
-                                                     &c.ctx.workspace());
-                  });
+    std::vector<int> ranks;
+    for (int r = 0; r < comm.size(); ++r) ranks.push_back(comm.device_of(r));
+    auto b = borrow(c, ranks, 0, c.g);
+    return scan_mps_multinode<T, Op>(comm, b, c.n, c.g, c.plan, c.kind, Op{},
+                                     &c.ctx.workspace());
   }
 
   std::unique_ptr<MpsProgress> checkpoint() const override {
     return std::make_unique<MpsCheckpoint<T>>();
   }
 
-  void move_portion(ScanContext& ctx, MpsProgress& ck, ConstTypedSpan in,
-                    int i, int device, std::int64_t n, std::int64_t g, int w,
+  void move_portion(ScanContext& ctx, MpsProgress& ck, int i, int device,
                     std::int64_t aux_elems) override {
-    const auto ii = static_cast<std::size_t>(i);
-    const std::int64_t n_local = n / w;
-    lease(ctx, ii, device, n_local * g);
-    // Refill this portion's input in scatter_batch's layout.
-    const auto src = in.template as<T>();
-    auto dst = ins_[ii].host_span();
-    for (std::int64_t gg = 0; gg < g; ++gg) {
-      const auto row = src.begin() + (gg * n + i * n_local);
-      std::copy(row, row + n_local, dst.begin() + gg * n_local);
-    }
     auto& c = static_cast<MpsCheckpoint<T>&>(ck);
     if (!c.active) return;
     simt::Device& dev = ctx.cluster().device(device);
+    const auto ii = static_cast<std::size_t>(i);
     c.aux_local[ii] = acquire_workspace<T>(&ctx.workspace(), dev, aux_elems);
     c.prefix_local[ii] =
         acquire_workspace<T>(&ctx.workspace(), dev, aux_elems);
@@ -133,29 +97,20 @@ class TypedPath final : public DataPath {
   }
 
  private:
-  /// Batches over `count` slots starting at `first`.
-  std::vector<GpuBatch<T>> slots(std::size_t first, std::size_t count) {
-    std::vector<GpuBatch<T>> b;
-    for (std::size_t i = first; i < first + count; ++i) {
-      b.push_back(GpuBatch<T>{ins_[i].buffer(), outs_[i].buffer()});
-    }
-    return b;
+  /// Problems [g0, g0+g) of the call's spans, portion d borrowed as
+  /// memory of gpus[d].
+  static std::vector<GpuBatch<T>> borrow(const Call& c,
+                                         const std::vector<int>& gpus,
+                                         std::int64_t g0, std::int64_t g) {
+    const auto rows = [&](auto span) {
+      return span.subspan(static_cast<std::size_t>(g0 * c.n),
+                          static_cast<std::size_t>(g * c.n));
+    };
+    return borrow_batch<T>(gpus, rows(c.in.template as<T>()),
+                           rows(c.out.template as<T>()), c.n, g);
   }
 
-  /// Stage the host input into the first `count` slots (unless
-  /// `stage_in` is off), run `scan` over them, gather the output.
-  template <typename Scan>
-  RunResult staged(const Call& c, std::size_t count, bool stage_in,
-                   const Scan& scan) {
-    std::vector<GpuBatch<T>> b = slots(0, count);
-    if (stage_in) scatter_batch<T>(c.in.template as<T>(), b, c.n, c.g);
-    RunResult r = scan(b);
-    gather_batch<T>(b, c.n, c.g, c.out.template as<T>());
-    return r;
-  }
-
-  std::vector<WorkspacePool::Handle<T>> ins_;
-  std::vector<WorkspacePool::Handle<T>> outs_;
+  std::vector<T> snapshot_;  ///< reused across calls
 };
 
 /// One (DType, OpTag) -> data-path factory dispatch table. The table

@@ -20,7 +20,7 @@
 namespace mgs::core {
 
 /// Stage 1. `in` holds G portions of lay.n_local contiguous elements
-/// (problem g at offset g*n_local); `aux` receives the chunk reductions,
+/// (problem g at offset g*lay.pitch); `aux` receives the chunk reductions,
 /// problem-major (aux[g*bx + c]). `g_begin`/`g_count` restrict the launch
 /// to a slice of the batch dimension (a pipeline wave); indexing into `in`
 /// and `aux` stays absolute, so slices compose to exactly the full launch.
@@ -35,7 +35,7 @@ sim::KernelTime launch_chunk_reduce(simt::Device& dev,
   if (g_count < 0) g_count = lay.g - g_begin;
   MGS_CHECK(g_begin >= 0 && g_count >= 0 && g_begin + g_count <= lay.g,
             "chunk_reduce: batch slice out of range");
-  MGS_CHECK(in.size() >= lay.elems_per_gpu(), "chunk_reduce: input too small");
+  MGS_CHECK(in.size() >= lay.extent(), "chunk_reduce: input too small");
   MGS_CHECK(aux.size() >= lay.aux_elems(), "chunk_reduce: aux too small");
   if (g_count == 0) return {};
   simt::LaunchConfig cfg;
@@ -53,7 +53,7 @@ sim::KernelTime launch_chunk_reduce(simt::Device& dev,
     const std::int64_t len =
         std::min<std::int64_t>(lay.chunk, lay.n_local - chunk_off);
     const T total =
-        cascade_reduce(ctx, inv, g * lay.n_local + chunk_off, len, sp, op);
+        cascade_reduce(ctx, inv, g * lay.pitch + chunk_off, len, sp, op);
     auxv.store(g * lay.bx + c, total, ctx.stats());
   });
 }
@@ -194,8 +194,8 @@ sim::KernelTime launch_intermediate_scan_ranked_slice(
 }
 
 /// Stage 3. `aux` holds the *exclusively scanned* chunk totals for this
-/// GPU's chunks, problem-major like Stage 1 wrote them. `in` and `out` may
-/// alias (in-place scan).
+/// GPU's chunks, problem-major like Stage 1 wrote them. `in` and `out`
+/// share the layout's pitch and may alias (in-place scan).
 template <typename T, typename Op>
 sim::KernelTime launch_scan_add(simt::Device& dev,
                                 const simt::DeviceBuffer<T>& in,
@@ -208,8 +208,8 @@ sim::KernelTime launch_scan_add(simt::Device& dev,
   if (g_count < 0) g_count = lay.g - g_begin;
   MGS_CHECK(g_begin >= 0 && g_count >= 0 && g_begin + g_count <= lay.g,
             "scan_add: batch slice out of range");
-  MGS_CHECK(in.size() >= lay.elems_per_gpu(), "scan_add: input too small");
-  MGS_CHECK(out.size() >= lay.elems_per_gpu(), "scan_add: output too small");
+  MGS_CHECK(in.size() >= lay.extent(), "scan_add: input too small");
+  MGS_CHECK(out.size() >= lay.extent(), "scan_add: output too small");
   MGS_CHECK(aux.size() >= lay.aux_elems(), "scan_add: aux too small");
   if (g_count == 0) return {};
   simt::LaunchConfig cfg;
@@ -229,7 +229,7 @@ sim::KernelTime launch_scan_add(simt::Device& dev,
         std::min<std::int64_t>(lay.chunk, lay.n_local - chunk_off);
     const T carry_in = auxv.load(g * lay.bx + c, ctx.stats());
     auto smem = ctx.shared<T>(sp.warps());
-    cascade_scan(ctx, inv, outv, g * lay.n_local + chunk_off, len, sp,
+    cascade_scan(ctx, inv, outv, g * lay.pitch + chunk_off, len, sp,
                  carry_in, kind, op, smem);
   });
 }
@@ -243,6 +243,8 @@ sim::KernelTime launch_direct_scan(simt::Device& dev,
                                    const BatchLayout& lay, const StagePlan& sp,
                                    ScanKind kind, Op op) {
   MGS_CHECK(lay.bx == 1, "direct_scan requires a single chunk per problem");
+  MGS_CHECK(in.size() >= lay.extent(), "direct_scan: input too small");
+  MGS_CHECK(out.size() >= lay.extent(), "direct_scan: output too small");
   simt::LaunchConfig cfg;
   cfg.name = "direct_scan";
   cfg.grid = {1, static_cast<int>(lay.g), 1};
@@ -254,7 +256,7 @@ sim::KernelTime launch_direct_scan(simt::Device& dev,
   return simt::launch(dev, cfg, [=](simt::BlockCtx& ctx) {
     const std::int64_t g = ctx.block_idx().y;
     auto smem = ctx.shared<T>(sp.warps());
-    cascade_scan(ctx, inv, outv, g * lay.n_local, lay.n_local, sp,
+    cascade_scan(ctx, inv, outv, g * lay.pitch, lay.n_local, sp,
                  Op::identity(), kind, op, smem);
   });
 }

@@ -1,6 +1,7 @@
 #include "mgs/core/placed_executor.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -62,6 +63,13 @@ int blame_endpoint(sim::FaultInjector& fi, int src_dev, int dst_dev,
   }
   if (dead >= 0 && !fi.device_is_down(dead)) fi.mark_device_down(dead);
   return dead;
+}
+
+/// Whether the first `bytes` of two host ranges share memory.
+bool overlaps(const void* a, const void* b, std::size_t bytes) {
+  const auto x = reinterpret_cast<std::uintptr_t>(a);
+  const auto y = reinterpret_cast<std::uintptr_t>(b);
+  return x < y + bytes && y < x + bytes;
 }
 
 /// Fold a mid-run recovery into a run's fault report, which so far only
@@ -151,8 +159,9 @@ class PlacedExecutor : public ScanExecutor {
     return os.str();
   }
 
-  /// Place, plan and lease for the shape; a no-op while the shape and the
-  /// injector's liveness epoch are unchanged.
+  /// Place, plan and reserve the portions' device memory for the shape; a
+  /// no-op while the shape and the injector's liveness epoch are
+  /// unchanged.
   void prepare(std::int64_t n, std::int64_t g) final {
     MGS_REQUIRE(n > 0 && g > 0,
                 std::string(who_) + ": N and G must be positive");
@@ -164,16 +173,15 @@ class PlacedExecutor : public ScanExecutor {
     plan_ = ctx_->plan_for(PlanKey{ctx_->cluster().config().gpu.name, n, g,
                                    dtype_, op_, segmented_, width});
     if (!at_.sp) plan_ = apply_pipeline_choice(*plan_, pipe_);
-    path_->release();
-    std::size_t slot = 0;
+    reserved_.clear();
     for (std::size_t grp = 0; grp < at_.part.groups.size(); ++grp) {
       for (int id : at_.part.groups[grp]) {
-        path_->lease(*ctx_, slot++, id,
-                     (n / width) * at_.part.g_of_group[grp]);
+        reserved_.push_back(
+            reserve(id, (n / width) * at_.part.g_of_group[grp]));
       }
     }
     if (!groups) {
-      for (int id : at_.gpus) path_->lease(*ctx_, slot++, id, (n / width) * g);
+      for (int id : at_.gpus) reserved_.push_back(reserve(id, (n / width) * g));
     }
     n_ = n;
     g_ = g;
@@ -183,7 +191,10 @@ class PlacedExecutor : public ScanExecutor {
   /// The recovery driver. Runs attempts until one completes; a
   /// TransferError or CommError names the lost device, and the proposal's
   /// policy continues: Scan-MPS resumes from its checkpoint, the others
-  /// re-place on the survivors and restart.
+  /// re-place on the survivors and restart. The kernels read `in` and
+  /// write `out` where they lie; when the two overlap, `in` is read from a
+  /// snapshot so that an attempt after partial output -- a restart, a
+  /// later MP-PC group or multinode wave -- still sees the original input.
   RunResult run(ConstTypedSpan in, TypedSpan out, ScanKind kind) final {
     require_carrier("ConstTypedSpan", in.dtype, in.segmented, dtype_,
                     segmented_);
@@ -193,6 +204,11 @@ class PlacedExecutor : public ScanExecutor {
     MGS_REQUIRE(in.count >= n_ * g_ && out.count >= n_ * g_,
                 "ScanExecutor::run: spans must hold N*G elements");
     prepare(n_, g_);  // re-place if device liveness changed since prepare()
+    in.count = n_ * g_;
+    if (overlaps(in.data, out.data,
+                 static_cast<std::size_t>(in.count) * path_->elem_bytes)) {
+      in = path_->snapshot(in);
+    }
     obs::ScopedSpan run_span = trace_run();
     topo::Cluster& cluster = ctx_->cluster();
     sim::FaultInjector* fi = cluster.fault_injector();
@@ -205,8 +221,8 @@ class PlacedExecutor : public ScanExecutor {
     for (int attempt = 0;; ++attempt) {
       const DataPath::Call call{*ctx_, *plan_, in, out, n_, g_, kind};
       try {
-        r = at_.sp ? PlacedExecutor::run_attempt(call, nullptr, true)
-                   : run_attempt(call, ck.get(), attempt == 0);
+        r = at_.sp ? PlacedExecutor::run_attempt(call, nullptr)
+                   : run_attempt(call, ck.get());
         break;
       } catch (const topo::TransferError& e) {
         if (fi == nullptr || attempt >= attempt_bound_) throw;
@@ -215,14 +231,14 @@ class PlacedExecutor : public ScanExecutor {
         const int dead =
             blame_endpoint(*fi, e.src_dev, e.dst_dev, master, now);
         if (dead < 0) throw;
-        restarted_at = recover(in, ck.get(), *fi, dead, -1, now);
+        restarted_at = recover(ck.get(), *fi, dead, -1, now);
         lost.push_back(dead);
       } catch (const msg::CommError& e) {
         if (fi == nullptr || attempt >= attempt_bound_) throw;
         const double now = cluster_front(cluster, at_.gpus);
         const int dead = at_.gpus.at(static_cast<std::size_t>(e.failed_rank));
         if (!fi->device_is_down(dead)) fi->mark_device_down(dead);
-        restarted_at = recover(in, ck.get(), *fi, dead, e.failed_rank, now);
+        restarted_at = recover(ck.get(), *fi, dead, e.failed_rank, now);
         lost.push_back(dead);
       }
     }
@@ -266,16 +282,23 @@ class PlacedExecutor : public ScanExecutor {
     return os.str();
   }
 
-  /// One attempt on the placement; `first` is false on a resume. The
+  /// One attempt on the placement (`ck` continues a resumed one). The
   /// default is the one Scan-SP body, for Scan-SP and every collapse.
-  virtual RunResult run_attempt(const DataPath::Call& c, MpsProgress*, bool) {
+  virtual RunResult run_attempt(const DataPath::Call& c, MpsProgress*) {
     return path_->scan_sp(c, at_.gpus.front());
   }
   /// Continue the run from `ck` after `dead` was lost at `now` (only when
   /// resumes_ is set). Rethrows the active error when the loss cannot be
   /// routed around.
-  virtual void resume(ConstTypedSpan, MpsProgress&, sim::FaultInjector&,
-                      int, double) {}
+  virtual void resume(MpsProgress&, sim::FaultInjector&, int, double) {}
+
+  /// Device memory for one portion of `elems` elements -- input and
+  /// output -- on `device`. The rows themselves stay in the caller's
+  /// spans; the budget is what their device copies would occupy.
+  std::shared_ptr<void> reserve(int device, std::int64_t elems) {
+    return ctx_->cluster().device(device).reserve(
+        2 * elems * static_cast<std::int64_t>(path_->elem_bytes));
+  }
 
   ScanContext* ctx_;
   std::unique_ptr<DataPath> path_;
@@ -283,6 +306,9 @@ class PlacedExecutor : public ScanExecutor {
   PipelineChoice pipe_;
   Placement at_;
   std::optional<ScanPlan> plan_;
+  /// Each portion's device-budget reservation (simt::Device::reserve), in
+  /// placement order (groups flattened).
+  std::vector<std::shared_ptr<void>> reserved_;
   /// The recovery policy: resume from a checkpoint, or re-place and
   /// restart; and how many mid-run losses a run survives.
   bool resumes_ = false;
@@ -336,10 +362,10 @@ class PlacedExecutor : public ScanExecutor {
   /// Apply the policy after `dead` (rank `rank` on the multinode path, -1
   /// otherwise) was lost at `now`. Returns the instant a restart begins
   /// at, 0 for a resume.
-  double recover(ConstTypedSpan in, MpsProgress* ck, sim::FaultInjector& fi,
-                 int dead, int rank, double now) {
+  double recover(MpsProgress* ck, sim::FaultInjector& fi, int dead, int rank,
+                 double now) {
     if (ck != nullptr) {
-      resume(in, *ck, fi, dead, now);
+      resume(*ck, fi, dead, now);
       return 0.0;
     }
     const std::string dead_id = std::to_string(dead);
@@ -482,20 +508,20 @@ class MpsExecutor final : public PlacedExecutor {
     return p;
   }
 
-  RunResult run_attempt(const DataPath::Call& c, MpsProgress* ck,
-                        bool first) override {
-    return path_->scan_mps(c, at_.gpus, ck, first || direct_);
+  RunResult run_attempt(const DataPath::Call& c, MpsProgress* ck) override {
+    return path_->scan_mps(c, at_.gpus, ck);
   }
 
   /// Stage-granular resume: the dead device's portions remap onto the
   /// least-loaded survivors (logical W and the chunk layout stay fixed, so
   /// Stage 2 still applies the operator in ascending portion order and
   /// results stay bit-identical to the healthy run), the lost portions'
-  /// inputs restage from the host, exactly the checkpoint flags whose
+  /// rows are re-borrowed on their replacements (the H2D restage of a real
+  /// system is charged to the clock), exactly the checkpoint flags whose
   /// backing buffers died regress, and the scan re-enters to continue from
   /// the last completed stage boundary instead of restarting.
-  void resume(ConstTypedSpan in, MpsProgress& ck, sim::FaultInjector& fi,
-              int dead, double now) override {
+  void resume(MpsProgress& ck, sim::FaultInjector& fi, int dead,
+              double now) override {
     topo::Cluster& cluster = ctx_->cluster();
     std::vector<int>& gpus = at_.gpus;
     const int w = static_cast<int>(gpus.size());
@@ -540,7 +566,8 @@ class MpsExecutor final : public PlacedExecutor {
         }
       }
       gpus[ii] = repl;
-      path_->move_portion(*ctx_, ck, in, i, repl, n_, g_, w, lay.aux_elems());
+      reserved_[ii] = reserve(repl, per_gpu);
+      path_->move_portion(*ctx_, ck, i, repl, lay.aux_elems());
       // Charge the H2D restage to the replacement's clock -- lost time is
       // real time.
       const double restage =
@@ -690,7 +717,7 @@ class MppcExecutor final : public PlacedExecutor {
     return p;
   }
 
-  RunResult run_attempt(const DataPath::Call& c, MpsProgress*, bool) override {
+  RunResult run_attempt(const DataPath::Call& c, MpsProgress*) override {
     return path_->scan_mppc(c, at_.part);
   }
 
@@ -763,7 +790,7 @@ class MultinodeExecutor final : public PlacedExecutor {
     return p;
   }
 
-  RunResult run_attempt(const DataPath::Call& c, MpsProgress*, bool) override {
+  RunResult run_attempt(const DataPath::Call& c, MpsProgress*) override {
     msg::Communicator comm(ctx_->cluster(), at_.gpus);
     return path_->scan_multinode(c, comm);
   }

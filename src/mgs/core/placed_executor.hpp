@@ -19,9 +19,12 @@
 
 namespace mgs::core::detail {
 
-/// The typed half of an executor: one staging slot (input and output
-/// portion) per GPU of the placement, in placement order. Every scan call
-/// stages the host input into the slots, scans, and gathers the output.
+/// The typed half of an executor. Every scan call borrows the caller's
+/// spans where they lie: portion d of each problem is viewed as memory of
+/// the d-th GPU of the placement (GpuBatch with the caller's row pitch N),
+/// so the kernels read `in` and write `out` directly, with no staging
+/// copy in either direction. Device memory for those portions is
+/// reserved, not allocated, by the type-free executor at prepare().
 class DataPath {
  public:
   /// One scan invocation: where it runs and on what.
@@ -46,35 +49,30 @@ class DataPath {
   const bool segmented;
   const std::size_t elem_bytes;
 
-  /// Return every slot's leases to the context's pool.
-  virtual void release() = 0;
-  /// Lease slot `i` (input and output, `elems` each) on `device`,
-  /// replacing what it held; `i` may be one past the last slot.
-  virtual void lease(ScanContext& ctx, std::size_t i, int device,
-                     std::int64_t elems) = 0;
+  /// Copy `in` into this path's host snapshot (reused across calls) and
+  /// return the copy: a run whose `out` overlaps its `in` reads from it,
+  /// so a restart after partial output still sees the original input.
+  virtual ConstTypedSpan snapshot(ConstTypedSpan in) = 0;
 
-  /// Scan-SP on `device` over slot 0.
+  /// Scan-SP on `device`.
   virtual RunResult scan_sp(const Call& c, int device) = 0;
-  /// Scan-MPS over the first gpus.size() slots: resumable from `ck`, or
-  /// Scan-MPS-direct when `ck` is null. `stage_in` = false skips the host
-  /// scatter (a resume continues on already-staged slots).
+  /// Scan-MPS, portion d on gpus[d]: resumable from `ck`, or
+  /// Scan-MPS-direct when `ck` is null.
   virtual RunResult scan_mps(const Call& c, const std::vector<int>& gpus,
-                             MpsProgress* ck, bool stage_in) = 0;
-  /// Scan-MP-PC: the slots hold the groups' GPUs in group order.
+                             MpsProgress* ck) = 0;
+  /// Scan-MP-PC: group k scans its problems over its GPUs.
   virtual RunResult scan_mppc(const Call& c, const MppcPartition& part) = 0;
-  /// Multi-node Scan-MPS: slot r is rank r.
+  /// Multi-node Scan-MPS: rank r scans portion r.
   virtual RunResult scan_multinode(const Call& c,
                                    msg::Communicator& comm) = 0;
 
   /// A fresh Scan-MPS checkpoint over this cell's buffers.
   virtual std::unique_ptr<MpsProgress> checkpoint() const = 0;
-  /// Scan-MPS resume: move portion `i` of `w` to `device` -- re-lease its
-  /// slot, refill its input from the host, and, when the checkpoint is
-  /// live, re-lease its `aux_elems`-sized reduction and prefix arrays.
-  virtual void move_portion(ScanContext& ctx, MpsProgress& ck,
-                            ConstTypedSpan in, int i, int device,
-                            std::int64_t n, std::int64_t g, int w,
-                            std::int64_t aux_elems) = 0;
+  /// Scan-MPS resume: portion `i` moved to `device`; when the checkpoint
+  /// is live, re-lease its `aux_elems`-sized reduction and prefix arrays
+  /// there. (The portion's rows are re-borrowed by the next attempt.)
+  virtual void move_portion(ScanContext& ctx, MpsProgress& ck, int i,
+                            int device, std::int64_t aux_elems) = 0;
   /// Scan-MPS resume after a master death: re-lease the master-resident
   /// checkpoint arrays (combined array, carry) on the new master.
   virtual void move_master(ScanContext& ctx, MpsProgress& ck, int device,

@@ -59,12 +59,15 @@ ScanPlan apply_pipeline_choice(ScanPlan plan, const PipelineChoice& choice) {
 }
 
 BatchLayout make_layout(std::int64_t n_local, std::int64_t g,
-                        const StagePlan& s13) {
+                        const StagePlan& s13, std::int64_t pitch) {
   MGS_REQUIRE(n_local > 0, "make_layout: empty problem portion");
   MGS_REQUIRE(g > 0, "make_layout: batch must contain at least one problem");
+  MGS_REQUIRE(pitch == 0 || pitch >= n_local,
+              "make_layout: portions overlap (pitch < n_local)");
   BatchLayout lay;
   lay.n_local = n_local;
   lay.g = g;
+  lay.pitch = pitch == 0 ? n_local : pitch;
   lay.chunk = s13.chunk();
   lay.bx = static_cast<std::int64_t>(
       util::div_up(static_cast<std::uint64_t>(n_local),

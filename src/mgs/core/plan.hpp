@@ -105,21 +105,26 @@ struct PipelineChoice {
 ScanPlan apply_pipeline_choice(ScanPlan plan, const PipelineChoice& choice);
 
 /// Geometry of one batch on one GPU: G problem portions of n_local
-/// elements, each split into bx chunks.
+/// elements, each split into bx chunks. Portion g starts at g*pitch of the
+/// GPU's buffers: pitch == n_local packs them; pitch == N is a GPU's
+/// column of the caller's rows, scanned where they lie.
 struct BatchLayout {
   std::int64_t n_local = 0;  ///< elements per problem portion on this GPU
   std::int64_t g = 0;        ///< number of problems (B_y^1)
   std::int64_t chunk = 0;    ///< chunk size in elements
   std::int64_t bx = 0;       ///< chunks per portion (B_x^1)
+  std::int64_t pitch = 0;    ///< elements from one portion to the next
 
-  std::int64_t elems_per_gpu() const { return n_local * g; }
+  /// Elements a buffer must span to hold every portion.
+  std::int64_t extent() const { return (g - 1) * pitch + n_local; }
   std::int64_t aux_elems() const { return bx * g; }
 };
 
 /// Compute the layout; bx = ceil(n_local / chunk) so non-power-of-two
 /// problem sizes produce a final partial chunk rather than an error.
+/// `pitch` 0 packs the portions (pitch = n_local).
 BatchLayout make_layout(std::int64_t n_local, std::int64_t g,
-                        const StagePlan& s13);
+                        const StagePlan& s13, std::int64_t pitch = 0);
 
 /// Result of one simulated proposal run.
 struct RunResult {

@@ -7,8 +7,8 @@
 ///    GPUs-per-problem), backed by the existing Autotuner for the
 ///    single-GPU space and by the Premise-3/4 K maximization for
 ///    multi-GPU shapes (Section 4.2);
-///  * a per-device WorkspacePool that reuses auxiliary/staging buffers
-///    across invocations instead of `dev.alloc` per call.
+///  * a per-device WorkspacePool that reuses auxiliary buffers across
+///    invocations instead of `dev.alloc` per call.
 ///
 /// The concrete ScanExecutors (executor.hpp) draw both from the context;
 /// the context also bridges Premise 4: `executor_for` runs the planner

@@ -19,60 +19,53 @@
 namespace mgs::core {
 
 /// Per-GPU problem portions: `in`/`out` hold G portions of n_local
-/// contiguous elements (portion of problem g at offset g*n_local).
+/// elements, portion g at offset g*pitch. distribute_batch copies them into
+/// packed device allocations (pitch = n_local); borrow_batch views the
+/// caller's rows where they lie (pitch = N).
 template <typename T>
 struct GpuBatch {
   simt::DeviceBuffer<T> in;
   simt::DeviceBuffer<T> out;
+  std::int64_t pitch = 0;  ///< elements between portions; 0 = n_local
 };
 
-/// Copy G host-resident problems of N elements into already-allocated
-/// per-GPU input portions (portion d of each problem to batches[d]).
-/// Untimed: the paper's evaluation starts with data already in GPU
-/// memory. Factored out of distribute_batch so executors can refill
-/// persistent batches without reallocating.
+/// G host-resident problems of N elements split across `gpus` without a
+/// copy: portion d of problem g is elements [g*N + d*N/W, +N/W) of `in`
+/// and `out`, borrowed as memory of gpus[d]. Untimed, like placement: the
+/// paper's evaluation starts with data already in GPU memory. The spans
+/// must outlive the batches; `out` may be `in` itself (an in-place scan)
+/// but must not overlap it otherwise.
 template <typename T>
-void scatter_batch(std::span<const T> host, std::vector<GpuBatch<T>>& batches,
-                   std::int64_t n, std::int64_t g) {
-  const int w = static_cast<int>(batches.size());
-  MGS_REQUIRE(w > 0, "scatter_batch: need at least one GPU");
-  MGS_REQUIRE(n % w == 0, "scatter_batch: N must be divisible by W");
-  MGS_REQUIRE(static_cast<std::int64_t>(host.size()) >= n * g,
-              "scatter_batch: host data too small");
+std::vector<GpuBatch<T>> borrow_batch(const std::vector<int>& gpus,
+                                      std::span<const T> in,
+                                      std::span<T> out, std::int64_t n,
+                                      std::int64_t g) {
+  const auto w = static_cast<std::int64_t>(gpus.size());
+  MGS_REQUIRE(w > 0 && n % w == 0,
+              "borrow_batch: N must be divisible by W");
+  MGS_REQUIRE(static_cast<std::int64_t>(in.size()) >= n * g &&
+                  static_cast<std::int64_t>(out.size()) >= n * g,
+              "borrow_batch: spans must hold N*G elements");
   const std::int64_t n_local = n / w;
-  for (int d = 0; d < w; ++d) {
-    auto dst = batches[static_cast<std::size_t>(d)].in.host_span();
-    MGS_REQUIRE(static_cast<std::int64_t>(dst.size()) >= n_local * g,
-                "scatter_batch: batch input too small");
-    for (std::int64_t gg = 0; gg < g; ++gg) {
-      const auto row = host.begin() + (gg * n + d * n_local);
-      std::copy(row, row + n_local, dst.begin() + gg * n_local);
-    }
+  const auto extent = static_cast<std::size_t>((g - 1) * n + n_local);
+  // Read-only by contract: the kernels only ever store through `out`.
+  const std::span<T> src(const_cast<T*>(in.data()), in.size());
+  std::vector<GpuBatch<T>> batches;
+  batches.reserve(gpus.size());
+  for (std::int64_t d = 0; d < w; ++d) {
+    const auto off = static_cast<std::size_t>(d * n_local);
+    const int dev = gpus[static_cast<std::size_t>(d)];
+    batches.push_back(GpuBatch<T>{
+        simt::DeviceBuffer<T>::borrow(src.subspan(off, extent), dev),
+        simt::DeviceBuffer<T>::borrow(out.subspan(off, extent), dev), n});
   }
-}
-
-/// Reassemble the scanned problems from the per-GPU outputs into a host
-/// range (untimed). Inverse of scatter_batch.
-template <typename T>
-void gather_batch(const std::vector<GpuBatch<T>>& batches, std::int64_t n,
-                  std::int64_t g, std::span<T> host) {
-  const int w = static_cast<int>(batches.size());
-  MGS_REQUIRE(w > 0 && n % w == 0, "gather_batch: bad shape");
-  MGS_REQUIRE(static_cast<std::int64_t>(host.size()) >= n * g,
-              "gather_batch: host range too small");
-  const std::int64_t n_local = n / w;
-  for (int d = 0; d < w; ++d) {
-    const auto src = batches[static_cast<std::size_t>(d)].out.host_span();
-    for (std::int64_t gg = 0; gg < g; ++gg) {
-      const auto row = src.begin() + gg * n_local;
-      std::copy(row, row + n_local, host.begin() + (gg * n + d * n_local));
-    }
-  }
+  return batches;
 }
 
 /// Split G host-resident problems of N elements across `gpus` (portion d
-/// of each problem to gpus[d]) and allocate matching outputs. Placement is
-/// untimed: the paper's evaluation starts with data already in GPU memory.
+/// of each problem to gpus[d]), copied into packed device allocations with
+/// matching outputs. Placement is untimed: the paper's evaluation starts
+/// with data already in GPU memory.
 template <typename T>
 std::vector<GpuBatch<T>> distribute_batch(topo::Cluster& cluster,
                                           const std::vector<int>& gpus,
@@ -81,18 +74,22 @@ std::vector<GpuBatch<T>> distribute_batch(topo::Cluster& cluster,
   const int w = static_cast<int>(gpus.size());
   MGS_REQUIRE(w > 0, "distribute_batch: need at least one GPU");
   MGS_REQUIRE(n % w == 0, "distribute_batch: N must be divisible by W");
+  MGS_REQUIRE(static_cast<std::int64_t>(host.size()) >= n * g,
+              "distribute_batch: host data too small");
   const std::int64_t n_local = n / w;
   std::vector<GpuBatch<T>> batches;
   batches.reserve(static_cast<std::size_t>(w));
   for (int d = 0; d < w; ++d) {
-    GpuBatch<T> b;
-    b.in = cluster.device(gpus[static_cast<std::size_t>(d)])
-               .template alloc<T>(n_local * g);
-    b.out = cluster.device(gpus[static_cast<std::size_t>(d)])
-                .template alloc<T>(n_local * g);
+    simt::Device& dev = cluster.device(gpus[static_cast<std::size_t>(d)]);
+    GpuBatch<T> b{dev.template alloc<T>(n_local * g),
+                  dev.template alloc<T>(n_local * g), n_local};
+    auto dst = b.in.host_span();
+    for (std::int64_t gg = 0; gg < g; ++gg) {
+      const auto row = host.begin() + (gg * n + d * n_local);
+      std::copy(row, row + n_local, dst.begin() + gg * n_local);
+    }
     batches.push_back(std::move(b));
   }
-  scatter_batch(host, batches, n, g);
   return batches;
 }
 
@@ -100,10 +97,35 @@ std::vector<GpuBatch<T>> distribute_batch(topo::Cluster& cluster,
 template <typename T>
 std::vector<T> collect_batch(const std::vector<GpuBatch<T>>& batches,
                              std::int64_t n, std::int64_t g) {
+  const int w = static_cast<int>(batches.size());
+  MGS_REQUIRE(w > 0 && n % w == 0, "collect_batch: bad shape");
+  const std::int64_t n_local = n / w;
   std::vector<T> host(static_cast<std::size_t>(n * g));
-  gather_batch(batches, n, g, std::span<T>(host));
+  for (int d = 0; d < w; ++d) {
+    const GpuBatch<T>& b = batches[static_cast<std::size_t>(d)];
+    const std::int64_t pitch = b.pitch == 0 ? n_local : b.pitch;
+    const auto src = b.out.host_span();
+    for (std::int64_t gg = 0; gg < g; ++gg) {
+      const auto row = src.begin() + gg * pitch;
+      std::copy(row, row + n_local, host.begin() + (gg * n + d * n_local));
+    }
+  }
   return host;
 }
+
+namespace detail {
+
+/// The row pitch every batch of one run shares (0 = packed).
+template <typename T>
+std::int64_t batch_pitch(const std::vector<GpuBatch<T>>& batches) {
+  const std::int64_t pitch = batches.empty() ? 0 : batches.front().pitch;
+  for (const GpuBatch<T>& b : batches) {
+    MGS_REQUIRE(b.pitch == pitch, "scan: batches must share one row pitch");
+  }
+  return pitch;
+}
+
+}  // namespace detail
 
 /// Whether Scan-MPS runs its joined schedule -- one wave, every copy on
 /// the compute engine, a barrier at each stage boundary and one
@@ -212,6 +234,7 @@ void reduce_into_master(topo::Cluster& cluster, topo::TransferEngine& xfer,
   cfg.block = {sp.lx, 1, 1};
   cfg.regs_per_thread = sp.regs_per_thread();
   cfg.smem_per_block = sp.smem_bytes(sizeof(T));
+  MGS_CHECK(in.size() >= lay.extent(), "chunk_reduce_p2p: input too small");
   const auto inv = in.view();
   const auto aux_view = aux_all.view();
   const std::int64_t dd = d;
@@ -222,7 +245,7 @@ void reduce_into_master(topo::Cluster& cluster, topo::TransferEngine& xfer,
     const std::int64_t len =
         std::min<std::int64_t>(lay.chunk, lay.n_local - chunk_off);
     const T total =
-        cascade_reduce(ctx, inv, gg * lay.n_local + chunk_off, len, sp, op);
+        cascade_reduce(ctx, inv, gg * lay.pitch + chunk_off, len, sp, op);
     aux_view.store(gg * (w * lay.bx) + dd * lay.bx + c, total, ctx.stats());
   });
   if (dev.id() == master) return;
@@ -290,7 +313,8 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
               "scan_mps: one batch per GPU required");
   MGS_REQUIRE(n % w == 0, "scan_mps: N must be divisible by W");
   const std::int64_t n_local = n / w;
-  const BatchLayout lay = make_layout(n_local, g, plan.s13);
+  const BatchLayout lay =
+      make_layout(n_local, g, plan.s13, batch_pitch(batches));
   MGS_REQUIRE(lay.bx >= 1,
               "scan_mps: every GPU needs at least one chunk (Equation 2)");
   const bool peer = gather == MpsGather::kPeerWrites;
@@ -539,8 +563,8 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
 
 }  // namespace detail
 
-/// Run Scan-MPS over `gpus` (gpus[0] is the master). Batches must follow
-/// the distribute_batch layout. Returns the simulated makespan across the
+/// Run Scan-MPS over `gpus` (gpus[0] is the master). Batches hold portion
+/// d on gpus[d] (distribute_batch or borrow_batch). Returns the simulated makespan across the
 /// participating GPUs plus the phase breakdown. When `ws` is given, the
 /// auxiliary arrays are leased from it instead of allocated per call.
 /// plan.pipe selects the joined or the overlapped schedule (see

@@ -14,8 +14,8 @@
 namespace mgs::core {
 
 /// Run the multi-node proposal over the communicator's M*W ranks.
-/// `batches[r]` follows the distribute_batch layout for rank r (portion r
-/// of every problem). Returns makespan + breakdown including the MPI
+/// `batches[r]` holds rank r's portion of every problem (distribute_batch
+/// or borrow_batch over the ranks' devices). Returns makespan + breakdown including the MPI
 /// collectives (the data behind Figure 14). Entry/exit barriers bracket
 /// the pipeline on both schedules:
 ///
@@ -48,7 +48,8 @@ RunResult scan_mps_multinode(msg::Communicator& comm,
   MGS_REQUIRE(n % ranks == 0, "scan_mps_multinode: N must divide by M*W");
   const bool overlap = plan.pipe.overlap && ranks > 1;
   const std::int64_t n_local = n / ranks;
-  const BatchLayout lay = make_layout(n_local, g, plan.s13);
+  const BatchLayout lay =
+      make_layout(n_local, g, plan.s13, detail::batch_pitch(batches));
   const int k = overlap ? static_cast<int>(std::clamp<std::int64_t>(
                               plan.pipe.waves, 1, g))
                         : 1;

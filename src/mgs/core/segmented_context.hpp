@@ -18,9 +18,9 @@
 /// the inner scan always runs inclusively (a flag-restarting operator has
 /// no operator-generic exclusive form), and exclusivity is applied during
 /// unpack -- a segment head yields Op::identity(), everything else the
-/// inclusive value of its left neighbor. Host-side pack/unpack mirrors
-/// the executors' scatter/gather convention and is not charged to the
-/// simulated time.
+/// inclusive value of its left neighbor. Host-side pack/unpack is input
+/// preparation, like the data the paper takes as GPU-resident, and is not
+/// charged to the simulated time.
 
 #include <memory>
 #include <span>
@@ -53,10 +53,10 @@ class SegmentedScan {
                          const ExecutorParams& params = {})
       : ex_(make_segmented_executor(executor, ctx, cell(params))) {}
 
-  /// Plan + staging for a batch of G independent sequences of N elements
-  /// each (G = 1 is the single-sequence case). Every sequence restarts
-  /// the scan, so a batch rides the multi-problem executors unchanged --
-  /// and gives the overlap pipeline waves to overlap.
+  /// Plan + packing buffers for a batch of G independent sequences of N
+  /// elements each (G = 1 is the single-sequence case). Every sequence
+  /// restarts the scan, so a batch rides the multi-problem executors
+  /// unchanged -- and gives the overlap pipeline waves to overlap.
   void prepare(std::int64_t n, std::int64_t g = 1) {
     ex_->prepare(n, g);
     packed_.resize(static_cast<std::size_t>(n * g));

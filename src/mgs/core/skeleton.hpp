@@ -14,9 +14,15 @@
 ///    into the next iteration (Figure 5), so one block covers a chunk of
 ///    K*Lx*P elements.
 ///
-/// All functions are warp-granular: per-lane state lives in WarpReg arrays,
-/// a faithful host-side encoding of warp-synchronous CUDA code.
+/// All functions are warp-granular: a warp's registers live in lane-major
+/// arrays (one WarpReg per register, indexed by lane), a host-side encoding
+/// of warp-synchronous CUDA code whose per-lane steps are plain loops over
+/// lanes. Each op call takes the operands, in the order, that the warp code
+/// would, so results are bit-identical to it; work counters are charged in
+/// closed form per tile.
 
+#include <algorithm>
+#include <array>
 #include <span>
 #include <vector>
 
@@ -33,64 +39,60 @@ inline constexpr int kQuadSpan = 4 * simt::kWarpSize;
 
 namespace detail {
 
-/// Load one warp-quad [base, base+valid), valid in [0, 128]; lane l owns
-/// elements base+4l .. base+4l+3. Missing elements are filled with the
-/// operator identity (they then cannot disturb totals). The full case is a
-/// perfectly coalesced 512-byte vector load; the tail falls back to scalar
-/// loads, whose extra transactions the cost model sees.
+/// One warp-quad in lane-major registers: col[i][l] is component i of lane
+/// l's int4 load, i.e. element 4l+i of the quad. Every per-lane step below
+/// is one loop over a column, which the compiler vectorizes.
+template <typename T>
+using QuadCols = std::array<simt::WarpReg<T>, 4>;
+
+/// Deinterleave the 128 elements at `src` into lane-major columns.
+template <typename T>
+void load_cols(const T* src, QuadCols<T>& c) {
+  for (int l = 0; l < simt::kWarpSize; ++l) {
+    for (int i = 0; i < 4; ++i) c[i][l] = src[4 * l + i];
+  }
+}
+
+/// Interleave lane-major columns back into 128 elements at `dst`.
+template <typename T>
+void store_cols(const QuadCols<T>& c, T* dst) {
+  for (int l = 0; l < simt::kWarpSize; ++l) {
+    for (int i = 0; i < 4; ++i) dst[4 * l + i] = c[i][l];
+  }
+}
+
+/// The quad at `src` with `valid` elements (at most kQuadSpan): the memory
+/// itself when full, else `pad` holding the valid elements followed by the
+/// operator identity (which then cannot disturb totals). One code path
+/// scans both.
 template <typename T, typename Op>
-simt::WarpReg<simt::Vec4<T>> load_quad(simt::BlockCtx& ctx,
-                                       const simt::GlobalView<T>& in,
-                                       std::int64_t base, int valid, Op) {
-  if (valid == kQuadSpan) {
-    return in.load4_warp(base, ctx.stats());
-  }
-  simt::WarpReg<simt::Vec4<T>> r;
-  for (int l = 0; l < simt::kWarpSize; ++l) {
-    for (int i = 0; i < 4; ++i) {
-      const int e = 4 * l + i;
-      r[l][i] = (e < valid) ? in.load(base + e, ctx.stats()) : Op::identity();
-    }
-  }
-  return r;
+const T* padded_quad(const T* src, int valid, std::array<T, kQuadSpan>& pad) {
+  if (valid == kQuadSpan) return src;
+  std::copy(src, src + valid, pad.begin());
+  std::fill(pad.begin() + valid, pad.end(), Op::identity());
+  return pad.data();
 }
 
+/// Charge moving `valid` contiguous elements one warp-quad at a time: a
+/// full quad is one coalesced 512-byte int4 warp access; the tail falls
+/// back to one scalar access (and transaction) per element.
 template <typename T>
-void store_quad(simt::BlockCtx& ctx, const simt::GlobalView<T>& out,
-                std::int64_t base, int valid,
-                const simt::WarpReg<simt::Vec4<T>>& v) {
-  if (valid == kQuadSpan) {
-    out.store4_warp(base, v, ctx.stats());
-    return;
-  }
-  for (int l = 0; l < simt::kWarpSize; ++l) {
-    for (int i = 0; i < 4; ++i) {
-      const int e = 4 * l + i;
-      if (e < valid) out.store(base + e, v[l][i], ctx.stats());
-    }
-  }
+void charge_quads(std::uint64_t& bytes, std::uint64_t& transactions,
+                  std::int64_t valid) {
+  const auto v = static_cast<std::uint64_t>(valid);
+  bytes += v * sizeof(T);
+  transactions += v / kQuadSpan * util::div_up(kQuadSpan * sizeof(T), 32) +
+                  v % kQuadSpan;
 }
 
-/// Per-lane state of one scanned quad, kept in registers between the
-/// compute phase and the (prefix-completed) store phase.
+/// The calling worker's registers for one tile: the scanned quad columns
+/// of Stage 3 kept between its compute and store phases, reused across
+/// tiles and launches (a worker scans one tile at a time).
 template <typename T>
-struct QuadState {
-  simt::WarpReg<simt::Vec4<T>> inc;  ///< per-lane inclusive scan of 4
-  simt::WarpReg<T> lane_excl;  ///< exclusive prefix of the lane's quad
-                               ///< within its warp segment
-  std::int64_t base = 0;
-  int valid = 0;
-};
-
-/// The calling worker's QuadState scratch, at least `count` entries, reused
-/// across tiles and launches (a worker scans one tile at a time). scan_tile
-/// sets base and valid of every entry and reads inc/lane_excl only where
-/// it wrote them, so stale contents never leak into a result.
-template <typename T>
-std::span<QuadState<T>> quad_scratch(std::size_t count) {
-  thread_local std::vector<QuadState<T>> scratch;
-  if (scratch.size() < count) scratch.resize(count);
-  return {scratch.data(), count};
+std::span<T> tile_regs(std::size_t count) {
+  thread_local std::vector<T> regs;
+  if (regs.size() < count) regs.resize(count);
+  return {regs.data(), count};
 }
 
 }  // namespace detail
@@ -98,35 +100,43 @@ std::span<QuadState<T>> quad_scratch(std::size_t count) {
 /// Reduce one tile [base, base+valid) of at most sp.tile() elements;
 /// returns the tile total (identity when valid == 0). This is the Stage 1
 /// (Chunk Reduce) inner loop: no stores, no inter-warp scan -- only warp
-/// reductions combined through shared-memory partials.
+/// reductions combined through shared-memory partials. Warp w owns quads
+/// [w*P/4, (w+1)*P/4) of the tile.
 template <typename T, typename Op>
 T reduce_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
               std::int64_t base, std::int64_t valid, const StagePlan& sp,
               Op op) {
   const int nw = sp.warps();
   const int quads = sp.p / 4;
+  const T* src = in.range(base, valid);
+  std::array<T, kQuadSpan> pad;
+  detail::QuadCols<T> c;
+  simt::WarpReg<T> lane_sum;
   T tile_total = Op::identity();
   for (int w = 0; w < nw; ++w) {
     T warp_total = Op::identity();
     for (int q = 0; q < quads; ++q) {
       const std::int64_t off =
-          static_cast<std::int64_t>(w) * sp.p * simt::kWarpSize +
-          static_cast<std::int64_t>(q) * kQuadSpan;
+          (static_cast<std::int64_t>(w) * quads + q) * kQuadSpan;
       if (off >= valid) break;
       const int qvalid =
           static_cast<int>(std::min<std::int64_t>(kQuadSpan, valid - off));
-      const auto v = detail::load_quad(ctx, in, base + off, qvalid, op);
-      simt::WarpReg<T> lane_sum;
+      detail::load_cols(detail::padded_quad<T, Op>(src + off, qvalid, pad), c);
       for (int l = 0; l < simt::kWarpSize; ++l) {
-        lane_sum[l] = op(op(v[l].x, v[l].y), op(v[l].z, v[l].w));
+        lane_sum[l] = op(op(c[0][l], c[1][l]), op(c[2][l], c[3][l]));
       }
-      ctx.count_alu(3 * simt::kWarpSize);
-      warp_total = op(warp_total, simt::warp_reduce(lane_sum, op, ctx.stats()));
+      warp_total = op(warp_total, simt::lanes_reduce(lane_sum, op));
     }
     // Warp writes its partial to shared memory; warp 0 combines.
     tile_total = op(tile_total, warp_total);
-    ctx.count_alu(2);
   }
+  // Per quad: 3 lane ops + the 5-step warp reduction; 2 per warp partial.
+  const auto nq = static_cast<std::uint64_t>(util::div_up(
+      static_cast<std::uint64_t>(valid), std::uint64_t{kQuadSpan}));
+  ctx.count_alu(nq * (3 + 5 * 2) * simt::kWarpSize +
+                2 * static_cast<std::uint64_t>(nw));
+  detail::charge_quads<T>(ctx.stats().bytes_read, ctx.stats().mem_transactions,
+                          valid);
   ctx.sync();
   return tile_total;
 }
@@ -135,49 +145,54 @@ T reduce_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
 /// incoming prefix `carry`; writes output (inclusive or exclusive of the
 /// element itself; `carry` is always excluded-prefix-so-far) and returns
 /// the tile total. This is the Stage 3 (Scan+Addition) inner loop; Stage 2
-/// uses the row-scan skeleton below instead.
+/// uses the row-scan skeleton below instead. `in` and `out` may alias: a
+/// quad is read whole before any output is written.
 template <typename T, typename Op>
 T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
             const simt::GlobalView<T>& out, std::int64_t base,
             std::int64_t valid, const StagePlan& sp, T carry, ScanKind kind,
             Op op, std::span<T> smem_partials) {
+  constexpr int kW = simt::kWarpSize;
   const int nw = sp.warps();
   const int quads = sp.p / 4;
   MGS_CHECK(static_cast<int>(smem_partials.size()) >= nw,
             "scan_tile: shared-memory partials span too small");
-
-  const std::span<detail::QuadState<T>> state =
-      detail::quad_scratch<T>(static_cast<std::size_t>(nw) * quads);
-  T last_warp_total = Op::identity();
+  const T* src = in.range(base, valid);
+  T* dst = out.range(base, valid);
+  const int nq = static_cast<int>(util::div_up(
+      static_cast<std::uint64_t>(valid), std::uint64_t{kQuadSpan}));
+  // Per valid quad: its 4 inclusive columns, then each lane's exclusive
+  // prefix within its warp segment (5 columns of 32).
+  const std::span<T> regs =
+      detail::tile_regs<T>(static_cast<std::size_t>(nq) * 5 * kW);
+  const auto col = [&](int j, int i) { return &regs[(5 * j + i) * kW]; };
+  std::array<T, kQuadSpan> pad;
+  detail::QuadCols<T> c;
 
   // Phase A: per-warp scans; warp totals to shared memory.
+  T last_warp_total = Op::identity();
   for (int w = 0; w < nw; ++w) {
     T chain = Op::identity();  // prefix within this warp's segment
     for (int q = 0; q < quads; ++q) {
-      auto& st = state[static_cast<std::size_t>(w) * quads + q];
-      const std::int64_t off =
-          static_cast<std::int64_t>(w) * sp.p * simt::kWarpSize +
-          static_cast<std::int64_t>(q) * kQuadSpan;
-      st.base = base + off;
-      st.valid = (off >= valid)
-                     ? 0
-                     : static_cast<int>(
-                           std::min<std::int64_t>(kQuadSpan, valid - off));
-      if (st.valid == 0) continue;
-      st.inc = detail::load_quad(ctx, in, st.base, st.valid, op);
-      simt::WarpReg<T> lane_tot;
-      for (int l = 0; l < simt::kWarpSize; ++l) {
-        lane_tot[l] =
-            simt::thread_scan_inclusive(&st.inc[l].x, 4, op, ctx.stats());
+      const int j = w * quads + q;
+      if (j >= nq) break;
+      const std::int64_t off = static_cast<std::int64_t>(j) * kQuadSpan;
+      const int qvalid =
+          static_cast<int>(std::min<std::int64_t>(kQuadSpan, valid - off));
+      detail::load_cols(detail::padded_quad<T, Op>(src + off, qvalid, pad), c);
+      // Per-lane serial scan of the quad, column by column; c[3] ends up
+      // holding the lane totals.
+      for (int i = 1; i < 4; ++i) {
+        for (int l = 0; l < kW; ++l) c[i][l] = op(c[i - 1][l], c[i][l]);
       }
-      simt::WarpReg<T> excl = lane_tot;
-      simt::warp_scan_exclusive(excl, op, ctx.stats());
-      const T quad_total =
-          op(excl[simt::kWarpSize - 1], lane_tot[simt::kWarpSize - 1]);
-      for (int l = 0; l < simt::kWarpSize; ++l) {
-        st.lane_excl[l] = op(chain, excl[l]);
-      }
-      ctx.count_alu(simt::kWarpSize + 1);
+      simt::WarpReg<T> incl = c[3];
+      simt::lanes_scan_inclusive(incl, op);
+      // Exclusive lane prefixes are the inclusive ones shifted by a lane.
+      const T quad_total = op(incl[kW - 2], c[3][kW - 1]);
+      T* lane_excl = col(j, 4);
+      lane_excl[0] = op(chain, Op::identity());
+      for (int l = 1; l < kW; ++l) lane_excl[l] = op(chain, incl[l - 1]);
+      for (int i = 0; i < 4; ++i) std::copy(c[i].begin(), c[i].end(), col(j, i));
       chain = op(chain, quad_total);
     }
     last_warp_total = chain;
@@ -187,36 +202,55 @@ T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
 
   // Phase B: warp 0 scans the (<= 32) warp partials (LF over shuffles).
   simt::WarpReg<T> partials;
-  for (int l = 0; l < simt::kWarpSize; ++l) {
+  for (int l = 0; l < kW; ++l) {
     partials[l] = (l < nw) ? smem_partials[static_cast<std::size_t>(l)]
                            : Op::identity();
   }
-  simt::warp_scan_exclusive(partials, op, ctx.stats());
-  const T tile_total = op(partials[nw - 1], last_warp_total);
+  simt::lanes_scan_inclusive(partials, op);
+  const auto excl_partial = [&](int w) {
+    return w == 0 ? Op::identity() : partials[w - 1];
+  };
+  const T tile_total = op(excl_partial(nw - 1), last_warp_total);
   ctx.sync();
 
   // Phase C: complete prefixes and store.
-  for (int w = 0; w < nw; ++w) {
-    const T wprefix = op(carry, partials[w]);
-    for (int q = 0; q < quads; ++q) {
-      const auto& st = state[static_cast<std::size_t>(w) * quads + q];
-      if (st.valid == 0) continue;
-      simt::WarpReg<simt::Vec4<T>> result;
-      for (int l = 0; l < simt::kWarpSize; ++l) {
-        const T prefix = op(wprefix, st.lane_excl[l]);
-        if (kind == ScanKind::kInclusive) {
-          for (int i = 0; i < 4; ++i) result[l][i] = op(prefix, st.inc[l][i]);
-        } else {
-          result[l][0] = prefix;
-          for (int i = 1; i < 4; ++i) {
-            result[l][i] = op(prefix, st.inc[l][i - 1]);
-          }
-        }
+  simt::WarpReg<T> prefix;
+  for (int j = 0; j < nq; ++j) {
+    const T wprefix = op(carry, excl_partial(j / quads));
+    const T* lane_excl = col(j, 4);
+    for (int l = 0; l < kW; ++l) prefix[l] = op(wprefix, lane_excl[l]);
+    if (kind == ScanKind::kInclusive) {
+      for (int i = 0; i < 4; ++i) {
+        const T* inc = col(j, i);
+        for (int l = 0; l < kW; ++l) c[i][l] = op(prefix[l], inc[l]);
       }
-      ctx.count_alu(5 * simt::kWarpSize);
-      detail::store_quad(ctx, out, st.base, st.valid, result);
+    } else {
+      c[0] = prefix;
+      for (int i = 1; i < 4; ++i) {
+        const T* inc = col(j, i - 1);
+        for (int l = 0; l < kW; ++l) c[i][l] = op(prefix[l], inc[l]);
+      }
+    }
+    const std::int64_t off = static_cast<std::int64_t>(j) * kQuadSpan;
+    const int qvalid =
+        static_cast<int>(std::min<std::int64_t>(kQuadSpan, valid - off));
+    if (qvalid == kQuadSpan) {
+      detail::store_cols(c, dst + off);
+    } else {
+      detail::store_cols(c, pad.data());
+      std::copy(pad.begin(), pad.begin() + qvalid, dst + off);
     }
   }
+
+  // Per quad: the 4-element lane scan, the exclusive warp scan (5 steps
+  // plus the shift), 33 prefix ops, and 5 completion ops per lane; the
+  // partials' exclusive scan once.
+  ctx.count_alu(static_cast<std::uint64_t>(nq) *
+                    ((4 + 5 * 2 + 2 + 5) * kW + 1 + kW) +
+                (5 * 2 + 2) * kW);
+  auto& st = ctx.stats();
+  detail::charge_quads<T>(st.bytes_read, st.mem_transactions, valid);
+  detail::charge_quads<T>(st.bytes_written, st.mem_transactions, valid);
   return tile_total;
 }
 

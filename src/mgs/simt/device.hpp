@@ -3,10 +3,11 @@
 /// Simulated GPU device and device-memory buffers.
 ///
 /// A Device owns a simulated clock and an allocation budget; DeviceBuffer<T>
-/// is host-backed storage tagged with its owning device. Kernels access
-/// buffers through GlobalView<T>, whose accessors charge bytes and DRAM
-/// transactions to the running block's KernelStats -- this is how coalescing
-/// (int4 warp loads vs. scalar accesses) becomes visible to the cost model.
+/// is host memory -- owned storage or a borrowed view -- tagged with its
+/// device. Kernels access buffers through GlobalView<T>, whose accessors
+/// charge bytes and DRAM transactions to the running block's KernelStats --
+/// this is how coalescing (int4 warp loads vs. scalar accesses) becomes
+/// visible to the cost model.
 
 #include <atomic>
 #include <cstdint>
@@ -149,6 +150,17 @@ class GlobalView {
     for (int l = 0; l < n; ++l) data_[i0 + l] = r[l];
   }
 
+  /// Raw access to [i0, i0+n) for a warp-cooperative body that charges
+  /// its traffic itself in closed form; the range is checked once here
+  /// instead of per element.
+  T* range(std::int64_t i0, std::int64_t n) const {
+    if (n > 0) {
+      bounds(i0);
+      bounds(i0 + n - 1);
+    }
+    return data_ + i0;
+  }
+
   /// Atomic compare-and-set / load with device-memory cost accounting;
   /// used by the decoupled-look-back and chained-scan baselines.
   T atomic_load(std::int64_t i, sim::KernelStats& st) const {
@@ -194,20 +206,33 @@ class GlobalView {
   int device_id_ = -1;
 };
 
-/// Host-backed device allocation. Copyable handle (shared ownership) so
-/// proposals can pass buffers around like CUDA device pointers.
+/// Device memory handle, passable like a CUDA device pointer. Either
+/// owned -- host-backed storage allocated by Device::alloc, shared by every
+/// copy of the handle -- or borrowed: a view of memory someone else owns,
+/// tagged with the device it models (the caller's problem rows, which the
+/// paper's evaluation takes as already GPU-resident). A borrowed buffer
+/// charges no budget and must not outlive the memory it views.
 template <typename T>
 class DeviceBuffer {
  public:
   DeviceBuffer() = default;
 
-  std::int64_t size() const { return storage_ ? static_cast<std::int64_t>(storage_->size()) : 0; }
+  /// View `host` as resident on device `device_id`, without a copy.
+  static DeviceBuffer borrow(std::span<T> host, int device_id) {
+    DeviceBuffer b;
+    b.data_ = host.data();
+    b.size_ = static_cast<std::int64_t>(host.size());
+    b.device_id_ = device_id;
+    return b;
+  }
+
+  std::int64_t size() const { return size_; }
   int device_id() const { return device_id_; }
-  bool valid() const { return storage_ != nullptr; }
+  bool valid() const { return storage_ != nullptr || data_ != nullptr; }
 
   GlobalView<T> view() const {
     MGS_CHECK(valid(), "view() on empty DeviceBuffer");
-    return GlobalView<T>(storage_->data(), size(), device_id_);
+    return GlobalView<T>(data_, size_, device_id_);
   }
 
   /// Direct host access for initialization, verification and transfers.
@@ -215,19 +240,24 @@ class DeviceBuffer {
   /// layer charges transfer costs where it matters.)
   std::span<T> host_span() {
     MGS_CHECK(valid(), "host_span() on empty DeviceBuffer");
-    return {storage_->data(), storage_->size()};
+    return {data_, static_cast<std::size_t>(size_)};
   }
   std::span<const T> host_span() const {
     MGS_CHECK(valid(), "host_span() on empty DeviceBuffer");
-    return {storage_->data(), storage_->size()};
+    return {data_, static_cast<std::size_t>(size_)};
   }
 
  private:
   friend class Device;
   DeviceBuffer(std::shared_ptr<std::vector<T>> storage, int device_id)
-      : storage_(std::move(storage)), device_id_(device_id) {}
+      : storage_(std::move(storage)),
+        data_(storage_->data()),
+        size_(static_cast<std::int64_t>(storage_->size())),
+        device_id_(device_id) {}
 
-  std::shared_ptr<std::vector<T>> storage_;
+  std::shared_ptr<std::vector<T>> storage_;  ///< null when borrowed
+  T* data_ = nullptr;
+  std::int64_t size_ = 0;
   int device_id_ = -1;
 };
 
@@ -275,6 +305,17 @@ class Device {
           delete p;
         });
     return DeviceBuffer<T>(std::move(storage), id_);
+  }
+
+  /// Count `bytes` against the budget with no storage behind them -- what
+  /// borrowed buffers occupy on the device they model. The bytes return
+  /// when the last copy of the handle drops; throws util::Error exactly
+  /// where alloc of as many bytes would.
+  std::shared_ptr<void> reserve(std::int64_t bytes) {
+    MGS_REQUIRE(bytes >= 0, "Device::reserve: negative size");
+    register_alloc(bytes);
+    return std::shared_ptr<void>(
+        nullptr, [this, bytes](void*) { release_bytes(bytes); });
   }
 
   /// Release accounting for a buffer about to be dropped. (Storage itself

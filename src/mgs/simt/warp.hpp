@@ -32,22 +32,40 @@ T shfl_idx(const WarpReg<T>& x, int src, sim::KernelStats& st) {
   return x[src];
 }
 
+/// One Kogge-Stone step out of place: lanes below D keep their value, lane
+/// l >= D combines op(x[l-D], x[l]). Split into two fixed-trip loops so the
+/// compiler vectorizes both.
+template <int D, typename T, typename Op>
+void ks_step(const WarpReg<T>& x, WarpReg<T>& y, Op op) {
+  for (int l = 0; l < D; ++l) y[l] = x[l];
+  for (int l = D; l < kWarpSize; ++l) y[l] = op(x[l - D], x[l]);
+}
+
+/// The lane arithmetic of the inclusive warp scan, uncharged: the five
+/// steps of ks_step. After the call x[l] = op(x[0], ..., x[l]). Tile
+/// bodies that charge their work in closed form call this directly.
+template <typename T, typename Op>
+void lanes_scan_inclusive(WarpReg<T>& x, Op op) {
+  static_assert(kWarpSize == 32, "five Kogge-Stone steps cover 32 lanes");
+  WarpReg<T> y;
+  ks_step<1>(x, y, op);
+  ks_step<2>(y, x, op);
+  ks_step<4>(x, y, op);
+  ks_step<8>(y, x, op);
+  ks_step<16>(x, y, op);
+  x = y;
+}
+
 /// Inclusive Ladner-Fischer warp scan using log2(32) = 5 shuffle steps.
 /// After the call, x[l] = op(x[0], ..., x[l]).
 ///
-/// Each step is a shfl_up by delta followed by a predicated op. It runs in
-/// place, lanes in descending order: lane l reads lane l-delta before that
-/// lane is overwritten, so every lane applies op(old[l-delta], old[l]) --
-/// the same operands in the same order as a copied shuffle -- and float
-/// results stay bit-identical.
+/// Each step is a shfl_up by delta followed by a predicated op: every lane
+/// applies op(old[l-delta], old[l]) -- the operands and order of the
+/// shuffle -- so float results are bit-identical to warp code.
 template <typename T, typename Op>
 void warp_scan_inclusive(WarpReg<T>& x, Op op, sim::KernelStats& st) {
-  for (int delta = 1; delta < kWarpSize; delta <<= 1) {
-    for (int l = kWarpSize - 1; l >= delta; --l) {
-      x[l] = op(x[l - delta], x[l]);
-    }
-    st.alu_ops += 2 * kWarpSize;  // shfl_up + predicated op on every lane
-  }
+  lanes_scan_inclusive(x, op);
+  st.alu_ops += 5 * 2 * kWarpSize;  // shfl_up + predicated op, 5 steps
 }
 
 /// Exclusive warp scan: x[l] = op(identity, x[0..l-1]). Implemented the way
@@ -69,16 +87,22 @@ void warp_scan_exclusive(WarpReg<T>& x, Op op, sim::KernelStats& st) {
 /// Kogge-Stone scan above is a perfect binary tree: step delta combines
 /// lanes (l - delta, l) for l = 31, 31 - 2*delta, ... So the tree below
 /// makes the scan's 31 op calls on lane 31's path, with the same operands
-/// in the same order, and returns the same bits.
+/// in the same order, and returns the same bits. lanes_reduce is the
+/// uncharged tree.
 template <typename T, typename Op>
-T warp_reduce(const WarpReg<T>& x, Op op, sim::KernelStats& st) {
+T lanes_reduce(const WarpReg<T>& x, Op op) {
   std::array<T, kWarpSize / 2> y;
   for (int i = 0; i < kWarpSize / 2; ++i) y[i] = op(x[2 * i], x[2 * i + 1]);
   for (int n = kWarpSize / 4; n >= 1; n /= 2) {
     for (int i = 0; i < n; ++i) y[i] = op(y[2 * i], y[2 * i + 1]);
   }
-  st.alu_ops += 5 * 2 * kWarpSize;  // charged like warp_scan_inclusive
   return y[0];
+}
+
+template <typename T, typename Op>
+T warp_reduce(const WarpReg<T>& x, Op op, sim::KernelStats& st) {
+  st.alu_ops += 5 * 2 * kWarpSize;  // charged like warp_scan_inclusive
+  return lanes_reduce(x, op);
 }
 
 /// Per-thread serial scan of P register-resident elements (the red step in

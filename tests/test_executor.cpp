@@ -587,3 +587,137 @@ TEST(ExecutorPlacement, DescribeAndFaultReportArePinned) {
     EXPECT_EQ(got[i].second, expect[i]) << got[i].first;
   }
 }
+
+// ------------------------------------------------ caller's spans in place
+
+namespace {
+
+const std::vector<std::pair<const char*, Make>>& five_proposals() {
+  static const std::vector<std::pair<const char*, Make>> p = {
+      {"Scan-SP", [](mc::ScanContext& c) { return mc::make_sp_executor(c, 1); }},
+      {"Scan-MPS", [](mc::ScanContext& c) { return mc::make_mps_executor(c, 4); }},
+      {"Scan-MPS-direct",
+       [](mc::ScanContext& c) { return mc::make_mps_executor(c, 4, true); }},
+      {"Scan-MP-PC",
+       [](mc::ScanContext& c) { return mc::make_mppc_executor(c, 2, 4); }},
+      {"Scan-MPS-multinode",
+       [](mc::ScanContext& c) { return mc::make_multinode_executor(c, 1, 8); }},
+  };
+  return p;
+}
+
+/// One in-place run(v, v) on a fresh cluster under `spec` ("" = no
+/// injector); `v` holds the input and receives the output.
+mc::RunResult run_in_place(const Make& make, const std::string& spec,
+                           std::vector<int>& v, mc::ScanKind kind) {
+  auto cluster = mt::tsubame_kfc_cluster(1);
+  std::unique_ptr<mgs::sim::FaultInjector> fi;
+  if (!spec.empty()) {
+    fi = std::make_unique<mgs::sim::FaultInjector>(
+        mgs::sim::parse_fault_plan(spec));
+    cluster.set_fault_injector(fi.get());
+  }
+  mc::ScanContext ctx(cluster);
+  auto ex = make(ctx);
+  ex->prepare(kN, kG);
+  return ex->run(v, v, kind);
+}
+
+bool restarted(const mgs::sim::FaultReport& f) {
+  for (const auto& step : f.replanned) {
+    if (step.find("restarted on survivors") != std::string::npos) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+// `out` aliasing `in` is an in-place scan: healthy, and with a device lost
+// mid-run -- Scan-MPS resumes; direct, MP-PC and multinode restart, some
+// after earlier groups or waves already wrote their output rows -- every
+// proposal must still produce the serial scan of the original input.
+TEST(ExecutorInPlace, MatchesTheSerialReferenceHealthyAndUnderLoss) {
+  const auto data =
+      mgs::util::random_i32(static_cast<std::size_t>(kN * kG), 41);
+  for (const auto kind : {mc::ScanKind::kInclusive, mc::ScanKind::kExclusive}) {
+    const auto want = reference_batch_scan<int>(data, kN, kG, kind);
+    for (const auto& [name, make] : five_proposals()) {
+      std::vector<int> v = data;
+      const double healthy = run_in_place(make, "", v, kind).seconds;
+      EXPECT_EQ(v, want) << name << " healthy";
+      // GPU 1 dies at a fraction of the healthy makespan; GPU 5 sits in
+      // Scan-MP-PC's second group and the multinode upper ranks.
+      for (int dead : {1, 5}) {
+        for (double frac : {0.1, 0.5, 0.9}) {
+          std::ostringstream spec;
+          spec.precision(17);
+          spec << "device-down:dev=" << dead << ",at=" << frac * healthy;
+          v = data;
+          const auto f = run_in_place(make, spec.str(), v, kind).faults;
+          EXPECT_EQ(v, want) << name << " " << spec.str();
+          if (dead == 1 && frac == 0.1 && std::string(name) != "Scan-SP") {
+            if (std::string(name) == "Scan-MPS") {
+              EXPECT_FALSE(f.resumed_stages.empty()) << name;
+            } else {
+              EXPECT_TRUE(restarted(f)) << name;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// prepare() holds each portion's input and output bytes on its GPU --
+// the device budget the portions occupy -- exactly as much as when every
+// call staged them through per-GPU copies (values measured then).
+TEST(ExecutorMemory, PrepareReservesEachPortionsBytes) {
+  const std::vector<std::vector<std::int64_t>> want = {
+      {0, 131072, 0, 0, 0, 0, 0, 0},
+      {32768, 32768, 32768, 32768, 0, 0, 0, 0},
+      {32768, 32768, 32768, 32768, 0, 0, 0, 0},
+      {16384, 16384, 16384, 16384, 16384, 16384, 16384, 16384},
+      {16384, 16384, 16384, 16384, 16384, 16384, 16384, 16384},
+  };
+  const auto& proposals = five_proposals();
+  ASSERT_EQ(proposals.size(), want.size());
+  for (std::size_t p = 0; p < proposals.size(); ++p) {
+    auto cluster = mt::tsubame_kfc_cluster(1);
+    mc::ScanContext ctx(cluster);
+    auto ex = proposals[p].second(ctx);
+    ex->prepare(kN, kG);
+    std::vector<std::int64_t> got;
+    for (int d = 0; d < cluster.num_devices(); ++d) {
+      got.push_back(cluster.device(d).allocated_bytes());
+    }
+    EXPECT_EQ(got, want[p]) << proposals[p].first;
+  }
+}
+
+// Case 2 through an executor: a portion larger than one (shrunken) device
+// throws from prepare(); scattering the same problem over more GPUs fits.
+TEST(ExecutorMemory, PortionLargerThanADeviceThrowsFromPrepare) {
+  mt::ClusterConfig cfg;
+  cfg.nodes = 1;
+  cfg.networks_per_node = 1;
+  cfg.gpus_per_network = 4;
+  cfg.gpu = mgs::sim::k80_spec();
+  cfg.gpu.memory_bytes = 1 << 20;
+  // W=2 portions need in + out just over 1 MiB; W=4 portions half that.
+  const std::int64_t n = 2 * ((1 << 17) + 4);
+  {
+    mt::Cluster cluster(cfg);
+    mc::ScanContext ctx(cluster);
+    auto two = mc::make_mps_executor(ctx, 2);
+    EXPECT_THROW(two->prepare(n, 1), mgs::util::Error);
+  }
+  mt::Cluster cluster(cfg);
+  mc::ScanContext ctx(cluster);
+  auto four = mc::make_mps_executor(ctx, 4);
+  four->prepare(n, 1);
+  const auto data = mgs::util::random_i32(static_cast<std::size_t>(n), 43);
+  std::vector<int> out(data.size());
+  four->run(data, out, mc::ScanKind::kInclusive);
+  EXPECT_EQ(out, reference_batch_scan<int>(data, n, 1,
+                                           mc::ScanKind::kInclusive));
+}

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <span>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "mgs/baselines/reference.hpp"
 #include "mgs/core/kernels.hpp"
@@ -241,4 +247,311 @@ TEST(Skeleton, Int4LoadsAreCoalesced) {
   const std::uint64_t ideal_txns =
       (observed.bytes_read + observed.bytes_written) / 32;
   EXPECT_EQ(observed.mem_transactions, ideal_txns);
+}
+
+// ------------------------------------------------- warp-register oracle
+
+namespace oracle {
+
+// The tile bodies as first written: one WarpReg<Vec4> per quad, the
+// instrumented per-access loads and stores, and the charged warp
+// primitives. scan_tile/reduce_tile above must reproduce them bit for bit
+// and counter for counter.
+
+template <typename T, typename Op>
+st::WarpReg<st::Vec4<T>> load_quad(st::BlockCtx& ctx,
+                                   const st::GlobalView<T>& in,
+                                   std::int64_t base, int valid, Op) {
+  if (valid == mc::kQuadSpan) return in.load4_warp(base, ctx.stats());
+  st::WarpReg<st::Vec4<T>> r;
+  for (int l = 0; l < st::kWarpSize; ++l) {
+    for (int i = 0; i < 4; ++i) {
+      const int e = 4 * l + i;
+      r[l][i] = (e < valid) ? in.load(base + e, ctx.stats()) : Op::identity();
+    }
+  }
+  return r;
+}
+
+template <typename T>
+void store_quad(st::BlockCtx& ctx, const st::GlobalView<T>& out,
+                std::int64_t base, int valid,
+                const st::WarpReg<st::Vec4<T>>& v) {
+  if (valid == mc::kQuadSpan) {
+    out.store4_warp(base, v, ctx.stats());
+    return;
+  }
+  for (int l = 0; l < st::kWarpSize; ++l) {
+    for (int i = 0; i < 4; ++i) {
+      const int e = 4 * l + i;
+      if (e < valid) out.store(base + e, v[l][i], ctx.stats());
+    }
+  }
+}
+
+template <typename T, typename Op>
+T reduce_tile(st::BlockCtx& ctx, const st::GlobalView<T>& in,
+              std::int64_t base, std::int64_t valid, const mc::StagePlan& sp,
+              Op op) {
+  const int nw = sp.warps();
+  const int quads = sp.p / 4;
+  T tile_total = Op::identity();
+  for (int w = 0; w < nw; ++w) {
+    T warp_total = Op::identity();
+    for (int q = 0; q < quads; ++q) {
+      const std::int64_t off =
+          static_cast<std::int64_t>(w) * sp.p * st::kWarpSize +
+          static_cast<std::int64_t>(q) * mc::kQuadSpan;
+      if (off >= valid) break;
+      const int qvalid =
+          static_cast<int>(std::min<std::int64_t>(mc::kQuadSpan, valid - off));
+      const auto v = load_quad(ctx, in, base + off, qvalid, op);
+      st::WarpReg<T> lane_sum;
+      for (int l = 0; l < st::kWarpSize; ++l) {
+        lane_sum[l] = op(op(v[l].x, v[l].y), op(v[l].z, v[l].w));
+      }
+      ctx.count_alu(3 * st::kWarpSize);
+      warp_total = op(warp_total, st::warp_reduce(lane_sum, op, ctx.stats()));
+    }
+    tile_total = op(tile_total, warp_total);
+    ctx.count_alu(2);
+  }
+  ctx.sync();
+  return tile_total;
+}
+
+template <typename T>
+struct QuadState {
+  st::WarpReg<st::Vec4<T>> inc;
+  st::WarpReg<T> lane_excl;
+  std::int64_t base = 0;
+  int valid = 0;
+};
+
+template <typename T, typename Op>
+T scan_tile(st::BlockCtx& ctx, const st::GlobalView<T>& in,
+            const st::GlobalView<T>& out, std::int64_t base,
+            std::int64_t valid, const mc::StagePlan& sp, T carry,
+            ScanKind kind, Op op, std::span<T> smem_partials) {
+  const int nw = sp.warps();
+  const int quads = sp.p / 4;
+  std::vector<QuadState<T>> state(static_cast<std::size_t>(nw) * quads);
+  T last_warp_total = Op::identity();
+  for (int w = 0; w < nw; ++w) {
+    T chain = Op::identity();
+    for (int q = 0; q < quads; ++q) {
+      auto& s = state[static_cast<std::size_t>(w) * quads + q];
+      const std::int64_t off =
+          static_cast<std::int64_t>(w) * sp.p * st::kWarpSize +
+          static_cast<std::int64_t>(q) * mc::kQuadSpan;
+      s.base = base + off;
+      s.valid = (off >= valid)
+                    ? 0
+                    : static_cast<int>(
+                          std::min<std::int64_t>(mc::kQuadSpan, valid - off));
+      if (s.valid == 0) continue;
+      s.inc = load_quad(ctx, in, s.base, s.valid, op);
+      st::WarpReg<T> lane_tot;
+      for (int l = 0; l < st::kWarpSize; ++l) {
+        lane_tot[l] =
+            st::thread_scan_inclusive(&s.inc[l].x, 4, op, ctx.stats());
+      }
+      st::WarpReg<T> excl = lane_tot;
+      st::warp_scan_exclusive(excl, op, ctx.stats());
+      const T quad_total =
+          op(excl[st::kWarpSize - 1], lane_tot[st::kWarpSize - 1]);
+      for (int l = 0; l < st::kWarpSize; ++l) {
+        s.lane_excl[l] = op(chain, excl[l]);
+      }
+      ctx.count_alu(st::kWarpSize + 1);
+      chain = op(chain, quad_total);
+    }
+    last_warp_total = chain;
+    smem_partials[static_cast<std::size_t>(w)] = chain;
+  }
+  ctx.sync();
+  st::WarpReg<T> partials;
+  for (int l = 0; l < st::kWarpSize; ++l) {
+    partials[l] = (l < nw) ? smem_partials[static_cast<std::size_t>(l)]
+                           : Op::identity();
+  }
+  st::warp_scan_exclusive(partials, op, ctx.stats());
+  const T tile_total = op(partials[nw - 1], last_warp_total);
+  ctx.sync();
+  for (int w = 0; w < nw; ++w) {
+    const T wprefix = op(carry, partials[w]);
+    for (int q = 0; q < quads; ++q) {
+      const auto& s = state[static_cast<std::size_t>(w) * quads + q];
+      if (s.valid == 0) continue;
+      st::WarpReg<st::Vec4<T>> result;
+      for (int l = 0; l < st::kWarpSize; ++l) {
+        const T prefix = op(wprefix, s.lane_excl[l]);
+        if (kind == ScanKind::kInclusive) {
+          for (int i = 0; i < 4; ++i) result[l][i] = op(prefix, s.inc[l][i]);
+        } else {
+          result[l][0] = prefix;
+          for (int i = 1; i < 4; ++i) {
+            result[l][i] = op(prefix, s.inc[l][i - 1]);
+          }
+        }
+      }
+      ctx.count_alu(5 * st::kWarpSize);
+      store_quad(ctx, out, s.base, s.valid, result);
+    }
+  }
+  return tile_total;
+}
+
+}  // namespace oracle
+
+namespace {
+
+/// Inputs that make a swapped operand visible: small integers, and for
+/// floats signed zeros everywhere plus NaNs under max/min (std::max and
+/// std::min return their first operand on ties and unordered pairs).
+template <typename T>
+std::vector<T> oracle_input(std::size_t count, std::uint64_t seed,
+                            bool nans) {
+  mgs::util::SplitMix64 rng(seed);
+  std::vector<T> v(count);
+  for (auto& x : v) {
+    const std::uint64_t r = rng.next();
+    if constexpr (std::is_floating_point_v<T>) {
+      switch (r % 8) {
+        case 0: x = T(-0.0); break;
+        case 1: x = T(0.0); break;
+        case 2:
+          x = nans ? std::numeric_limits<T>::quiet_NaN() : T(-0.0);
+          break;
+        default:
+          x = static_cast<T>(static_cast<double>(r >> 40) / 4096.0 - 2048.0);
+      }
+    } else {
+      x = static_cast<T>(static_cast<std::int64_t>(r >> 53) - 1024);
+    }
+  }
+  return v;
+}
+
+template <typename T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+bool same_stats(const mgs::sim::KernelStats& a,
+                const mgs::sim::KernelStats& b) {
+  return a.bytes_read == b.bytes_read && a.bytes_written == b.bytes_written &&
+         a.mem_transactions == b.mem_transactions && a.alu_ops == b.alu_ops;
+}
+
+/// One tile body run in its own single-block launch; returns the block's
+/// counters.
+template <typename Fn>
+mgs::sim::KernelStats run_block(st::Device& dev, int lx,
+                                std::int64_t smem_bytes, Fn&& fn) {
+  st::LaunchConfig cfg;
+  cfg.name = "oracle_block";
+  cfg.block = {lx, 1, 1};
+  cfg.regs_per_thread = 32;
+  cfg.smem_per_block = smem_bytes;
+  mgs::sim::KernelStats stats;
+  st::launch(dev, cfg, [&](st::BlockCtx& ctx) {
+    fn(ctx);
+    stats = ctx.stats();
+  });
+  return stats;
+}
+
+/// Every (P, Lx, valid, kind) case of one (T, Op) cell against the oracle:
+/// reduce and scan totals and outputs bit for bit, all four counters.
+template <typename T, typename Op>
+void check_cell(const char* cell) {
+  constexpr bool kNans = !std::is_same_v<Op, Plus<T>>;
+  Op op;
+  auto dev = make_device();
+  for (int p : {4, 8, 16}) {
+    for (int lx : {32, 128, 1024}) {
+      mc::StagePlan sp;
+      sp.p = p;
+      sp.lx = lx;
+      const std::int64_t tile = sp.tile();
+      // The tile sits at an offset so base arithmetic is exercised too.
+      const std::int64_t base = 64;
+      const auto data = oracle_input<T>(
+          static_cast<std::size_t>(base + tile),
+          static_cast<std::uint64_t>(p * 7919 + lx), kNans);
+      auto in = dev.alloc<T>(base + tile);
+      std::copy(data.begin(), data.end(), in.host_span().begin());
+      auto out_new = dev.alloc<T>(base + tile);
+      auto out_old = dev.alloc<T>(base + tile);
+      const T carry = data[3];
+      const std::int64_t smem =
+          sp.smem_bytes(static_cast<int>(sizeof(T)));
+      for (std::int64_t valid :
+           {std::int64_t{0}, std::int64_t{1}, std::int64_t{127},
+            std::int64_t{128}, std::int64_t{129}, tile - 1, tile}) {
+        if (valid > tile) continue;
+        const std::string where = std::string(cell) +
+                                  " p=" + std::to_string(p) +
+                                  " lx=" + std::to_string(lx) +
+                                  " valid=" + std::to_string(valid);
+        T got{};
+        T want{};
+        const auto s_new = run_block(dev, lx, smem, [&](st::BlockCtx& ctx) {
+          got = mc::reduce_tile(ctx, in.view(), base, valid, sp, op);
+        });
+        const auto s_old = run_block(dev, lx, smem, [&](st::BlockCtx& ctx) {
+          want = oracle::reduce_tile(ctx, in.view(), base, valid, sp, op);
+        });
+        EXPECT_TRUE(same_bits(got, want)) << "reduce " << where;
+        EXPECT_TRUE(same_stats(s_new, s_old)) << "reduce stats " << where;
+
+        for (const ScanKind kind :
+             {ScanKind::kInclusive, ScanKind::kExclusive}) {
+          std::fill(out_new.host_span().begin(), out_new.host_span().end(),
+                    T{});
+          std::fill(out_old.host_span().begin(), out_old.host_span().end(),
+                    T{});
+          const auto n_new = run_block(dev, lx, smem, [&](st::BlockCtx& ctx) {
+            got = mc::scan_tile(ctx, in.view(), out_new.view(), base, valid,
+                                sp, carry, kind, op,
+                                ctx.shared<T>(sp.warps()));
+          });
+          const auto n_old = run_block(dev, lx, smem, [&](st::BlockCtx& ctx) {
+            want = oracle::scan_tile(ctx, in.view(), out_old.view(), base,
+                                     valid, sp, carry, kind, op,
+                                     ctx.shared<T>(sp.warps()));
+          });
+          const std::string what = where + " " + mc::to_string(kind);
+          EXPECT_TRUE(same_bits(got, want)) << "scan total " << what;
+          EXPECT_TRUE(same_stats(n_new, n_old)) << "scan stats " << what;
+          EXPECT_EQ(std::memcmp(out_new.host_span().data(),
+                                out_old.host_span().data(),
+                                static_cast<std::size_t>(base + tile) *
+                                    sizeof(T)),
+                    0)
+              << "scan output " << what;
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+void check_dtype(const char* name) {
+  check_cell<T, Plus<T>>((std::string(name) + "/plus").c_str());
+  check_cell<T, mc::Max<T>>((std::string(name) + "/max").c_str());
+  check_cell<T, mc::Min<T>>((std::string(name) + "/min").c_str());
+}
+
+}  // namespace
+
+// The lane-major tile bodies against the warp-register oracle over every
+// dtype, operator, kind, tail length and block shape the planners use.
+TEST(Skeleton, TileBodiesMatchTheWarpRegisterOracle) {
+  check_dtype<std::int32_t>("i32");
+  check_dtype<std::int64_t>("i64");
+  check_dtype<std::uint32_t>("u32");
+  check_dtype<float>("f32");
+  check_dtype<double>("f64");
 }
