@@ -10,9 +10,8 @@
 #include "mgs/core/plan.hpp"         // StagePlan / ScanPlan / RunResult
 #include "mgs/core/tuning.hpp"       // premises, K search, autotuner
 #include "mgs/core/scan_sp.hpp"      // single-GPU proposal
-#include "mgs/core/scan_mps.hpp"     // multi-GPU problem scattering
+#include "mgs/core/scan_mps.hpp"     // problem scattering, direct + MPI
 #include "mgs/core/scan_mppc.hpp"    // prioritized communications
-#include "mgs/core/scan_multinode.hpp"  // MPI multi-node proposal
 #include "mgs/core/planner.hpp"      // Premise-4 proposal selection
 #include "mgs/core/segmented.hpp"    // segmented scan extension
 #include "mgs/core/segmented_context.hpp"  // segmented scan via executors

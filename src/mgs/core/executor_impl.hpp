@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "mgs/core/placed_executor.hpp"
-#include "mgs/core/scan_multinode.hpp"
 #include "mgs/core/scan_sp.hpp"
 #include "mgs/core/segmented.hpp"
 
@@ -41,34 +40,23 @@ class TypedPath final : public DataPath {
   }
 
   RunResult scan_mps(const Call& c, const std::vector<int>& gpus,
-                     MpsProgress* ck) override {
+                     MpsGather gather, MpsProgress& ck) override {
     auto b = borrow(c, gpus, 0, c.g);
-    topo::Cluster& cluster = c.ctx.cluster();
-    if (ck == nullptr) {
-      return scan_mps_direct<T, Op>(cluster, gpus, b, c.n, c.g, c.plan,
-                                    c.kind, Op{}, &c.ctx.workspace());
-    }
-    return core::scan_mps<T, Op>(cluster, gpus, b, c.n, c.g, c.plan, c.kind,
-                                 Op{}, &c.ctx.workspace(),
-                                 static_cast<MpsCheckpoint<T>*>(ck));
+    return run_mps<T, Op>(c.ctx.cluster(), gpus, b, c.n, c.g, c.plan, c.kind,
+                          Op{}, &c.ctx.workspace(),
+                          static_cast<MpsCheckpoint<T>&>(ck), gather);
   }
 
-  RunResult scan_mppc(const Call& c, const MppcPartition& part) override {
+  RunResult scan_mppc(const Call& c, const MppcPartition& part,
+                      MpsProgress& ck) override {
     std::vector<std::vector<GpuBatch<T>>> batches;
     for (std::size_t grp = 0; grp < part.groups.size(); ++grp) {
       batches.push_back(borrow(c, part.groups[grp], part.g_offset[grp],
                                part.g_of_group[grp]));
     }
     return core::scan_mppc<T, Op>(c.ctx.cluster(), part, batches, c.n,
-                                  c.plan, c.kind, Op{}, &c.ctx.workspace());
-  }
-
-  RunResult scan_multinode(const Call& c, msg::Communicator& comm) override {
-    std::vector<int> ranks;
-    for (int r = 0; r < comm.size(); ++r) ranks.push_back(comm.device_of(r));
-    auto b = borrow(c, ranks, 0, c.g);
-    return scan_mps_multinode<T, Op>(comm, b, c.n, c.g, c.plan, c.kind, Op{},
-                                     &c.ctx.workspace());
+                                  c.plan, c.kind, Op{}, &c.ctx.workspace(),
+                                  &static_cast<MpsCheckpoint<T>&>(ck));
   }
 
   std::unique_ptr<MpsProgress> checkpoint() const override {

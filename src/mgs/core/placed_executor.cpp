@@ -212,8 +212,9 @@ class PlacedExecutor : public ScanExecutor {
     obs::ScopedSpan run_span = trace_run();
     topo::Cluster& cluster = ctx_->cluster();
     sim::FaultInjector* fi = cluster.fault_injector();
-    const std::unique_ptr<MpsProgress> ck =
-        resumes_ ? path_->checkpoint() : nullptr;
+    // The run's progress: what a resume continues from, and the transfer
+    // counters of every attempt, restarted ones included.
+    const std::unique_ptr<MpsProgress> ck = path_->checkpoint();
     std::vector<int> lost;
     double restarted_at = 0.0;  // where the last restart began; 0 = none
     RunResult r;
@@ -221,8 +222,8 @@ class PlacedExecutor : public ScanExecutor {
     for (int attempt = 0;; ++attempt) {
       const DataPath::Call call{*ctx_, *plan_, in, out, n_, g_, kind};
       try {
-        r = at_.sp ? PlacedExecutor::run_attempt(call, nullptr)
-                   : run_attempt(call, ck.get());
+        r = at_.sp ? PlacedExecutor::run_attempt(call, *ck)
+                   : run_attempt(call, *ck);
         break;
       } catch (const topo::TransferError& e) {
         if (fi == nullptr || attempt >= attempt_bound_) throw;
@@ -231,14 +232,14 @@ class PlacedExecutor : public ScanExecutor {
         const int dead =
             blame_endpoint(*fi, e.src_dev, e.dst_dev, master, now);
         if (dead < 0) throw;
-        restarted_at = recover(ck.get(), *fi, dead, -1, now);
+        restarted_at = recover(*ck, *fi, dead, -1, now);
         lost.push_back(dead);
       } catch (const msg::CommError& e) {
         if (fi == nullptr || attempt >= attempt_bound_) throw;
         const double now = cluster_front(cluster, at_.gpus);
         const int dead = at_.gpus.at(static_cast<std::size_t>(e.failed_rank));
         if (!fi->device_is_down(dead)) fi->mark_device_down(dead);
-        restarted_at = recover(ck.get(), *fi, dead, e.failed_rank, now);
+        restarted_at = recover(*ck, *fi, dead, e.failed_rank, now);
         lost.push_back(dead);
       }
     }
@@ -252,8 +253,10 @@ class PlacedExecutor : public ScanExecutor {
       r.breakdown = std::move(b);
       r.seconds += restarted_at;
     }
-    // The placement-time degradation record; counters and resumed stages
-    // stay whatever the attempts accumulated.
+    // The placement-time degradation record, and the counters every
+    // attempt banked (a Scan-SP attempt moves no data and banks none);
+    // resumed stages stay whatever the attempts accumulated.
+    r.faults.counters = ck->counters;
     r.faults.degraded = at_.report.degraded;
     r.faults.degraded_mode = at_.report.degraded_mode;
     r.faults.excluded_devices = at_.report.excluded_devices;
@@ -282,9 +285,9 @@ class PlacedExecutor : public ScanExecutor {
     return os.str();
   }
 
-  /// One attempt on the placement (`ck` continues a resumed one). The
+  /// One attempt on the placement, recording its progress in `ck`. The
   /// default is the one Scan-SP body, for Scan-SP and every collapse.
-  virtual RunResult run_attempt(const DataPath::Call& c, MpsProgress*) {
+  virtual RunResult run_attempt(const DataPath::Call& c, MpsProgress&) {
     return path_->scan_sp(c, at_.gpus.front());
   }
   /// Continue the run from `ck` after `dead` was lost at `now` (only when
@@ -362,12 +365,13 @@ class PlacedExecutor : public ScanExecutor {
   /// Apply the policy after `dead` (rank `rank` on the multinode path, -1
   /// otherwise) was lost at `now`. Returns the instant a restart begins
   /// at, 0 for a resume.
-  double recover(MpsProgress* ck, sim::FaultInjector& fi, int dead, int rank,
+  double recover(MpsProgress& ck, sim::FaultInjector& fi, int dead, int rank,
                  double now) {
-    if (ck != nullptr) {
-      resume(*ck, fi, dead, now);
+    if (resumes_) {
+      resume(ck, fi, dead, now);
       return 0.0;
     }
+    ck.active = false;  // the next attempt starts over; its counters stay
     const std::string dead_id = std::to_string(dead);
     if (rank >= 0) {
       obs::note_fault("restart",
@@ -508,8 +512,10 @@ class MpsExecutor final : public PlacedExecutor {
     return p;
   }
 
-  RunResult run_attempt(const DataPath::Call& c, MpsProgress* ck) override {
-    return path_->scan_mps(c, at_.gpus, ck);
+  RunResult run_attempt(const DataPath::Call& c, MpsProgress& ck) override {
+    return path_->scan_mps(
+        c, at_.gpus, direct_ ? MpsGather::kPeerWrites : MpsGather::kCopies,
+        ck);
   }
 
   /// Stage-granular resume: the dead device's portions remap onto the
@@ -717,8 +723,8 @@ class MppcExecutor final : public PlacedExecutor {
     return p;
   }
 
-  RunResult run_attempt(const DataPath::Call& c, MpsProgress*) override {
-    return path_->scan_mppc(c, at_.part);
+  RunResult run_attempt(const DataPath::Call& c, MpsProgress& ck) override {
+    return path_->scan_mppc(c, at_.part, ck);
   }
 
   int y_ = 1;
@@ -790,9 +796,10 @@ class MultinodeExecutor final : public PlacedExecutor {
     return p;
   }
 
-  RunResult run_attempt(const DataPath::Call& c, MpsProgress*) override {
-    msg::Communicator comm(ctx_->cluster(), at_.gpus);
-    return path_->scan_multinode(c, comm);
+  /// Restarts rather than resumes: a communicator needs distinct devices
+  /// per rank, which a remapped portion would break.
+  RunResult run_attempt(const DataPath::Call& c, MpsProgress& ck) override {
+    return path_->scan_mps(c, at_.gpus, MpsGather::kMpi, ck);
   }
 
   int m_ = 1;

@@ -15,7 +15,6 @@
 #include "mgs/core/executor.hpp"
 #include "mgs/core/executor_registry.hpp"
 #include "mgs/core/scan_mppc.hpp"
-#include "mgs/msg/comm.hpp"
 
 namespace mgs::core::detail {
 
@@ -56,15 +55,15 @@ class DataPath {
 
   /// Scan-SP on `device`.
   virtual RunResult scan_sp(const Call& c, int device) = 0;
-  /// Scan-MPS, portion d on gpus[d]: resumable from `ck`, or
-  /// Scan-MPS-direct when `ck` is null.
+  /// Scan-MPS, portion d on gpus[d], its cells moving by `gather` (under
+  /// MPI, rank d on gpus[d]); the progress a resume continues from, and
+  /// the counters of every attempt, live in `ck`.
   virtual RunResult scan_mps(const Call& c, const std::vector<int>& gpus,
-                             MpsProgress* ck) = 0;
-  /// Scan-MP-PC: group k scans its problems over its GPUs.
-  virtual RunResult scan_mppc(const Call& c, const MppcPartition& part) = 0;
-  /// Multi-node Scan-MPS: rank r scans portion r.
-  virtual RunResult scan_multinode(const Call& c,
-                                   msg::Communicator& comm) = 0;
+                             MpsGather gather, MpsProgress& ck) = 0;
+  /// Scan-MP-PC: group k scans its problems over its GPUs, the groups one
+  /// after another through `ck`.
+  virtual RunResult scan_mppc(const Call& c, const MppcPartition& part,
+                              MpsProgress& ck) = 0;
 
   /// A fresh Scan-MPS checkpoint over this cell's buffers.
   virtual std::unique_ptr<MpsProgress> checkpoint() const = 0;

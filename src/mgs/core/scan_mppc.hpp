@@ -112,13 +112,19 @@ std::vector<T> collect_mppc(const MppcPartition& part,
 /// concurrently (disjoint devices, independent simulated clocks). The
 /// result is the makespan across groups; the breakdown reported is the
 /// slowest group's (groups are symmetric up to a +-1 problem imbalance).
+/// The groups' scans run one after another through one checkpoint (`ck`,
+/// when given), whose counters sum every group's -- and, across a
+/// restart, every aborted attempt's.
 template <typename T, typename Op = Plus<T>>
 RunResult scan_mppc(topo::Cluster& cluster, const MppcPartition& part,
                     std::vector<std::vector<GpuBatch<T>>>& batches,
                     std::int64_t n, const ScanPlan& plan, ScanKind kind,
-                    Op op = {}, WorkspacePool* ws = nullptr) {
+                    Op op = {}, WorkspacePool* ws = nullptr,
+                    MpsCheckpoint<T>* ck = nullptr) {
   MGS_REQUIRE(batches.size() == part.groups.size(),
               "scan_mppc: one batch set per group required");
+  MpsCheckpoint<T> local_ck;
+  MpsCheckpoint<T>& c = ck != nullptr ? *ck : local_ck;
   RunResult result;
   double worst = -1.0;
   for (std::size_t grp = 0; grp < part.groups.size(); ++grp) {
@@ -136,16 +142,16 @@ RunResult scan_mppc(topo::Cluster& cluster, const MppcPartition& part,
     }
     RunResult r =
         scan_mps(cluster, part.groups[grp], batches[grp], n,
-                 part.g_of_group[grp], plan, kind, op, ws);
+                 part.g_of_group[grp], plan, kind, op, ws, &c);
     group_stage.close(group_t0 + r.seconds);
     result.payload_bytes += r.payload_bytes;
-    result.faults.counters.merge(r.faults.counters);
     if (r.seconds > worst) {
       worst = r.seconds;
       result.breakdown = r.breakdown;
     }
   }
   result.seconds = worst;
+  result.faults.counters = c.counters;
   return result;
 }
 

@@ -3,15 +3,19 @@
 /// Scan-MPS: Multi-GPU Problem Scattering (Section 4.1, Figures 6-7).
 /// Every problem is split across all W participating GPUs; each GPU runs
 /// Stage 1 on its G portions, the chunk reductions converge on a master
-/// GPU for Stage 2, and the scanned prefixes return for Stage 3.
+/// GPU for Stage 2, and the scanned prefixes return for Stage 3. The
+/// multi-node proposal (Section 4.1's multi-node paragraph) is the same
+/// schedule over one MPI rank per GPU, the reductions travelling by MPI.
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "mgs/core/kernels.hpp"
 #include "mgs/core/plan.hpp"
 #include "mgs/core/workspace.hpp"
+#include "mgs/msg/comm.hpp"
 #include "mgs/obs/span.hpp"
 #include "mgs/simt/stream.hpp"
 #include "mgs/topo/transfer.hpp"
@@ -163,7 +167,11 @@ struct MpsProgress {
   double t0 = 0.0;
   double last_boundary = 0.0;  ///< latest completed stage boundary
   RunResult partial;           ///< breakdown accumulated so far
-  sim::FaultCounters counters; ///< transfer counters incl. aborted attempts
+  double entry_barrier = 0.0;  ///< MPI: entry-barrier dwell, charged at exit
+  /// Transfer counters of every attempt of the run, aborted ones included:
+  /// a scan banks its engines' counters here before it unwinds, and the
+  /// recovery driver reports them whether it resumed or restarted.
+  sim::FaultCounters counters;
 
   /// Progress flags. s1_done is per portion (size w); gathered, scanned and
   /// scattered are per (wave, device) cell v*w + d (size k*w).
@@ -210,10 +218,11 @@ struct MpsCheckpoint : MpsProgress {
 
 namespace detail {
 
-/// How the Stage-1 chunk reductions reach the master: explicit strided
-/// copies after Stage 1, or UVA peer stores from inside the Stage-1 kernel
-/// (Scan-MPS-direct).
-enum class MpsGather { kCopies, kPeerWrites };
+/// How the chunk reductions reach the master and the scanned prefixes
+/// return: explicit strided copies after Stage 1, UVA peer stores from
+/// inside the Stage-1 kernel (Scan-MPS-direct; prefixes return by copy),
+/// or MPI messages between one rank per GPU (the multi-node proposal).
+enum class MpsGather { kCopies, kPeerWrites, kMpi };
 
 /// Stage 1 of Scan-MPS-direct for portion `d` on `dev`: the chunk
 /// reductions are stored straight into the master's combined array
@@ -279,29 +288,38 @@ void reduce_into_master(topo::Cluster& cluster, topo::TransferEngine& xfer,
 /// reductions to the master -> Stage 2 on the master -> scatter the
 /// scanned prefixes back -> Stage 3, over (wave, device) cells that
 /// record their progress in `c`, so a resume skips every cell whose data
-/// survived.
+/// survived. The gather modes differ only in the transport, which is
+/// fixed once at entry: how a cell moves, where it lives in the master's
+/// combined array, and which Stage-2 launcher scans it.
 ///
-/// On the joined schedule (mps_joined) the cells are one wave, copies run
-/// on the compute engine and every stage boundary is a barrier cut on the
-/// compute front; the breakdown is Stage1 / AuxGather / Stage2 /
-/// AuxScatter / Stage3, with Stage1+P2PWrites in place of Stage1 +
-/// AuxGather under peer writes.
+/// On the joined schedule (mps_joined) the cells are one wave, every
+/// cell moves on the compute engine and every stage boundary is a barrier
+/// cut on the compute front; the breakdown is Stage1 / AuxGather / Stage2
+/// / AuxScatter / Stage3. Peer writes replace Stage1 + AuxGather with
+/// Stage1+P2PWrites; MPI moves all cells in one MPI_Gather and one
+/// MPI_Scatter collective, named as such.
 ///
 /// On the overlapped schedule the batch dimension G is split into
 /// plan.pipe.waves sub-batches and every dependency is a per-cell event:
-/// each GPU's wave-v reductions are DMA-gathered to the master the moment
-/// that GPU computed them (overlapping later waves' Stage 1), the master
-/// scans each arriving (wave, device) column chunk -- carrying the running
-/// row prefix in a per-row carry buffer -- and scatters the slice straight
-/// back, so Stage 3 starts per GPU per wave on arrival. Breakdown stages
-/// are Stage1 / Stage2+Comm / Stage3; kernels and copies of later stages
-/// may *start* inside an earlier window -- that is the overlap -- and the
-/// critical-path analyzer clips leaf spans by time.
+/// each GPU's wave-v reductions travel to the master the moment that GPU
+/// computed them (a DMA copy or an MPI_Isend, overlapping later waves'
+/// Stage 1), the master scans each arriving (wave, device) column chunk --
+/// carrying the running row prefix in a per-row carry buffer -- and sends
+/// the slice straight back, so Stage 3 starts per GPU per wave on
+/// arrival. Breakdown stages are Stage1 / Stage2+Comm / Stage3; kernels
+/// and transfers of later stages may *start* inside an earlier window --
+/// that is the overlap -- and the critical-path analyzer clips leaf spans
+/// by time.
+///
+/// MPI runs one rank per GPU (gpus must be distinct) and brackets the
+/// stages with MPI_Barrier (the EntryBarrier and ExitBarrier spans),
+/// charging both dwells to one trailing MPI_Barrier entry.
 ///
 /// Either way the master applies the operator per row in ascending device
 /// order on its in-order compute engine, so results are bit-identical
-/// across schedules, and across healthy and resumed runs; the breakdown
-/// entries are cut at the stage-span boundaries and sum to result.seconds.
+/// across schedules and transports, and across healthy and resumed runs;
+/// the breakdown entries are cut at the stage-span boundaries and sum to
+/// result.seconds.
 template <typename T, typename Op>
 RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
                   std::vector<GpuBatch<T>>& batches, std::int64_t n,
@@ -318,6 +336,7 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
   MGS_REQUIRE(lay.bx >= 1,
               "scan_mps: every GPU needs at least one chunk (Equation 2)");
   const bool peer = gather == MpsGather::kPeerWrites;
+  const bool mpi = gather == MpsGather::kMpi;
   const bool joined = mps_joined(plan, w, peer);
   const int k = joined ? 1
                        : static_cast<int>(std::clamp<std::int64_t>(
@@ -328,8 +347,19 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
       joined ? sim::Engine::kCompute : sim::Engine::kDma;
   const int master = gpus[0];
   simt::Device& master_dev = cluster.device(master);
+  if (peer) {
+    for (int d : gpus) {
+      const auto link = cluster.link_between(master, d);
+      MGS_REQUIRE(
+          link == topo::LinkType::kSelf || link == topo::LinkType::kP2P,
+          "scan_mps_direct: all GPUs must share the master's PCIe network "
+          "(peer access)");
+    }
+  }
 
   topo::TransferEngine xfer(cluster);
+  std::optional<msg::Communicator> comm;
+  if (mpi) comm.emplace(cluster, gpus);
   auto compute_front = [&] {
     double t = 0.0;
     for (int d : gpus) t = std::max(t, cluster.device(d).clock().now());
@@ -363,10 +393,11 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
     c.ev_gather.assign(cells, simt::Event{});
     c.ev_scatter.assign(cells, simt::Event{});
     // Per-GPU auxiliary arrays (problem-major; peer writes need no local
-    // reductions), plus the master's combined array of G rows of W*bx
-    // totals ([g][d][c]).
+    // reductions), plus the master's combined array of G*W*bx totals.
     c.aux_local.clear();
     c.prefix_local.clear();
+    c.aux_all.release();
+    c.carry.release();
     for (int d = 0; d < w; ++d) {
       simt::Device& dev = cluster.device(gpus[static_cast<std::size_t>(d)]);
       if (!peer) {
@@ -377,6 +408,15 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
     }
     c.aux_all = acquire_workspace<T>(ws, master_dev, g * row_len);
     if (!joined) c.carry = acquire_workspace<T>(ws, master_dev, g);
+    if (mpi) {
+      // "After synchronizing all MPI processes, the first stage is
+      // executed."
+      auto span = obs::open_stage("EntryBarrier", t0);
+      comm->barrier();
+      c.last_boundary = compute_front();
+      span.close(c.last_boundary);
+      c.entry_barrier = c.last_boundary - t0;
+    }
   }
   MGS_REQUIRE(c.w == w && c.k == k,
               "scan_mps: checkpoint shape mismatch on resume");
@@ -398,37 +438,95 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
     c.partial.breakdown.add(name, t_out - t_in);
     c.last_boundary = t_out;
   };
-  // Cell copies. A copy that hits a dead device/link throws with the
-  // earlier cells' flags already set -- their data already landed.
+
+  // ---- The transport, fixed by the gather mode. Cell (v, d) holds device
+  // d's reductions of wave v: row-major [g][d][c] in the combined array,
+  // or rank-major [d][g][c] under MPI (MPI_Gather's layout, where each
+  // cell is contiguous). Stage 2 scans rows [g0, g0+gn) and columns
+  // [c0, c0+cn) of every row with the launcher that reads the layout.
+  const char* const gather_stage = mpi ? "MPI_Gather" : "AuxGather";
+  const char* const scatter_stage = mpi ? "MPI_Scatter" : "AuxScatter";
+  const auto cell_at = [&](int v, int d) {
+    return mpi ? (d * g + wave_begin(v)) * lay.bx
+               : wave_begin(v) * row_len + d * lay.bx;
+  };
+  const auto scan_cells = [&](std::int64_t g0, std::int64_t gn,
+                              std::int64_t c0, std::int64_t cn,
+                              simt::DeviceBuffer<T>* carry) {
+    if (mpi) {
+      launch_intermediate_scan_ranked_slice(master_dev, c.aux_all.buffer(),
+                                            lay.bx, w, g, g0, gn, c0, cn,
+                                            carry, plan.s2, op);
+    } else {
+      launch_intermediate_scan_slice(master_dev, c.aux_all.buffer(), row_len,
+                                     g0, gn, c0, cn, carry, plan.s2, op);
+    }
+  };
+  // Move one cell between device d's array and the master -- the raw
+  // reductions in, or the scanned prefixes back -- by copy_2d or
+  // MPI_Isend. A transfer that hits a dead device/link throws with the
+  // earlier cells' flags already set: their data already landed.
+  const auto move_cell = [&](int v, int d, bool to_master,
+                             simt::Event ready) {
+    const std::int64_t at = wave_begin(v) * lay.bx;
+    const std::int64_t rows = wave_begin(v + 1) - wave_begin(v);
+    auto& local = (to_master ? c.aux_local : c.prefix_local)
+                      [static_cast<std::size_t>(d)].buffer();
+    auto& all = c.aux_all.buffer();
+    if (mpi) {
+      return to_master ? comm->isend(d, 0, local, at, all, cell_at(v, d),
+                                     rows * lay.bx, ready)
+                       : comm->isend(0, d, all, cell_at(v, d), local, at,
+                                     rows * lay.bx, ready);
+    }
+    return (to_master
+                ? xfer.copy_2d(all, cell_at(v, d), row_len, local, at,
+                               lay.bx, rows, lay.bx, ready, engine)
+                : xfer.copy_2d(local, at, lay.bx, all, cell_at(v, d),
+                               row_len, rows, lay.bx, ready, engine))
+        .done;
+  };
+  const auto scatter = [&](int v, int d, simt::Event ready) {
+    const std::size_t i = cell(v, d);
+    c.ev_scatter[i] = move_cell(v, d, false, ready);
+    c.scattered[i] = 1;
+  };
+  // Joined MPI moves every cell at once, by one collective each way.
+  const auto whole = [&](auto& locals) {
+    std::vector<msg::Slice<T>> slices;
+    for (auto& h : locals) slices.push_back({&h.buffer(), 0, lay.aux_elems()});
+    return slices;
+  };
   const auto gather_pending = [&] {
+    if (mpi && joined) {
+      comm->gather(0, whole(c.aux_local), c.aux_all.buffer(), 0);
+      std::fill(c.gathered.begin(), c.gathered.end(), char{1});
+      return;
+    }
     for (int v = 0; v < k; ++v) {
-      const std::int64_t g0 = wave_begin(v);
       for (int d = 0; d < w; ++d) {
         const std::size_t i = cell(v, d);
         if (c.gathered[i] != 0) continue;
-        c.ev_gather[i] =
-            xfer.copy_2d(c.aux_all.buffer(), g0 * row_len + d * lay.bx,
-                         row_len,
-                         c.aux_local[static_cast<std::size_t>(d)].buffer(),
-                         g0 * lay.bx, lay.bx, wave_begin(v + 1) - g0, lay.bx,
-                         c.ev_s1[i], engine)
-                .done;
+        c.ev_gather[i] = move_cell(v, d, true, c.ev_s1[i]);
         c.gathered[i] = 1;
       }
     }
   };
-  const auto scatter = [&](int v, int d, simt::Event ready) {
-    const std::size_t i = cell(v, d);
-    const std::int64_t g0 = wave_begin(v);
-    c.ev_scatter[i] =
-        xfer.copy_2d(c.prefix_local[static_cast<std::size_t>(d)].buffer(),
-                     g0 * lay.bx, lay.bx, c.aux_all.buffer(),
-                     g0 * row_len + d * lay.bx, row_len,
-                     wave_begin(v + 1) - g0, lay.bx, ready, engine)
-            .done;
-    c.scattered[i] = 1;
-  };
   simt::Stream master_stream(master_dev);
+  const auto scatter_joined = [&] {
+    if (mpi) {
+      comm->scatter(0, c.aux_all.buffer(), 0, whole(c.prefix_local));
+      std::fill(c.scattered.begin(), c.scattered.end(), char{1});
+      return;
+    }
+    for (int d = 0; d < w; ++d) {
+      if (c.scattered[cell(0, d)] == 0) scatter(0, d, master_stream.record());
+    }
+  };
+  const auto bank_counters = [&] {
+    c.counters.merge(xfer.fault_counters());
+    if (comm) c.counters.merge(comm->fault_counters());
+  };
 
   try {
     // ---- Stage 1 on every GPU, one launch per wave, each recording the
@@ -471,27 +569,21 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
       // so the raw reductions stay valid for a re-gather if the master
       // dies later.
       if (pending(c.gathered)) {
-        stage("AuxGather", -1, [&] {
+        stage(gather_stage, -1, [&] {
           gather_pending();
           return compute_front();
         });
       }
       if (pending(c.scanned)) {
         stage("Stage2", master, [&] {
-          launch_intermediate_scan_slice(master_dev, c.aux_all.buffer(),
-                                         row_len, 0, g, 0, row_len, nullptr,
-                                         plan.s2, op);
+          scan_cells(0, g, 0, row_len, nullptr);
           std::fill(c.scanned.begin(), c.scanned.end(), char{1});
           return compute_front();
         });
       }
       if (pending(c.scattered)) {
-        stage("AuxScatter", -1, [&] {
-          for (int d = 0; d < w; ++d) {
-            if (c.scattered[cell(0, d)] == 0) {
-              scatter(0, d, master_stream.record());
-            }
-          }
+        stage(scatter_stage, -1, [&] {
+          scatter_joined();
           return compute_front();
         });
       }
@@ -510,10 +602,8 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
             const std::size_t i = cell(v, d);
             if (c.scanned[i] == 0) {
               master_stream.wait(c.ev_gather[i]);
-              launch_intermediate_scan_slice(
-                  master_dev, c.aux_all.buffer(), row_len, g0,
-                  wave_begin(v + 1) - g0, d * lay.bx, lay.bx,
-                  &c.carry.buffer(), plan.s2, op);
+              scan_cells(g0, wave_begin(v + 1) - g0, d * lay.bx, lay.bx,
+                         &c.carry.buffer());
               c.scanned[i] = 1;
             }
             if (c.scattered[i] == 0) scatter(v, d, master_stream.record());
@@ -528,8 +618,8 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
     }
 
     // ---- Stage 3 per GPU per wave, gated on that cell's prefix arrival.
-    // Failures can only surface in the copy stages above, so Stage 3
-    // always runs whole once reached.
+    // Failures can only surface in the transfer stages, so Stage 3 always
+    // runs whole once reached.
     stage("Stage3", -1, [&] {
       for (int d = 0; d < w; ++d) {
         simt::Stream s(cluster.device(gpus[static_cast<std::size_t>(d)]));
@@ -544,10 +634,20 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
       }
       return compute_front();
     });
+
+    if (mpi) {
+      const double t_stage3 = c.last_boundary;
+      auto span = obs::open_stage("ExitBarrier", t_stage3);
+      comm->barrier();
+      c.last_boundary = compute_front();
+      span.close(c.last_boundary);
+      c.partial.breakdown.add(
+          "MPI_Barrier", c.entry_barrier + (c.last_boundary - t_stage3));
+    }
   } catch (...) {
-    // Preserve the counters of the aborted attempt (this engine dies with
+    // Preserve the counters of the aborted attempt (the engines die with
     // the unwind); the recovery driver re-enters with the same checkpoint.
-    c.counters.merge(xfer.fault_counters());
+    bank_counters();
     throw;
   }
 
@@ -555,7 +655,7 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
   c.partial = RunResult{};
   c.active = false;
   result.seconds = c.last_boundary - c.t0;
-  c.counters.merge(xfer.fault_counters());
+  bank_counters();
   result.faults.counters = c.counters;
   result.faults.resumed_stages = c.resumed_stages;
   return result;
@@ -596,16 +696,30 @@ RunResult scan_mps_direct(topo::Cluster& cluster, const std::vector<int>& gpus,
                           std::vector<GpuBatch<T>>& batches, std::int64_t n,
                           std::int64_t g, const ScanPlan& plan, ScanKind kind,
                           Op op = {}, WorkspacePool* ws = nullptr) {
-  MGS_REQUIRE(!gpus.empty(), "scan_mps_direct: one batch per GPU required");
-  for (int d : gpus) {
-    const auto link = cluster.link_between(gpus[0], d);
-    MGS_REQUIRE(link == topo::LinkType::kSelf || link == topo::LinkType::kP2P,
-                "scan_mps_direct: all GPUs must share the master's PCIe "
-                "network (peer access)");
-  }
   MpsCheckpoint<T> ck;
   return detail::run_mps(cluster, gpus, batches, n, g, plan, kind, op, ws, ck,
                          detail::MpsGather::kPeerWrites);
+}
+
+/// Multi-node Scan-MPS (Section 4.1, multi-node paragraph): Scan-MPS over
+/// the ranks of `comm`, one MPI rank per GPU across M nodes, rank r
+/// scanning `batches[r]` (distribute_batch or borrow_batch over the
+/// ranks' devices). The chunk reductions travel to rank 0 by MPI_Gather
+/// (or per-(wave, rank) MPI_Isends when overlapped), Stage 2 runs on the
+/// master over the rank-major layout, the prefixes return by MPI_Scatter
+/// (or Isends), and barriers bracket the pipeline: the data behind
+/// Figure 14. The run uses its own communicator over the same ranks.
+template <typename T, typename Op = Plus<T>>
+RunResult scan_mps_multinode(msg::Communicator& comm,
+                             std::vector<GpuBatch<T>>& batches,
+                             std::int64_t n, std::int64_t g,
+                             const ScanPlan& plan, ScanKind kind, Op op = {},
+                             WorkspacePool* ws = nullptr) {
+  std::vector<int> ranks;
+  for (int r = 0; r < comm.size(); ++r) ranks.push_back(comm.device_of(r));
+  MpsCheckpoint<T> ck;
+  return detail::run_mps(comm.cluster(), ranks, batches, n, g, plan, kind, op,
+                         ws, ck, detail::MpsGather::kMpi);
 }
 
 }  // namespace mgs::core

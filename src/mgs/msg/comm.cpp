@@ -179,8 +179,6 @@ double Communicator::barrier() {
   for (int n = size(); n > 1; n = (n + 1) / 2) ++levels;
   const double completion = start + collective_alpha() * std::max(1, levels);
   for (int r = 0; r < size(); ++r) clock_of(r).sync_to(completion);
-  // Record the *master's* dwell time (what Figure 14 plots).
-  breakdown_.add("MPI_Barrier", completion - entry[0]);
   trace_collective("MPI_Barrier", start, completion, 0);
   return completion;
 }

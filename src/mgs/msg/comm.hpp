@@ -72,33 +72,13 @@ class Communicator {
   double scatter(int root, const simt::DeviceBuffer<T>& send,
                  std::int64_t send_offset, const std::vector<Slice<T>>& slices);
 
-  /// MPI_Bcast: the root's range lands in every rank's slice. Binomial
-  /// tree: ceil(log2 R) rounds, each paying the slowest link in use.
-  template <typename T>
-  double bcast(int root, const simt::DeviceBuffer<T>& send,
-               std::int64_t send_offset, const std::vector<Slice<T>>& slices);
-
-  /// MPI_Allgather: every rank ends up with the concatenation of all
-  /// ranks' slices (recv buffers must hold count*size() elements).
-  /// Modeled as gather-to-0 + bcast, the common small-cluster strategy.
-  template <typename T>
-  double allgather(const std::vector<Slice<T>>& send,
-                   std::vector<simt::DeviceBuffer<T>*> recv);
-
-  /// Point-to-point MPI_Send/MPI_Recv pair (rendezvous: both clocks meet).
-  template <typename T>
-  double send_recv(int src_rank, int dst_rank,
-                   const simt::DeviceBuffer<T>& send, std::int64_t send_offset,
-                   simt::DeviceBuffer<T>& recv, std::int64_t recv_offset,
-                   std::int64_t count);
-
   /// Non-blocking MPI_Isend / matching Irecv pair: the message serializes
   /// on the two endpoints' DMA engines (not their compute clocks), so it
   /// overlaps with kernels running on either rank -- this is what the
   /// wave-pipelined multinode Stage 2 is built on. `ready` is an upstream
   /// dependency (the producing kernel's event); the returned Event is the
-  /// message's completion, to be waited on by the consumer. Fault
-  /// retry/timeout/corruption semantics match send_recv exactly.
+  /// message's completion, to be waited on by the consumer. Faults are
+  /// retried, timed out and re-sent as for the collectives' messages.
   template <typename T>
   simt::Event isend(int src_rank, int dst_rank,
                     const simt::DeviceBuffer<T>& send,
@@ -106,15 +86,9 @@ class Communicator {
                     std::int64_t recv_offset, std::int64_t count,
                     simt::Event ready = {});
 
-  /// Per-operation accumulated time from the root/receiver perspective
-  /// ("MPI_Gather", "MPI_Scatter", "MPI_Barrier", "MPI_SendRecv").
-  const sim::Breakdown& breakdown() const { return breakdown_; }
-  void reset_breakdown() { breakdown_ = sim::Breakdown{}; }
-
   /// Resilience-cost counters (message retries, corruption re-sends, ...).
   /// All zero when the cluster has no fault injector.
   const sim::FaultCounters& fault_counters() const { return faults_seen_; }
-  void reset_fault_counters() { faults_seen_ = sim::FaultCounters{}; }
 
  private:
   double message_time(int src_rank, int dst_rank, std::uint64_t bytes) const;
@@ -150,7 +124,6 @@ class Communicator {
 
   topo::Cluster* cluster_;
   std::vector<int> device_ids_;
-  sim::Breakdown breakdown_;
   sim::FaultCounters faults_seen_;
 };
 
@@ -173,7 +146,6 @@ double Communicator::gather(int root, const std::vector<Slice<T>>& slices,
             "gather: receive buffer too small");
   check_ranks_alive("MPI_Gather");
 
-  const double t0 = clock_of(root).now();
   // Start once every participant has entered the collective.
   double start = 0.0;
   for (int r = 0; r < size(); ++r) start = std::max(start, clock_of(r).now());
@@ -201,7 +173,6 @@ double Communicator::gather(int root, const std::vector<Slice<T>>& slices,
   }
 
   for (int r = 0; r < size(); ++r) clock_of(r).sync_to(completion);
-  breakdown_.add("MPI_Gather", completion - t0);
   trace_collective("MPI_Gather", start, completion,
                    static_cast<std::uint64_t>(count) * size() * sizeof(T));
   return completion;
@@ -223,7 +194,6 @@ double Communicator::scatter(int root, const simt::DeviceBuffer<T>& send,
             "scatter: send buffer too small");
   check_ranks_alive("MPI_Scatter");
 
-  const double t0 = clock_of(root).now();
   double start = 0.0;
   for (int r = 0; r < size(); ++r) start = std::max(start, clock_of(r).now());
 
@@ -247,123 +217,8 @@ double Communicator::scatter(int root, const simt::DeviceBuffer<T>& send,
   }
 
   for (int r = 0; r < size(); ++r) clock_of(r).sync_to(completion);
-  breakdown_.add("MPI_Scatter", completion - t0);
   trace_collective("MPI_Scatter", start, completion,
                    static_cast<std::uint64_t>(count) * size() * sizeof(T));
-  return completion;
-}
-
-template <typename T>
-double Communicator::bcast(int root, const simt::DeviceBuffer<T>& send,
-                           std::int64_t send_offset,
-                           const std::vector<Slice<T>>& slices) {
-  MGS_CHECK(root >= 0 && root < size(), "bcast: bad root rank");
-  MGS_CHECK(static_cast<int>(slices.size()) == size(),
-            "bcast: one slice per rank required");
-  const std::int64_t count = slices[0].count;
-  for (const auto& s : slices) {
-    MGS_CHECK(s.buffer != nullptr && s.count == count,
-              "bcast: equal-size slices required");
-  }
-  MGS_CHECK(send_offset >= 0 && send_offset + count <= send.size(),
-            "bcast: send range out of bounds");
-  check_ranks_alive("MPI_Bcast");
-
-  const double t0 = clock_of(root).now();
-  double start = 0.0;
-  for (int r = 0; r < size(); ++r) start = std::max(start, clock_of(r).now());
-
-  // Binomial tree: each round doubles the informed set; the round costs
-  // the worst message among the pairs it activates (conservative: the
-  // slowest link in the communicator).
-  double worst_msg = 0.0;
-  for (int r = 0; r < size(); ++r) {
-    if (r == root) continue;
-    worst_msg = std::max(
-        worst_msg, timed_message(
-                       root, r,
-                       static_cast<std::uint64_t>(count) * sizeof(T), r));
-  }
-  int levels = 0;
-  for (int n = size(); n > 1; n = (n + 1) / 2) ++levels;
-  const double completion = start + worst_msg * std::max(1, levels);
-
-  const auto src = send.host_span();
-  for (int r = 0; r < size(); ++r) {
-    auto dst = slices[static_cast<std::size_t>(r)].buffer->host_span();
-    for (std::int64_t i = 0; i < count; ++i) {
-      dst[static_cast<std::size_t>(
-          slices[static_cast<std::size_t>(r)].offset + i)] =
-          src[static_cast<std::size_t>(send_offset + i)];
-    }
-  }
-
-  for (int r = 0; r < size(); ++r) clock_of(r).sync_to(completion);
-  breakdown_.add("MPI_Bcast", completion - t0);
-  trace_collective("MPI_Bcast", start, completion,
-                   static_cast<std::uint64_t>(count) * size() * sizeof(T));
-  return completion;
-}
-
-template <typename T>
-double Communicator::allgather(const std::vector<Slice<T>>& send,
-                               std::vector<simt::DeviceBuffer<T>*> recv) {
-  MGS_CHECK(static_cast<int>(send.size()) == size(),
-            "allgather: one send slice per rank required");
-  MGS_CHECK(static_cast<int>(recv.size()) == size(),
-            "allgather: one receive buffer per rank required");
-  const std::int64_t count = send[0].count;
-  for (int r = 0; r < size(); ++r) {
-    MGS_CHECK(recv[static_cast<std::size_t>(r)] != nullptr &&
-                  recv[static_cast<std::size_t>(r)]->size() >=
-                      count * size(),
-              "allgather: receive buffer too small");
-  }
-
-  // Gather to rank 0, then broadcast the concatenation.
-  gather(0, send, *recv[0], 0);
-  std::vector<Slice<T>> full(static_cast<std::size_t>(size()));
-  for (int r = 0; r < size(); ++r) {
-    full[static_cast<std::size_t>(r)] = {recv[static_cast<std::size_t>(r)],
-                                         0, count * size()};
-  }
-  return bcast(0, *recv[0], 0, full);
-}
-
-template <typename T>
-double Communicator::send_recv(int src_rank, int dst_rank,
-                               const simt::DeviceBuffer<T>& send,
-                               std::int64_t send_offset,
-                               simt::DeviceBuffer<T>& recv,
-                               std::int64_t recv_offset, std::int64_t count) {
-  MGS_CHECK(src_rank >= 0 && src_rank < size(), "send_recv: bad source rank");
-  MGS_CHECK(dst_rank >= 0 && dst_rank < size(), "send_recv: bad dest rank");
-  MGS_CHECK(send_offset >= 0 && send_offset + count <= send.size(),
-            "send_recv: send range out of bounds");
-  MGS_CHECK(recv_offset >= 0 && recv_offset + count <= recv.size(),
-            "send_recv: recv range out of bounds");
-  check_ranks_alive("MPI_SendRecv");
-
-  const double t0 = clock_of(dst_rank).now();
-  const double start =
-      std::max(clock_of(src_rank).now(), clock_of(dst_rank).now());
-  const double completion =
-      start + timed_message(src_rank, dst_rank,
-                            static_cast<std::uint64_t>(count) * sizeof(T),
-                            src_rank);
-
-  const auto s = send.host_span();
-  auto d = recv.host_span();
-  for (std::int64_t i = 0; i < count; ++i) {
-    d[static_cast<std::size_t>(recv_offset + i)] =
-        s[static_cast<std::size_t>(send_offset + i)];
-  }
-
-  clock_of(src_rank).sync_to(completion);
-  clock_of(dst_rank).sync_to(completion);
-  breakdown_.add("MPI_SendRecv", completion - t0);
-  trace_collective("MPI_SendRecv", start, completion,
-                   static_cast<std::uint64_t>(count) * sizeof(T));
   return completion;
 }
 
@@ -408,7 +263,6 @@ simt::Event Communicator::isend(int src_rank, int dst_rank,
       start + std::max(0.0, dur - message_latency(src_rank, dst_rank));
   src_dma.sync_to(engine_release);
   dst_dma.sync_to(engine_release);
-  breakdown_.add("MPI_Isend", dur);
   trace_isend(src_rank, dst_rank, start, engine_release, completion, bytes);
   return simt::Event{completion};
 }

@@ -241,7 +241,6 @@ TransferResult TransferEngine::account(int src_dev, int dst_dev,
   dst_clock.sync_to(start + occupancy);
   r.done = simt::Event{start + seconds};
 
-  breakdown_.add(to_string(link), seconds);
   if (ts != nullptr) {
     obs::SpanRecord rec;
     rec.name = std::string("copy:") + to_string(link);

@@ -48,7 +48,7 @@ struct TransferResult {
 };
 
 /// Executes copies between device buffers (data moves immediately; clocks
-/// advance by the modeled link time). Accumulates a per-link breakdown.
+/// advance by the modeled link time).
 class TransferEngine {
  public:
   explicit TransferEngine(Cluster& cluster) : cluster_(&cluster) {}
@@ -142,14 +142,9 @@ class TransferEngine {
     return r;
   }
 
-  /// Per-link-type accumulated seconds ("p2p", "host-staged", ...).
-  const sim::Breakdown& breakdown() const { return breakdown_; }
-  void reset_breakdown() { breakdown_ = sim::Breakdown{}; }
-
   /// Resilience-cost counters (retries, reroutes, ...). All zero when no
   /// injector is attached to the cluster.
   const sim::FaultCounters& fault_counters() const { return faults_seen_; }
-  void reset_fault_counters() { faults_seen_ = sim::FaultCounters{}; }
 
   /// Modeled duration of moving `bytes` over the link between the two
   /// GPUs, without moving data (used for planning / what-if queries).
@@ -225,7 +220,6 @@ class TransferEngine {
   }
 
   Cluster* cluster_;
-  sim::Breakdown breakdown_;
   sim::FaultCounters faults_seen_;
 };
 

@@ -18,7 +18,7 @@
 #include "mgs/core/easy.hpp"
 #include "mgs/core/executor_registry.hpp"
 #include "mgs/core/scan_mppc.hpp"
-#include "mgs/core/scan_multinode.hpp"
+#include "mgs/core/scan_mps.hpp"
 #include "mgs/core/scan_sp.hpp"
 #include "mgs/core/segmented_context.hpp"
 #include "mgs/core/tuning.hpp"

@@ -56,12 +56,12 @@ struct Outcome {
   mc::RunResult result;
 };
 
-/// One fresh cluster + context + executor run, optionally under a fault
-/// plan ("" = no injector attached at all).
+/// One fresh cluster of `nodes` nodes + context + executor run,
+/// optionally under a fault plan ("" = no injector attached at all).
 Outcome run_proposal(const Factory& make, const std::string& spec,
                      std::span<const std::int32_t> data, std::int64_t n,
-                     std::int64_t g) {
-  auto cluster = mt::tsubame_kfc_cluster(1);
+                     std::int64_t g, int nodes = 1) {
+  auto cluster = mt::tsubame_kfc_cluster(nodes);
   std::unique_ptr<ms::FaultInjector> fi;
   if (!spec.empty()) {
     fi = std::make_unique<ms::FaultInjector>(ms::parse_fault_plan(spec));
@@ -698,6 +698,61 @@ TEST(ExecutorFaults, RestartKeepsTheLostWindowOnTheClock) {
         << p.name;
     EXPECT_NEAR(r.seconds, t + survivors.seconds, 1e-12 * r.seconds)
         << p.name;
+  }
+}
+
+// A restart throws the aborted attempt's work away, not its cost: the
+// retries it paid for stay in the run's counters. Each transient fault
+// fires on op 0 of its link, inside the first attempt, which a later
+// device death aborts; the restarted attempt no longer meets it (the
+// link's op counter has moved on), so the run reports exactly the
+// counters of the same fault without the death.
+TEST(ExecutorFaults, RestartKeepsTheAbortedAttemptsCounters) {
+  constexpr std::int64_t n = 1 << 16;
+  const mc::PipelineChoice sync{mc::PipelineMode::kSync, 0};
+  struct Scenario {
+    const char* name;
+    int nodes;
+    std::int64_t g;
+    Factory make;
+    std::string transient;
+    std::string kill;
+  };
+  const std::vector<Scenario> scenarios = {
+      {"Scan-MPS-multinode", 2, 4,
+       [sync](mc::ScanContext& c) {
+         return mc::make_multinode_executor(c, 2, 4, sync);
+       },
+       "transient:src=1,dst=0,op=0,count=1", "device-down:dev=9,at=2e-5"},
+      {"Scan-MPS-direct", 1, 4,
+       [sync](mc::ScanContext& c) {
+         return mc::make_mps_executor(c, 4, true, sync);
+       },
+       "transient:src=0,dst=1,op=0,count=1", "device-down:dev=2,at=2e-5"},
+      {"Scan-MP-PC", 1, 8,
+       [sync](mc::ScanContext& c) {
+         return mc::make_mppc_executor(c, 2, 4, 1, sync);
+       },
+       "transient:src=1,dst=0,op=0,count=1", "device-down:dev=5,at=1e-5"},
+  };
+  for (const Scenario& s : scenarios) {
+    const auto data =
+        mgs::util::random_i32(static_cast<std::size_t>(n * s.g), 27);
+    const auto alone = run_proposal(s.make, s.transient, data, n, s.g,
+                                    s.nodes);
+    const auto killed = run_proposal(s.make, s.transient + ";" + s.kill,
+                                     data, n, s.g, s.nodes);
+    const ms::FaultCounters& want = alone.result.faults.counters;
+    const ms::FaultCounters& got = killed.result.faults.counters;
+    ASSERT_EQ(want.retries, 1u) << s.name;
+    EXPECT_EQ(killed.out, alone.out) << s.name;
+    ASSERT_FALSE(killed.result.faults.replanned.empty()) << s.name;
+    EXPECT_NE(killed.result.faults.replanned.back().find("restarted"),
+              std::string::npos)
+        << s.name;
+    EXPECT_EQ(got.transient_failures, want.transient_failures) << s.name;
+    EXPECT_EQ(got.retries, want.retries) << s.name;
+    EXPECT_EQ(got.retry_seconds, want.retry_seconds) << s.name;
   }
 }
 

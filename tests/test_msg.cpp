@@ -40,7 +40,6 @@ TEST(Comm, BarrierSynchronizesClocks) {
   for (int r = 0; r < comm.size(); ++r) {
     EXPECT_DOUBLE_EQ(c.device(comm.device_of(r)).clock().now(), done);
   }
-  EXPECT_GT(comm.breakdown().get("MPI_Barrier"), 0.0);
 }
 
 TEST(Comm, GatherConcatenatesByRank) {
@@ -62,7 +61,6 @@ TEST(Comm, GatherConcatenatesByRank) {
       EXPECT_EQ(recv.host_span()[static_cast<std::size_t>(3 * r + i)], 10 * r + i);
     }
   }
-  EXPECT_GT(comm.breakdown().get("MPI_Gather"), 0.0);
 }
 
 TEST(Comm, ScatterIsGatherInverse) {
@@ -119,92 +117,6 @@ TEST(Comm, InterNodeGatherCostsMoreThanIntraNode) {
     return comm.gather(0, slices, recv, 0);
   };
   EXPECT_LT(run(intra, c1), run(inter, c2));
-}
-
-TEST(Comm, BcastDeliversRootDataEverywhere) {
-  auto c = mt::tsubame_kfc_cluster(2);
-  auto comm = make_comm(c, 8);
-  auto send = c.device(0).alloc<int>(8);
-  for (int i = 0; i < 8; ++i) send.host_span()[static_cast<std::size_t>(i)] = 3 * i;
-  std::vector<mgs::simt::DeviceBuffer<int>> bufs;
-  std::vector<mm::Slice<int>> slices;
-  bufs.reserve(8);
-  for (int r = 0; r < 8; ++r) {
-    bufs.push_back(c.device(r).alloc<int>(8));
-    slices.push_back({&bufs.back(), 0, 8});
-  }
-  const double done = comm.bcast(0, send, 0, slices);
-  for (int r = 0; r < 8; ++r) {
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_EQ(bufs[static_cast<std::size_t>(r)]
-                    .host_span()[static_cast<std::size_t>(i)],
-                3 * i);
-    }
-    EXPECT_DOUBLE_EQ(c.device(r).clock().now(), done);
-  }
-  EXPECT_GT(comm.breakdown().get("MPI_Bcast"), 0.0);
-}
-
-TEST(Comm, AllgatherGivesEveryRankEverything) {
-  auto c = mt::tsubame_kfc_cluster(1);
-  auto comm = make_comm(c, 4);
-  std::vector<mgs::simt::DeviceBuffer<int>> send_bufs;
-  std::vector<mgs::simt::DeviceBuffer<int>> recv_bufs;
-  std::vector<mm::Slice<int>> sends;
-  std::vector<mgs::simt::DeviceBuffer<int>*> recvs;
-  send_bufs.reserve(4);
-  recv_bufs.reserve(4);
-  for (int r = 0; r < 4; ++r) {
-    send_bufs.push_back(c.device(r).alloc<int>(2));
-    send_bufs.back().host_span()[0] = 10 * r;
-    send_bufs.back().host_span()[1] = 10 * r + 1;
-    sends.push_back({&send_bufs.back(), 0, 2});
-    recv_bufs.push_back(c.device(r).alloc<int>(8));
-    recvs.push_back(&recv_bufs.back());
-  }
-  comm.allgather(sends, recvs);
-  for (int r = 0; r < 4; ++r) {
-    for (int s = 0; s < 4; ++s) {
-      EXPECT_EQ(recv_bufs[static_cast<std::size_t>(r)]
-                    .host_span()[static_cast<std::size_t>(2 * s)],
-                10 * s);
-      EXPECT_EQ(recv_bufs[static_cast<std::size_t>(r)]
-                    .host_span()[static_cast<std::size_t>(2 * s + 1)],
-                10 * s + 1);
-    }
-  }
-}
-
-TEST(Comm, BcastCrossNodeCostsMoreThanIntraNode) {
-  auto c1 = mt::tsubame_kfc_cluster(2);
-  mm::Communicator intra(c1, {0, 1, 2, 3});
-  auto c2 = mt::tsubame_kfc_cluster(2);
-  mm::Communicator inter(c2, {0, 1, 8, 9});
-  auto run = [](mm::Communicator& comm, mt::Cluster& c) {
-    auto send = c.device(comm.device_of(0)).alloc<int>(4096);
-    std::vector<mgs::simt::DeviceBuffer<int>> bufs;
-    std::vector<mm::Slice<int>> slices;
-    bufs.reserve(static_cast<std::size_t>(comm.size()));
-    for (int r = 0; r < comm.size(); ++r) {
-      bufs.push_back(c.device(comm.device_of(r)).alloc<int>(4096));
-      slices.push_back({&bufs.back(), 0, 4096});
-    }
-    return comm.bcast(0, send, 0, slices);
-  };
-  EXPECT_LT(run(intra, c1), run(inter, c2));
-}
-
-TEST(Comm, SendRecvMovesDataWithRendezvous) {
-  auto c = mt::tsubame_kfc_cluster(2);
-  auto comm = make_comm(c, 16);
-  auto a = c.device(0).alloc<int>(16);
-  auto b = c.device(8).alloc<int>(16);
-  for (int i = 0; i < 16; ++i) a.host_span()[static_cast<std::size_t>(i)] = 7 * i;
-  c.device(8).clock().advance(0.25);  // receiver is late: rendezvous waits
-  const double done = comm.send_recv(0, 8, a, 0, b, 0, 16);
-  EXPECT_GT(done, 0.25);
-  EXPECT_EQ(b.host_span()[15], 105);
-  EXPECT_DOUBLE_EQ(c.device(0).clock().now(), done);
 }
 
 TEST(Comm, GatherValidatesShapes) {
@@ -277,22 +189,6 @@ TEST(CommFaults, ScatterWithDownRankRaisesCommError) {
   }
 }
 
-TEST(CommFaults, BcastWithDownRankRaisesCommError) {
-  auto c = mt::tsubame_kfc_cluster(1);
-  auto fi = mgs::sim::FaultInjector(
-      mgs::sim::parse_fault_plan("device-down:dev=3"));
-  c.set_fault_injector(&fi);
-  auto comm = make_comm(c, 4);
-  CollectiveBufs b(c, comm, 8);
-  auto send = c.device(0).alloc<int>(8);
-  try {
-    comm.bcast(0, send, 0, b.slices);
-    FAIL() << "expected CommError";
-  } catch (const mm::CommError& e) {
-    EXPECT_EQ(e.failed_rank, 3);
-  }
-}
-
 TEST(CommFaults, BarrierTimeoutBlamesTheLaggard) {
   auto c = mt::tsubame_kfc_cluster(1);
   auto fi = mgs::sim::FaultInjector(
@@ -311,14 +207,19 @@ TEST(CommFaults, BarrierTimeoutBlamesTheLaggard) {
 
 TEST(CommFaults, RetryExhaustionRaisesCommError) {
   auto c = mt::tsubame_kfc_cluster(1);
-  // Every first attempt on the 0->1 pair fails and no retry is allowed.
+  // Every first attempt on the 1->0 pair fails and no retry is allowed.
   auto fi = mgs::sim::FaultInjector(mgs::sim::parse_fault_plan(
-      "transient:src=0,dst=1,op=0,count=1000;policy:retries=0"));
+      "transient:src=1,dst=0,op=0,count=1000;policy:retries=0"));
   c.set_fault_injector(&fi);
   auto comm = make_comm(c, 2);
-  auto a = c.device(0).alloc<int>(16);
-  auto b = c.device(1).alloc<int>(16);
-  EXPECT_THROW(comm.send_recv(0, 1, a, 0, b, 0, 16), mm::CommError);
+  CollectiveBufs b(c, comm, 16);
+  auto recv = c.device(0).alloc<int>(32);
+  try {
+    comm.gather(0, b.slices, recv, 0);
+    FAIL() << "expected CommError";
+  } catch (const mm::CommError& e) {
+    EXPECT_EQ(e.failed_rank, 1);
+  }
   EXPECT_GT(comm.fault_counters().transient_failures, 0u);
 }
 

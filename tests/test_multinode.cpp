@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "mgs/baselines/reference.hpp"
-#include "mgs/core/scan_multinode.hpp"
+#include "mgs/core/scan_mps.hpp"
 #include "mgs/core/tuning.hpp"
 #include "mgs/util/random.hpp"
 
