@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   util::Table table({"n", "G", "Scan-MPS(MN)", "CUDPP", "Thrust",
                      "ModernGPU", "CUB", "LightScan"});
 
+  const auto kfc = topo::tsubame_kfc_cluster(1).config();
   std::vector<std::vector<double>> speedups(libs.size());
   std::vector<int> nlogs;
   for (int nlog = cfg.min_n_log2; nlog <= cfg.total_log2; ++nlog) {
@@ -38,14 +39,14 @@ int main(int argc, char** argv) {
     const std::int64_t g = total / n;
     nlogs.push_back(nlog);
 
-    const auto plan = bench::tuned_plan_multinode(2, 4, data, n, g);
-    const auto rours = bench::multinode_run(2, 4, data, n, g, plan);
+    const auto plan = core::multinode_k_search(kfc, 2, 4, n, g);
+    const auto rours = bench::multinode_run(
+        2, 4, data, n, g,
+        core::apply_pipeline_choice(plan, {core::PipelineMode::kSync}));
     bench::record_history(cfg, "Scan-MPS-multinode", n, g, 8, "sync", rours);
     // The same point on the Isend pipeline (gated, not printed).
-    bench::record_history(
-        cfg, "Scan-MPS-multinode", n, g, 8, "overlap",
-        bench::multinode_run(2, 4, data, n, g,
-                             bench::overlap_plan(plan, 2, n, g, 8)));
+    bench::record_history(cfg, "Scan-MPS-multinode", n, g, 8, "overlap",
+                          bench::multinode_run(2, 4, data, n, g, plan));
     const double ours = rours.seconds;
 
     std::vector<std::string> row = {

@@ -34,12 +34,20 @@ int main(int argc, char** argv) {
   util::Table table({"n", "G", "Stage1", "MPI_Gather", "Stage2",
                      "MPI_Scatter", "Stage3", "MPI_Barrier", "total"});
 
+  // The multi-node K search's plan on the synchronous path, whose
+  // collectives are the phases the figure breaks down.
+  const auto kfc = topo::tsubame_kfc_cluster(1).config();
+  const auto sync_plan = [&](std::int64_t n, std::int64_t g) {
+    return core::apply_pipeline_choice(
+        core::multinode_k_search(kfc, 2, 4, n, g),
+        {core::PipelineMode::kSync});
+  };
+
   double gather_small = 0.0, gather_large = 0.0;
   for (int nlog = cfg.min_n_log2; nlog <= cfg.total_log2; ++nlog) {
     const std::int64_t n = std::int64_t{1} << nlog;
     const std::int64_t g = total / n;
-    const auto plan = bench::tuned_plan_multinode(2, 4, data, n, g);
-    const auto r = bench::multinode_run(2, 4, data, n, g, plan);
+    const auto r = bench::multinode_run(2, 4, data, n, g, sync_plan(n, g));
 
     auto us = [&](const char* phase) {
       return util::fmt_double(r.breakdown.get(phase) * 1e6, 1);
@@ -65,7 +73,7 @@ int main(int argc, char** argv) {
   {
     const std::int64_t n = total;
     const std::int64_t g = 1;
-    const auto plan = bench::tuned_plan_multinode(2, 4, data, n, g);
+    const auto plan = sync_plan(n, g);
     obs::TraceSession ts;
     const auto r = bench::multinode_run(2, 4, data, n, g, plan);
     std::filesystem::create_directories("bench_results");

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   util::Table table(
       {"n", "G", "M=2,W=4", "M=4,W=2", "M=8,W=1", "best/worst"});
 
+  const auto kfc = topo::tsubame_kfc_cluster(1).config();
   double first_gap = 0.0, last_gap = 0.0;
   for (int nlog = cfg.min_n_log2; nlog <= cfg.total_log2; ++nlog) {
     const std::int64_t n = std::int64_t{1} << nlog;
@@ -32,7 +33,9 @@ int main(int argc, char** argv) {
     std::vector<double> secs;
     for (const auto& [m, w] : {std::pair{2, 4}, std::pair{4, 2},
                               std::pair{8, 1}}) {
-      const auto plan = bench::tuned_plan_multinode(m, w, data, n, g);
+      const auto plan = core::apply_pipeline_choice(
+          core::multinode_k_search(kfc, m, w, n, g),
+          {core::PipelineMode::kSync});
       const auto r = bench::multinode_run(m, w, data, n, g, plan);
       // All three shapes use 8 GPUs, so the (M, W) split names the key.
       bench::record_history(cfg,

@@ -18,16 +18,25 @@ int main(int argc, char** argv) {
   const auto data = util::random_i32(static_cast<std::size_t>(total),
                                      cfg.seed);
 
+  // Every key names its study. The Scan-MPS points run the executors'
+  // plans on the synchronous path; the Scan-SP points keep the Section 3.2
+  // K search, which probes K only and so can differ from the Autotuner
+  // behind the Scan-SP executor.
+  bench::BenchContext bc;
+  const auto spec = bc.ctx().cluster().config().gpu;
+  const auto mps = [&](const char* name, int w, std::int64_t n,
+                       std::int64_t g) {
+    return bc.run(name, {.w = w, .pipeline = core::PipelineMode::kSync}, data,
+                  n, g);
+  };
+
   std::printf("Strong scaling: N = 2^%d, G = 1\n", cfg.total_log2);
   util::Table strong({"W", "GB/s", "speedup vs W=1", "efficiency"});
   double t1 = 0.0;
   for (int w : {1, 2, 4, 8}) {
-    const auto plan = w == 1 ? bench::tuned_plan(total, 1, 1)
-                             : bench::tuned_plan_multi(total / w, 1, w);
-    const auto r = (w == 1) ? bench::sp_run(data, total, 1, plan)
-                            : bench::mps_run(w, data, total, 1, plan);
-    // Each study tags its keys: the tuned plans here differ from the
-    // planner's plans the figure benches record under the same shapes.
+    const auto r = w == 1 ? bench::sp_run(data, total, 1,
+                                          core::sp_k_search(spec, total, 1))
+                          : mps("Scan-MPS", w, total, 1);
     bench::record_history(cfg, w == 1 ? "Scan-SP(strong)" : "Scan-MPS(strong)",
                           total, 1, w, "sync", r);
     const double s = r.seconds;
@@ -45,10 +54,9 @@ int main(int argc, char** argv) {
   double w1 = 0.0;
   for (int w : {1, 2, 4, 8}) {
     const std::int64_t n = per_gpu * w;
-    const auto plan = w == 1 ? bench::tuned_plan(n, 8, 1)
-                             : bench::tuned_plan_multi(per_gpu, 8, w);
-    const auto r = (w == 1) ? bench::sp_run(data, n, 8, plan)
-                            : bench::mps_run(w, data, n, 8, plan);
+    const auto r = w == 1 ? bench::sp_run(data, n, 8,
+                                          core::sp_k_search(spec, n, 8))
+                          : mps("Scan-MPS", w, n, 8);
     bench::record_history(cfg, w == 1 ? "Scan-SP(weak)" : "Scan-MPS(weak)", n,
                           8, w, "sync", r);
     const double s = r.seconds;
@@ -63,17 +71,8 @@ int main(int argc, char** argv) {
   {
     const std::int64_t n = total / 64;
     const std::int64_t g = 64;
-    const std::vector<int> gpus = {0, 1, 2, 3};
-    auto plan = bench::tuned_plan_multi(n / 4, g, 4);
-    auto c1 = topo::tsubame_kfc_cluster(1);
-    auto b1 = core::distribute_batch<int>(c1, gpus, data, n, g);
-    const auto regular =
-        core::scan_mps<int>(c1, gpus, b1, n, g, plan,
-                            core::ScanKind::kInclusive);
-    auto c2 = topo::tsubame_kfc_cluster(1);
-    auto b2 = core::distribute_batch<int>(c2, gpus, data, n, g);
-    const auto direct = core::scan_mps_direct<int>(
-        c2, gpus, b2, n, g, plan, core::ScanKind::kInclusive);
+    const auto regular = mps("Scan-MPS", 4, n, g);
+    const auto direct = mps("Scan-MPS-direct", 4, n, g);
     bench::record_history(cfg, "Scan-MPS(gather)", n, g, 4, "sync", regular);
     bench::record_history(cfg, "Scan-MPS-direct(gather)", n, g, 4, "sync",
                           direct);

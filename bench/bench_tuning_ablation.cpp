@@ -75,18 +75,20 @@ int main(int argc, char** argv) {
     mgs::core::Autotuner tuner(spec);
     const std::int64_t n_small = std::min<std::int64_t>(n, 1 << 20);
     const auto& best = tuner.tune(n_small, 4);
+    const auto& report = tuner.last_report();
     std::printf("\n(e) Automatic (s,p,l,K) search (n=%lld, G=4): best P=%d, "
                 "Lx=%d, K=%d (%s); %zu candidates evaluated\n",
                 static_cast<long long>(n_small), best.plan.s13.p,
                 best.plan.s13.lx, best.plan.s13.k,
                 mgs::util::fmt_time_us(best.seconds).c_str(),
-                tuner.last_report().size());
+                report.rows.size());
     util::Table atable({"P", "Lx", "K", "time", "best"});
-    for (const auto& row : tuner.last_report()) {
-      atable.add_row({std::to_string(row.p), std::to_string(row.lx),
-                      std::to_string(row.k),
-                      mgs::util::fmt_time_us(row.seconds),
-                      row.best ? "*" : ""});
+    for (std::size_t i = 0; i < report.rows.size(); ++i) {
+      const auto& s13 = report.rows[i].plan.s13;
+      atable.add_row({std::to_string(s13.p), std::to_string(s13.lx),
+                      std::to_string(s13.k),
+                      mgs::util::fmt_time_us(report.rows[i].seconds),
+                      i == report.best ? "*" : ""});
     }
     bench::print_table(atable, cfg);
   };

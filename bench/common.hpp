@@ -195,78 +195,6 @@ inline void print_table(const util::Table& table, const BenchConfig& cfg) {
   }
 }
 
-/// The paper's plan for the K80 with the K chosen from the premise-trimmed
-/// space for this (N, G, gpus-per-problem), picking the empirically best
-/// candidate by a quick autotune run on a throwaway device.
-inline core::ScanPlan tuned_plan(std::int64_t n, std::int64_t g,
-                                 int gpus_per_problem) {
-  const auto spec = sim::k80_spec();
-  auto plan = core::derive_spl(spec, 4).plan;
-  const auto ks = core::k1_candidates(n / gpus_per_problem * gpus_per_problem,
-                                      g, plan, spec, gpus_per_problem);
-  if (ks.size() > 1) {
-    // Autotune on a reduced copy of the problem (the optimum K is scale-
-    // stable because the trade-off is per-chunk, not per-element).
-    simt::Device probe(0, spec);
-    const std::int64_t n_probe = std::min<std::int64_t>(n, 1 << 18);
-    auto in = probe.alloc<int>(n_probe);
-    auto out = probe.alloc<int>(n_probe);
-    const auto r = core::autotune_k(ks, [&](int k) {
-      auto p = plan;
-      p.s13.k = k;
-      return core::scan_sp<int>(probe, in, out, n_probe, 1, p,
-                                core::ScanKind::kInclusive)
-          .seconds;
-    });
-    plan.s13.k = r.best_k;
-  }
-  return plan;
-}
-
-/// Multi-GPU plan per Section 4.2: "Premise 3 justifies the fact of
-/// maximizing K^1 with Equation 1" -- with several GPUs a large K means
-/// fewer chunk reductions written to the master GPU, so K is set to the
-/// largest power of two admitted by Equations 1 and 2/3.
-/// \param n_local elements of one problem on one GPU.
-inline core::ScanPlan tuned_plan_multi(std::int64_t n_local, std::int64_t g,
-                                       int gpus_per_problem) {
-  const auto spec = sim::k80_spec();
-  auto plan = core::derive_spl(spec, 4).plan;
-  const std::int64_t n = n_local * gpus_per_problem;
-  const std::int64_t bound =
-      std::min(core::k1_max_eq1(n, g, plan, spec),
-               core::k1_max_gpus(n, plan.s13, gpus_per_problem));
-  plan.s13.k = static_cast<int>(
-      util::floor_pow2(static_cast<std::uint64_t>(std::max<std::int64_t>(
-          1, bound))));
-  return plan;
-}
-
-/// `plan` with the event-driven pipeline switched on and the planner's
-/// cost-model wave count for `g` problems split across `gpus_per_problem`
-/// GPUs of an M-node cluster -- what PipelineMode::kOverlap runs.
-inline core::ScanPlan overlap_plan(core::ScanPlan plan, int nodes,
-                                   std::int64_t n, std::int64_t g,
-                                   int gpus_per_problem) {
-  auto cluster = topo::tsubame_kfc_cluster(nodes);
-  plan.pipe.overlap = true;
-  plan.pipe.waves =
-      core::pick_wave_count(cluster, n, g, gpus_per_problem, plan);
-  return plan;
-}
-
-/// Empirical K selection for a multi-node (M, W) configuration, as the
-/// paper prescribes ("for each tuple (W, V, M) possible in the system,
-/// all K values from the corresponding search space are empirically
-/// tested"). The candidate set is trimmed to the corners of the space --
-/// K = 1, the Equation-1 bound, the Equation-2 bound (one chunk per GPU,
-/// minimal MPI volume) and a midpoint -- each measured with a real
-/// simulated run.
-/// Declared below multinode_run; defined after it.
-inline core::ScanPlan tuned_plan_multinode(int m, int w,
-                                           std::span<const int> data,
-                                           std::int64_t n, std::int64_t g);
-
 /// One baseline's simulated batch run on a fresh single GPU.
 inline core::RunResult baseline_run(const std::string& name,
                                     std::span<const int> data, std::int64_t n,
@@ -278,21 +206,6 @@ inline core::RunResult baseline_run(const std::string& name,
             in.host_span().begin());
   return baselines::baseline_by_name(name)
       .run_batch(dev, in, out, n, g, core::ScanKind::kInclusive);
-}
-
-/// Scan-MPS over the first W GPUs of a fresh one-node cluster.
-inline core::RunResult mps_run(int w, std::span<const int> data,
-                               std::int64_t n, std::int64_t g,
-                               const core::ScanPlan& plan) {
-  auto cluster = topo::tsubame_kfc_cluster(1);
-  std::vector<int> gpus;
-  // Fill PCIe networks in order (W<=4 stays on one network, W=8 spans two).
-  for (int i = 0; i < w; ++i) {
-    gpus.push_back(cluster.global_id(0, i / 4, i % 4));
-  }
-  auto batches = core::distribute_batch<int>(cluster, gpus, data, n, g);
-  return core::scan_mps<int>(cluster, gpus, batches, n, g, plan,
-                             core::ScanKind::kInclusive);
 }
 
 /// Scan-MP-PC with Y networks x V GPUs on a fresh one-node cluster.
@@ -335,40 +248,6 @@ inline core::RunResult multinode_run(int m, int w, std::span<const int> data,
                                        core::ScanKind::kInclusive);
 }
 
-inline core::ScanPlan tuned_plan_multinode(int m, int w,
-                                           std::span<const int> data,
-                                           std::int64_t n, std::int64_t g) {
-  const auto spec = sim::k80_spec();
-  auto plan = core::derive_spl(spec, 4).plan;
-  const int gpus = m * w;
-  const std::int64_t k_eq2 = util::floor_pow2(static_cast<std::uint64_t>(
-      std::max<std::int64_t>(1, core::k1_max_gpus(n, plan.s13, gpus))));
-  // Power-of-two space up to the Equation-2/3 bound (every GPU keeps at
-  // least one chunk). Equation 1's occupancy concern is folded in
-  // empirically: candidates that starve Stage 1/2 simply measure worse.
-  // Coarse x4 sweep, then a x2 refinement around the winner (the measured
-  // cost curve is unimodal in K).
-  const auto measure = [&](int k) {
-    auto p = plan;
-    p.s13.k = k;
-    return multinode_run(m, w, data, n, g, p).seconds;
-  };
-  std::vector<int> coarse;
-  for (std::int64_t k = 1; k <= k_eq2; k *= 4) {
-    coarse.push_back(static_cast<int>(k));
-  }
-  auto r = core::autotune_k(coarse, measure);
-  std::vector<int> refine;
-  if (r.best_k * 2 <= k_eq2) refine.push_back(r.best_k * 2);
-  if (r.best_k / 2 >= 1) refine.push_back(r.best_k / 2);
-  if (!refine.empty()) {
-    const auto r2 = core::autotune_k(refine, measure);
-    if (r2.best_seconds < r.best_seconds) r.best_k = r2.best_k;
-  }
-  plan.s13.k = r.best_k;
-  return plan;
-}
-
 /// Throughput in GB/s for a run of `elems` total elements (in+out bytes).
 inline double gbps(std::int64_t elems, double seconds, int elem_bytes = 4) {
   return 2.0 * static_cast<double>(elems) * static_cast<double>(elem_bytes) /
@@ -378,9 +257,11 @@ inline double gbps(std::int64_t elems, double seconds, int elem_bytes = 4) {
 /// Persistent harness state for the unified API: one cluster, one
 /// ScanContext (shared plan cache + workspace pool) and one executor per
 /// (proposal, placement) pair, reused across every data point of a sweep.
-/// This is the production calling convention the refactor introduces; the
-/// *_run free functions above are the legacy per-call convention and are
-/// kept for the harnesses that measure it.
+/// This is the production calling convention. The *_run free functions
+/// above run plans the executors cannot: the executors plan through
+/// ScanContext::plan_for, while the Section 3.2 and multi-node K searches,
+/// Figure 10's per-group plan and the ablations' pinned plans come from
+/// elsewhere.
 class BenchContext {
  public:
   explicit BenchContext(int nodes = 1)

@@ -15,7 +15,6 @@
 #include "mgs/core/planner.hpp"      // Premise-4 proposal selection
 #include "mgs/core/segmented.hpp"    // segmented scan extension
 #include "mgs/core/segmented_context.hpp"  // segmented scan via executors
-#include "mgs/core/autotuner.hpp"    // automatic (s,p,l,K) search
 #include "mgs/core/workspace.hpp"    // per-device buffer pooling
 #include "mgs/core/scan_context.hpp" // plan cache + workspace pool
 #include "mgs/core/executor.hpp"     // unified proposal interface

@@ -78,6 +78,9 @@ class DataPath {
                            std::int64_t aux_all_elems, std::int64_t g) = 0;
 };
 
+/// The data path of the (dtype, op) cell, from the scalar dispatch table.
+std::unique_ptr<DataPath> make_data_path(DType dtype, OpTag op);
+
 /// The proposal called `name` in the registry over `path`'s cell. Throws
 /// util::Error for an unknown name.
 std::unique_ptr<ScanExecutor> make_placed_executor(

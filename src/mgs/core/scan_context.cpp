@@ -12,11 +12,9 @@ namespace mgs::core {
 
 namespace {
 
-/// Autotuner searches measure real simulated scans, so tune on a reduced
-/// copy of the problem: the optimum is scale-stable because the premises'
-/// trade-offs are per-chunk/per-block, not per-element (the same argument
-/// the figure harnesses use for their K probes).
-constexpr std::int64_t kProbeMaxN = std::int64_t{1} << 18;
+/// Autotuner searches probe a reduced copy of the problem (kProbeMaxN
+/// elements per problem, tuning.hpp), with the batch trimmed so a probe
+/// scans at most this many elements in total.
 constexpr std::int64_t kProbeMaxElems = std::int64_t{1} << 20;
 
 }  // namespace

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "mgs/core/autotuner.hpp"
+#include "mgs/core/tuning.hpp"
 #include "mgs/core/dtype.hpp"
 #include "mgs/core/planner.hpp"
 #include "mgs/core/workspace.hpp"

@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <sstream>
 
+#include "mgs/core/placed_executor.hpp"
+#include "mgs/core/scan_context.hpp"
+#include "mgs/core/scan_sp.hpp"
+#include "mgs/core/segmented.hpp"
+#include "mgs/obs/span.hpp"
 #include "mgs/sim/fault.hpp"
 #include "mgs/topo/topology.hpp"
 #include "mgs/topo/transfer.hpp"
@@ -189,21 +194,176 @@ int pick_wave_count(topo::Cluster& cluster, std::int64_t n, std::int64_t g,
   return best_k;
 }
 
-AutotuneResult autotune_k(const std::vector<int>& candidates,
-                          const std::function<double(int)>& measure) {
-  MGS_REQUIRE(!candidates.empty(), "autotune_k: no candidates");
-  AutotuneResult result;
-  bool first = true;
-  for (int k : candidates) {
-    const double s = measure(k);
-    result.tried.emplace_back(k, s);
-    if (first || s < result.best_seconds) {
-      result.best_k = k;
-      result.best_seconds = s;
-      first = false;
+ProbeResult probe_plans(
+    const std::vector<ScanPlan>& candidates,
+    const std::function<double(const ScanPlan&)>& measure) {
+  MGS_REQUIRE(!candidates.empty(), "probe_plans: no candidates");
+  // Probes run on throwaway hardware: none of their work belongs in the
+  // caller's trace.
+  const obs::TracePause untraced;
+  ProbeResult result;
+  for (const ScanPlan& plan : candidates) {
+    result.rows.push_back({plan, measure(plan)});
+    if (result.rows.back().seconds < result.rows[result.best].seconds) {
+      result.best = result.rows.size() - 1;
     }
   }
   return result;
+}
+
+namespace {
+
+/// One Scan-SP probe on a throwaway device. The probe element type only
+/// has to move the right number of bytes per lane; the premises' cost
+/// trade-offs are byte-driven, not value-driven.
+template <typename T, typename Op = Plus<T>>
+double probe_scan(const sim::DeviceSpec& spec, const ScanPlan& plan,
+                  std::int64_t n, std::int64_t g) {
+  simt::Device dev(0, spec);
+  auto in = dev.alloc<T>(n * g);
+  auto out = dev.alloc<T>(n * g);
+  return scan_sp<T, Op>(dev, in, out, n, g, plan, ScanKind::kInclusive)
+      .seconds;
+}
+
+/// `plan` with K^1 = k, for each k.
+std::vector<ScanPlan> with_ks(ScanPlan plan, const std::vector<int>& ks) {
+  std::vector<ScanPlan> plans;
+  for (int k : ks) {
+    plan.s13.k = k;
+    plans.push_back(plan);
+  }
+  return plans;
+}
+
+}  // namespace
+
+ScanPlan sp_k_search(const sim::DeviceSpec& spec, std::int64_t n,
+                     std::int64_t g) {
+  const ScanPlan plan = derive_spl(spec, 4).plan;
+  const std::int64_t n_probe = std::min(n, kProbeMaxN);
+  return probe_plans(with_ks(plan, k1_candidates(n, g, plan, spec, 1)),
+                     [&](const ScanPlan& p) {
+                       return probe_scan<int>(spec, p, n_probe, 1);
+                     })
+      .winner()
+      .plan;
+}
+
+ScanPlan multinode_k_search(const topo::ClusterConfig& config, int m, int w,
+                            std::int64_t n, std::int64_t g) {
+  MGS_REQUIRE(m >= 1 && w >= 1 && w <= config.gpus_per_node() && n > 0 &&
+                  g > 0,
+              "multinode_k_search: bad arguments");
+  topo::ClusterConfig shape = config;
+  shape.nodes = m;
+  topo::Cluster cluster(shape);
+  ScanContext ctx(cluster);
+  std::vector<int> ranks;
+  for (int node = 0; node < m; ++node) {
+    for (int i = 0; i < w; ++i) {
+      ranks.push_back(cluster.global_id(node, i / shape.gpus_per_network,
+                                        i % shape.gpus_per_network));
+    }
+  }
+
+  const ScanPlan plan = derive_spl(shape.gpu, 4).plan;
+  const int gpus = m * w;
+  const auto k_eq2 = static_cast<int>(util::floor_pow2(
+      static_cast<std::uint64_t>(k1_max_gpus(n, plan.s13, gpus))));
+
+  // The i32/plus data path the executors run, over zero-filled rows.
+  const auto path = detail::make_data_path(DType::kI32, OpTag::kPlus);
+  const std::vector<std::int32_t> in(static_cast<std::size_t>(n * g));
+  std::vector<std::int32_t> out(in.size());
+  const auto measure = [&](const ScanPlan& p) {
+    cluster.reset_clocks();
+    const auto ck = path->checkpoint();
+    const detail::DataPath::Call call{
+        ctx, p, ConstTypedSpan::of(std::span<const std::int32_t>(in)),
+        TypedSpan::of(std::span<std::int32_t>(out)), n, g,
+        ScanKind::kInclusive};
+    return path->scan_mps(call, ranks, detail::MpsGather::kMpi, *ck).seconds;
+  };
+
+  // Coarse x4 pass, then a x2 refinement around the winner (the measured
+  // cost curve is unimodal in K).
+  std::vector<int> coarse;
+  for (int k = 1; k <= k_eq2; k *= 4) coarse.push_back(k);
+  ProbeRow best = probe_plans(with_ks(plan, coarse), measure).winner();
+  const int k = best.plan.s13.k;
+  std::vector<int> refine;
+  if (k * 2 <= k_eq2) refine.push_back(k * 2);
+  if (k / 2 >= 1) refine.push_back(k / 2);
+  if (!refine.empty()) {
+    const ProbeRow r = probe_plans(with_ks(plan, refine), measure).winner();
+    if (r.seconds < best.seconds) best = r;
+  }
+  best.plan.pipe.overlap = true;
+  best.plan.pipe.waves = pick_wave_count(cluster, n, g, gpus, best.plan);
+  return best.plan;
+}
+
+Autotuner::Autotuner(sim::DeviceSpec spec) : spec_(std::move(spec)) {}
+
+std::vector<ScanPlan> Autotuner::candidates(std::int64_t n, std::int64_t g,
+                                            int elem_bytes) const {
+  MGS_REQUIRE(n > 0 && g > 0, "Autotuner: N and G must be positive");
+  MGS_REQUIRE(elem_bytes == 4 || elem_bytes == 8 || elem_bytes == 16,
+              "Autotuner: elem_bytes must be 4, 8 or 16");
+  std::vector<ScanPlan> plans;
+  const ScanPlan base = derive_spl(spec_, elem_bytes).plan;
+
+  for (int p : {4, 8, 16}) {
+    for (int lx : {64, 128, 256}) {
+      ScanPlan plan = base;
+      plan.s13.p = p;
+      plan.s13.lx = lx;
+      if (plan.s13.regs_per_thread() > spec_.max_regs_per_thread) continue;
+      // Must be resident at all on this device.
+      try {
+        (void)sim::occupancy(spec_, plan.s13.threads(),
+                             plan.s13.regs_per_thread(),
+                             plan.s13.smem_bytes(elem_bytes));
+      } catch (const util::Error&) {
+        continue;
+      }
+      // K space: Equations 1 and 2/3 for one GPU (at least one full block
+      // of work per problem), capped at 256.
+      for (int k : k1_candidates(n, g, plan, spec_, 1)) {
+        if (k > 256) break;
+        plan.s13.k = k;
+        plans.push_back(plan);
+      }
+    }
+  }
+  MGS_CHECK(!plans.empty(), "Autotuner: empty candidate space");
+  return plans;
+}
+
+double Autotuner::measure(const ScanPlan& plan, std::int64_t n,
+                          std::int64_t g, int elem_bytes) const {
+  switch (elem_bytes) {
+    case 8:
+      return probe_scan<double>(spec_, plan, n, g);
+    case 16:
+      return probe_scan<SegPair<double>, SegOp<double, Plus<double>>>(
+          spec_, plan, n, g);
+    default:
+      return probe_scan<int>(spec_, plan, n, g);
+  }
+}
+
+const ProbeRow& Autotuner::tune(std::int64_t n, std::int64_t g,
+                                int elem_bytes) {
+  const auto key = std::make_tuple(n, g, elem_bytes);
+  if (const auto it = cache_.find(key); it != cache_.end()) {
+    return it->second;
+  }
+  report_ = probe_plans(candidates(n, g, elem_bytes), [&](const ScanPlan& p) {
+    return measure(p, n, g, elem_bytes);
+  });
+  return cache_.emplace(key, report_.winner()).first->second;
 }
 
 }  // namespace mgs::core

@@ -12,12 +12,17 @@
 ///  * Premise 4 -- Equations 2 and 3: chunk count must cover the
 ///    participating GPUs (M*W for Scan-MPS, V for Scan-MP-PC).
 ///
-/// The optimal K is found empirically over the premise-trimmed space
-/// (autotune_k), which the paper leaves as future work to automate.
+/// The best plan is found empirically over the premise-trimmed space, the
+/// search the paper leaves as future work to automate. Every search runs
+/// through one probe loop (probe_plans); the rules that feed it are the
+/// Autotuner's full (p, l, K) grid, the Section 3.2 K search and the
+/// multi-node (W, V, M) K sweep.
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "mgs/core/plan.hpp"
@@ -26,6 +31,7 @@
 
 namespace mgs::topo {
 class Cluster;
+struct ClusterConfig;
 }  // namespace mgs::topo
 
 namespace mgs::core {
@@ -61,19 +67,56 @@ std::vector<int> k1_candidates(std::int64_t n, std::int64_t g,
                                const sim::DeviceSpec& spec,
                                int gpus_per_problem);
 
-/// Outcome of the empirical K search.
-struct AutotuneResult {
-  int best_k = 1;
-  double best_seconds = 0.0;
-  std::vector<std::pair<int, double>> tried;  ///< (K, simulated seconds)
+/// Searches measure real simulated scans, so the single-GPU rules probe a
+/// reduced copy of the problem of at most this many elements: the optimum
+/// is scale-stable because the premises' trade-offs are per-chunk and
+/// per-block, not per-element.
+inline constexpr std::int64_t kProbeMaxN = std::int64_t{1} << 18;
+
+/// One measured candidate plan.
+struct ProbeRow {
+  ScanPlan plan;
+  double seconds = 0.0;  ///< simulated seconds of the probe scan
 };
 
-/// Run `measure(K)` (which must return simulated seconds for a full scan
-/// with that K) for every candidate and keep the argmin. This is the
-/// "all possible K values that meet Eq. 1 are tested" step of Section 3.2,
-/// automated against the simulator.
-AutotuneResult autotune_k(const std::vector<int>& candidates,
-                          const std::function<double(int)>& measure);
+/// Every candidate a search measured, in candidate order, and the winner.
+struct ProbeResult {
+  std::vector<ProbeRow> rows;
+  std::size_t best = 0;  ///< index into rows of the first minimum
+
+  const ProbeRow& winner() const { return rows.at(best); }
+};
+
+/// The one probe loop: run `measure(plan)` (simulated seconds of a scan
+/// with that plan) for every candidate and keep the argmin, the first of
+/// any equal minima. This is the "all possible K values ... are tested"
+/// step of Sections 3.2 and 4.2, automated against the simulator. Probes
+/// run on throwaway hardware, so tracing is paused around every call.
+/// Throws util::Error on an empty candidate list.
+ProbeResult probe_plans(
+    const std::vector<ScanPlan>& candidates,
+    const std::function<double(const ScanPlan&)>& measure);
+
+/// The Section 3.2 rule: derive_spl's (p, l) for 4-byte elements, and
+/// the K from the Equation-1 space over the full (N, G) shape that scans
+/// fastest on one throwaway GPU of `spec` at (min(N, kProbeMaxN), G = 1).
+ScanPlan sp_k_search(const sim::DeviceSpec& spec, std::int64_t n,
+                     std::int64_t g);
+
+/// The multi-node rule of Section 4.2: "for each tuple (W, V, M) ... all
+/// K values from the corresponding search space are empirically tested".
+/// The space is the powers of two up to the Equation-2/3 bound over M*W
+/// ranks (Equation 1's occupancy concern is folded in empirically:
+/// candidates that starve Stage 1/2 measure worse). A coarse x4 pass is
+/// refined by x2 around its winner, which keeps a tie. Each candidate is
+/// a synchronous multi-node Scan-MPS of 4-byte elements over the first W
+/// GPUs of M nodes of `config` (its node count is replaced by M), run on
+/// a throwaway cluster with zero-filled input -- modeled time does not
+/// depend on element values. Like plan_for's multi-GPU plans, the result
+/// has the overlap pipeline on with pick_wave_count's waves; apply
+/// PipelineChoice{kSync} for the synchronous path.
+ScanPlan multinode_k_search(const topo::ClusterConfig& config, int m, int w,
+                            std::int64_t n, std::int64_t g);
 
 /// Premise-3-style cost-model pick of the pipeline wave count for the
 /// overlapped multi-GPU paths: splitting G into k waves makes the pipeline
@@ -87,5 +130,43 @@ AutotuneResult autotune_k(const std::vector<int>& candidates,
 int pick_wave_count(topo::Cluster& cluster, std::int64_t n, std::int64_t g,
                     int gpus_per_problem, const ScanPlan& plan,
                     int elem_bytes = 4);
+
+/// Automatic (s, p, l, K) search -- the automation the paper leaves as
+/// future work ("Currently, this search is not done automatically, but is
+/// part of the future work", Section 3.2). The search space is trimmed by
+/// the premises exactly as the paper prescribes (vector-width P >= 4,
+/// warp-multiple block sizes, K from Equation 1), and each candidate is
+/// measured with a real simulated run; results are memoized per (N, G).
+class Autotuner {
+ public:
+  explicit Autotuner(sim::DeviceSpec spec);
+
+  /// Best plan for a single-GPU batch of G problems of N elements of
+  /// `elem_bytes` each (4 or 8; wider elements shrink the register-path
+  /// budget and the smem per warp, so they get their own cache rows).
+  /// First call for an (N, G, elem_bytes) triple runs the search (cost:
+  /// one simulated scan per candidate, tens of candidates); later calls
+  /// are cached.
+  const ProbeRow& tune(std::int64_t n, std::int64_t g, int elem_bytes = 4);
+
+  /// Every candidate evaluated by the most recent uncached tune() call.
+  const ProbeResult& last_report() const { return report_; }
+
+  std::size_t cache_size() const { return cache_.size(); }
+  void clear_cache() { cache_.clear(); }
+
+  /// The premise-trimmed candidate plans for (N, G, elem_bytes) on this
+  /// device.
+  std::vector<ScanPlan> candidates(std::int64_t n, std::int64_t g,
+                                   int elem_bytes = 4) const;
+
+ private:
+  double measure(const ScanPlan& plan, std::int64_t n, std::int64_t g,
+                 int elem_bytes) const;
+
+  sim::DeviceSpec spec_;
+  std::map<std::tuple<std::int64_t, std::int64_t, int>, ProbeRow> cache_;
+  ProbeResult report_;
+};
 
 }  // namespace mgs::core

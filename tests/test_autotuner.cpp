@@ -1,10 +1,9 @@
-// Tests for the automatic (s, p, l, K) search (core/autotuner.hpp) and
+// Tests for the automatic (s, p, l, K) search (core/tuning.hpp) and
 // the one-call convenience API (core/easy.hpp).
 
 #include <gtest/gtest.h>
 
 #include "mgs/baselines/reference.hpp"
-#include "mgs/core/autotuner.hpp"
 #include "mgs/core/easy.hpp"
 #include "mgs/core/tuning.hpp"
 #include "mgs/util/random.hpp"
@@ -56,17 +55,19 @@ TEST(Autotuner, CachesPerShape) {
   EXPECT_EQ(tuner.cache_size(), 0u);
 }
 
-TEST(Autotuner, ReportMarksExactlyOneBest) {
+TEST(Autotuner, ReportHoldsEveryCandidateAndTheWinner) {
   mc::Autotuner tuner(ms::k80_spec());
-  tuner.tune(1 << 16, 1);
+  const auto& best = tuner.tune(1 << 16, 1);
   const auto& report = tuner.last_report();
-  ASSERT_FALSE(report.empty());
-  int best_count = 0;
-  for (const auto& row : report) {
-    EXPECT_GT(row.seconds, 0.0);
-    if (row.best) ++best_count;
+  const auto plans = tuner.candidates(1 << 16, 1);
+  ASSERT_EQ(report.rows.size(), plans.size());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_EQ(report.rows[i].plan.describe(), plans[i].describe());
+    EXPECT_GT(report.rows[i].seconds, 0.0);
+    EXPECT_GE(report.rows[i].seconds, best.seconds);
   }
-  EXPECT_EQ(best_count, 1);
+  EXPECT_EQ(report.winner().plan.describe(), best.plan.describe());
+  EXPECT_EQ(report.winner().seconds, best.seconds);
 }
 
 TEST(Autotuner, RejectsBadShapes) {

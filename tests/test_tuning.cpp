@@ -1,15 +1,22 @@
 // Tests for the tuning strategy: Premise 1+2 parameter derivation (must
 // reproduce the paper's (s,p,l) = (<=5, 3, 7) for cc 3.7 and ints),
-// the Equation 1-3 K bounds, and the empirical K autotuner.
+// the Equation 1-3 K bounds, the one probe loop and the planning rules
+// built on it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "mgs/core/scan_context.hpp"
 #include "mgs/core/scan_sp.hpp"
 #include "mgs/core/tuning.hpp"
+#include "mgs/obs/span.hpp"
 #include "mgs/util/random.hpp"
 
 namespace mc = mgs::core;
 namespace ms = mgs::sim;
+namespace mo = mgs::obs;
+namespace mt = mgs::topo;
 
 TEST(DeriveSpl, PaperValuesOnKepler) {
   const auto choice = mc::derive_spl(ms::k80_spec(), 4);
@@ -100,48 +107,120 @@ TEST(KBounds, MultiGpuConstraintTightensSpace) {
   EXPECT_GE(solo.size(), eight.size());
 }
 
-TEST(Autotune, PicksArgmin) {
-  const std::vector<int> ks = {1, 2, 4, 8, 16};
-  const auto r = mc::autotune_k(ks, [](int k) {
-    // Synthetic U-shaped cost with minimum at K = 4.
-    const double d = static_cast<double>(k) - 4.0;
-    return 1.0 + d * d;
-  });
-  EXPECT_EQ(r.best_k, 4);
-  EXPECT_DOUBLE_EQ(r.best_seconds, 1.0);
-  EXPECT_EQ(r.tried.size(), 5u);
+/// Plans differing only in K, for the probe-loop cases.
+std::vector<mc::ScanPlan> k_plans(const std::vector<int>& ks) {
+  std::vector<mc::ScanPlan> plans;
+  auto plan = mc::derive_spl(ms::k80_spec(), 4).plan;
+  for (int k : ks) {
+    plan.s13.k = k;
+    plans.push_back(plan);
+  }
+  return plans;
 }
 
-TEST(Autotune, EndToEndOnSimulator) {
-  // Autotune K for a real single-GPU batch scan; the winner must come
-  // from the candidate set and every measurement must be positive. (The
+TEST(ProbePlans, PicksArgminAndKeepsCandidateOrder) {
+  const std::vector<int> ks = {1, 2, 4, 8, 16};
+  const auto r = mc::probe_plans(k_plans(ks), [](const mc::ScanPlan& p) {
+    // Synthetic U-shaped cost with minimum at K = 4.
+    const double d = static_cast<double>(p.s13.k) - 4.0;
+    return 1.0 + d * d;
+  });
+  ASSERT_EQ(r.rows.size(), ks.size());
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    EXPECT_EQ(r.rows[i].plan.s13.k, ks[i]);
+  }
+  EXPECT_EQ(r.best, 2u);
+  EXPECT_EQ(r.winner().plan.s13.k, 4);
+  EXPECT_DOUBLE_EQ(r.winner().seconds, 1.0);
+}
+
+TEST(ProbePlans, FirstOfEqualMinimaWins) {
+  const auto r = mc::probe_plans(k_plans({1, 2, 4, 8}),
+                                 [](const mc::ScanPlan& p) {
+                                   return p.s13.k == 1 ? 3.0 : 2.0;
+                                 });
+  EXPECT_EQ(r.best, 1u);
+  EXPECT_EQ(r.winner().plan.s13.k, 2);
+}
+
+TEST(ProbePlans, EndToEndOnSimulator) {
+  // Probe K for a real single-GPU batch scan; the winner must come from
+  // the candidate set and every measurement must be positive. (The
   // Equation-1 space only opens up at N*G >= ~2^26, too large for a unit
   // test, so the candidate list is explicit here; the equations are
   // covered above.)
   const auto spec = ms::k80_spec();
-  auto plan = mc::derive_spl(spec, 4).plan;
   const std::int64_t n = 1 << 18;
   const std::int64_t g = 4;
-  const std::vector<int> ks = {1, 2, 4, 8, 16};
 
   mgs::simt::Device dev(0, spec);
   auto in = dev.alloc<int>(n * g);
   auto out = dev.alloc<int>(n * g);
-  const auto r = mc::autotune_k(ks, [&](int k) {
-    auto p = plan;
-    p.s13.k = k;
-    return mc::scan_sp<int>(dev, in, out, n, g, p, mc::ScanKind::kInclusive)
-        .seconds;
-  });
-  EXPECT_NE(std::find(ks.begin(), ks.end(), r.best_k), ks.end())
-      << "winner not from the candidate set";
-  for (const auto& [k, s] : r.tried) EXPECT_GT(s, 0.0) << "K=" << k;
+  const auto r = mc::probe_plans(
+      k_plans({1, 2, 4, 8, 16}), [&](const mc::ScanPlan& p) {
+        return mc::scan_sp<int>(dev, in, out, n, g, p,
+                                mc::ScanKind::kInclusive)
+            .seconds;
+      });
+  for (const auto& row : r.rows) {
+    EXPECT_GT(row.seconds, 0.0) << "K=" << row.plan.s13.k;
+  }
   // The winner is no slower than the extremes of the space.
-  EXPECT_LE(r.best_seconds, r.tried.front().second);
-  EXPECT_LE(r.best_seconds, r.tried.back().second);
+  EXPECT_LE(r.winner().seconds, r.rows.front().seconds);
+  EXPECT_LE(r.winner().seconds, r.rows.back().seconds);
 }
 
-TEST(Autotune, RejectsEmptyCandidates) {
-  EXPECT_THROW(mc::autotune_k({}, [](int) { return 1.0; }),
-               mgs::util::Error);
+TEST(ProbePlans, RejectsEmptyCandidates) {
+  EXPECT_THROW(
+      mc::probe_plans({}, [](const mc::ScanPlan&) { return 1.0; }),
+      mgs::util::Error);
+}
+
+// plan_for's multi-GPU rule (Section 4.2) above golden scale, where every
+// multi-GPU plan has K = 1: the largest power of two within Equations 1
+// and 2/3, with pick_wave_count's waves. Pure arithmetic; no scan runs.
+TEST(MultiGpuRule, LiteralPlansAboveGoldenScale) {
+  auto cluster = mt::tsubame_kfc_cluster(1);
+  mc::ScanContext ctx(cluster);
+  const auto plan = [&](std::int64_t n, std::int64_t g, int gpp) {
+    const auto& p =
+        ctx.plan_for(n, g, mc::DType::kI32, mc::OpTag::kPlus, gpp);
+    EXPECT_TRUE(p.pipe.overlap);
+    return std::pair{p.s13.k, p.pipe.waves};
+  };
+  EXPECT_EQ(plan(1 << 15, 4097, 2), std::pair(8, 2));   // Equation 1 binds
+  EXPECT_EQ(plan(1 << 13, 16385, 4), std::pair(2, 8));  // Equations 2/3 bind
+  EXPECT_EQ(plan(std::int64_t{1} << 27, 2, 4), std::pair(16, 1));
+}
+
+// The Section 3.2 rule probes K only: (p, lx) stay derive_spl's.
+TEST(SpKSearch, KeepsDerivedPAndLx) {
+  const auto spec = ms::k80_spec();
+  const auto derived = mc::derive_spl(spec, 4).plan;
+  // N*G = 2^26 opens the Equation-1 space to K <= 4.
+  const std::int64_t n = std::int64_t{1} << 24;
+  const std::int64_t g = 4;
+  const auto plan = mc::sp_k_search(spec, n, g);
+  EXPECT_EQ(plan.s13.p, derived.s13.p);
+  EXPECT_EQ(plan.s13.lx, derived.s13.lx);
+  EXPECT_EQ(plan.s2.p, derived.s2.p);
+  const auto ks = mc::k1_candidates(n, g, derived, spec, 1);
+  EXPECT_NE(std::find(ks.begin(), ks.end(), plan.s13.k), ks.end());
+}
+
+// The multi-node sweep probes on a throwaway cluster with tracing paused:
+// a caller's session sees none of its scans.
+TEST(MultinodeKSearch, RecordsNoSpansInTheCallersTrace) {
+  const auto kfc = mt::tsubame_kfc_cluster(1).config();
+  mo::TraceSession ts;
+  const auto plan = mc::multinode_k_search(kfc, 2, 4, 1 << 16, 4);
+  EXPECT_TRUE(ts.spans().empty());
+  EXPECT_GE(plan.s13.k, 1);
+  EXPECT_LE(plan.s13.k, mc::k1_max_gpus(1 << 16, plan.s13, 8));
+  // Like plan_for's multi-GPU plans, the result defaults to the overlap
+  // pipeline with the cost-model wave count.
+  auto cluster = mt::tsubame_kfc_cluster(2);
+  EXPECT_TRUE(plan.pipe.overlap);
+  EXPECT_EQ(plan.pipe.waves,
+            mc::pick_wave_count(cluster, 1 << 16, 4, 8, plan));
 }
