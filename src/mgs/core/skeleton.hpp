@@ -17,9 +17,10 @@
 /// All functions are warp-granular: a warp's registers live in lane-major
 /// arrays (one WarpReg per register, indexed by lane), a host-side encoding
 /// of warp-synchronous CUDA code whose per-lane steps are plain loops over
-/// lanes. Each op call takes the operands, in the order, that the warp code
-/// would, so results are bit-identical to it; work counters are charged in
-/// closed form per tile.
+/// lanes, while a lane's int4 is read and written where it lies, in
+/// element order. Each op call takes the operands, in the order, that the
+/// warp code would, so results are bit-identical to it; work counters are
+/// charged in closed form per tile.
 
 #include <algorithm>
 #include <array>
@@ -38,28 +39,6 @@ namespace mgs::core {
 inline constexpr int kQuadSpan = 4 * simt::kWarpSize;
 
 namespace detail {
-
-/// One warp-quad in lane-major registers: col[i][l] is component i of lane
-/// l's int4 load, i.e. element 4l+i of the quad. Every per-lane step below
-/// is one loop over a column, which the compiler vectorizes.
-template <typename T>
-using QuadCols = std::array<simt::WarpReg<T>, 4>;
-
-/// Deinterleave the 128 elements at `src` into lane-major columns.
-template <typename T>
-void load_cols(const T* src, QuadCols<T>& c) {
-  for (int l = 0; l < simt::kWarpSize; ++l) {
-    for (int i = 0; i < 4; ++i) c[i][l] = src[4 * l + i];
-  }
-}
-
-/// Interleave lane-major columns back into 128 elements at `dst`.
-template <typename T>
-void store_cols(const QuadCols<T>& c, T* dst) {
-  for (int l = 0; l < simt::kWarpSize; ++l) {
-    for (int i = 0; i < 4; ++i) dst[4 * l + i] = c[i][l];
-  }
-}
 
 /// The quad at `src` with `valid` elements (at most kQuadSpan): the memory
 /// itself when full, else `pad` holding the valid elements followed by the
@@ -85,9 +64,9 @@ void charge_quads(std::uint64_t& bytes, std::uint64_t& transactions,
                   v % kQuadSpan;
 }
 
-/// The calling worker's registers for one tile: the scanned quad columns
-/// of Stage 3 kept between its compute and store phases, reused across
-/// tiles and launches (a worker scans one tile at a time).
+/// The calling worker's registers for one tile: Stage 3's lane-major lane
+/// totals and prefixes, kept between its compute and store phases, reused
+/// across tiles and launches (a worker scans one tile at a time).
 template <typename T>
 std::span<T> tile_regs(std::size_t count) {
   thread_local std::vector<T> regs;
@@ -110,7 +89,6 @@ T reduce_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
   const int quads = sp.p / 4;
   const T* src = in.range(base, valid);
   std::array<T, kQuadSpan> pad;
-  detail::QuadCols<T> c;
   simt::WarpReg<T> lane_sum;
   T tile_total = Op::identity();
   for (int w = 0; w < nw; ++w) {
@@ -121,9 +99,10 @@ T reduce_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
       if (off >= valid) break;
       const int qvalid =
           static_cast<int>(std::min<std::int64_t>(kQuadSpan, valid - off));
-      detail::load_cols(detail::padded_quad<T, Op>(src + off, qvalid, pad), c);
+      const T* v = detail::padded_quad<T, Op>(src + off, qvalid, pad);
       for (int l = 0; l < simt::kWarpSize; ++l) {
-        lane_sum[l] = op(op(c[0][l], c[1][l]), op(c[2][l], c[3][l]));
+        const T* x = v + 4 * l;  // lane l's int4
+        lane_sum[l] = op(op(x[0], x[1]), op(x[2], x[3]));
       }
       warp_total = op(warp_total, simt::lanes_reduce(lane_sum, op));
     }
@@ -146,7 +125,7 @@ T reduce_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
 /// element itself; `carry` is always excluded-prefix-so-far) and returns
 /// the tile total. This is the Stage 3 (Scan+Addition) inner loop; Stage 2
 /// uses the row-scan skeleton below instead. `in` and `out` may alias: a
-/// quad is read whole before any output is written.
+/// lane reads its int4 before it writes that int4's output.
 template <typename T, typename Op>
 T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
             const simt::GlobalView<T>& out, std::int64_t base,
@@ -161,39 +140,49 @@ T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
   T* dst = out.range(base, valid);
   const int nq = static_cast<int>(util::div_up(
       static_cast<std::uint64_t>(valid), std::uint64_t{kQuadSpan}));
-  // Per valid quad: its 4 inclusive columns, then each lane's exclusive
-  // prefix within its warp segment (5 columns of 32).
-  const std::span<T> regs =
-      detail::tile_regs<T>(static_cast<std::size_t>(nq) * 5 * kW);
-  const auto col = [&](int j, int i) { return &regs[(5 * j + i) * kW]; };
+  const auto quad = [&](int j) {
+    return static_cast<std::int64_t>(j) * kQuadSpan;
+  };
+  const auto quad_valid = [&](int j) {
+    return static_cast<int>(
+        std::min<std::int64_t>(kQuadSpan, valid - quad(j)));
+  };
+  // Per valid quad, lane-major: the lane totals, their inclusive warp
+  // scan, and each lane's exclusive prefix within its warp segment (which
+  // is first the scan's scratch).
+  const std::span<simt::WarpReg<T>> regs =
+      detail::tile_regs<simt::WarpReg<T>>(3 * static_cast<std::size_t>(nq));
+  const auto lane_total = regs.subspan(0, nq);
+  const auto lane_incl = regs.subspan(nq, nq);
+  const auto lane_prefix = regs.subspan(2 * static_cast<std::size_t>(nq), nq);
   std::array<T, kQuadSpan> pad;
-  detail::QuadCols<T> c;
 
-  // Phase A: per-warp scans; warp totals to shared memory.
+  // Phase A: each lane's serial scan of its int4, in element order, down
+  // to the lane total; then the warp scans of every quad's lane totals.
+  for (int j = 0; j < nq; ++j) {
+    const T* v = detail::padded_quad<T, Op>(src + quad(j), quad_valid(j), pad);
+    simt::WarpReg<T> t;
+    for (int l = 0; l < kW; ++l) {
+      const T* x = v + 4 * l;
+      t[l] = op(op(op(x[0], x[1]), x[2]), x[3]);
+    }
+    lane_total[j] = t;
+  }
+  simt::lanes_scan_inclusive<T>(lane_total, lane_incl, lane_prefix, op);
+  // Per warp, chain its quads; warp totals to shared memory. Exclusive
+  // lane prefixes are the inclusive ones shifted by a lane.
   T last_warp_total = Op::identity();
   for (int w = 0; w < nw; ++w) {
     T chain = Op::identity();  // prefix within this warp's segment
     for (int q = 0; q < quads; ++q) {
       const int j = w * quads + q;
       if (j >= nq) break;
-      const std::int64_t off = static_cast<std::int64_t>(j) * kQuadSpan;
-      const int qvalid =
-          static_cast<int>(std::min<std::int64_t>(kQuadSpan, valid - off));
-      detail::load_cols(detail::padded_quad<T, Op>(src + off, qvalid, pad), c);
-      // Per-lane serial scan of the quad, column by column; c[3] ends up
-      // holding the lane totals.
-      for (int i = 1; i < 4; ++i) {
-        for (int l = 0; l < kW; ++l) c[i][l] = op(c[i - 1][l], c[i][l]);
-      }
-      simt::WarpReg<T> incl = c[3];
-      simt::lanes_scan_inclusive(incl, op);
-      // Exclusive lane prefixes are the inclusive ones shifted by a lane.
-      const T quad_total = op(incl[kW - 2], c[3][kW - 1]);
-      T* lane_excl = col(j, 4);
-      lane_excl[0] = op(chain, Op::identity());
-      for (int l = 1; l < kW; ++l) lane_excl[l] = op(chain, incl[l - 1]);
-      for (int i = 0; i < 4; ++i) std::copy(c[i].begin(), c[i].end(), col(j, i));
-      chain = op(chain, quad_total);
+      const simt::WarpReg<T>& incl = lane_incl[j];
+      simt::WarpReg<T>& excl = lane_prefix[j];
+      excl[0] = op(chain, Op::identity());
+      for (int l = 1; l < kW; ++l) excl[l] = op(chain, incl[l - 1]);
+      // The quad total: lane 31's exclusive prefix, then its total.
+      chain = op(chain, op(incl[kW - 2], lane_total[j][kW - 1]));
     }
     last_warp_total = chain;
     smem_partials[static_cast<std::size_t>(w)] = chain;  // smem exchange
@@ -213,32 +202,45 @@ T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
   const T tile_total = op(excl_partial(nw - 1), last_warp_total);
   ctx.sync();
 
-  // Phase C: complete prefixes and store.
+  // Phase C: complete each lane's prefix, then run the lane's serial scan
+  // again and combine, in element order, straight into the output (a tail
+  // quad goes through `pad`). Repeating the scan's op calls on the same
+  // operands is cheaper than storing and reloading their results.
   simt::WarpReg<T> prefix;
   for (int j = 0; j < nq; ++j) {
     const T wprefix = op(carry, excl_partial(j / quads));
-    const T* lane_excl = col(j, 4);
-    for (int l = 0; l < kW; ++l) prefix[l] = op(wprefix, lane_excl[l]);
+    for (int l = 0; l < kW; ++l) prefix[l] = op(wprefix, lane_prefix[j][l]);
+    const int qvalid = quad_valid(j);
+    const T* v = detail::padded_quad<T, Op>(src + quad(j), qvalid, pad);
+    T* y = qvalid == kQuadSpan ? dst + quad(j) : pad.data();
     if (kind == ScanKind::kInclusive) {
-      for (int i = 0; i < 4; ++i) {
-        const T* inc = col(j, i);
-        for (int l = 0; l < kW; ++l) c[i][l] = op(prefix[l], inc[l]);
+      for (int l = 0; l < kW; ++l) {
+        const T* x = v + 4 * l;
+        const T i0 = x[0];
+        const T i1 = op(i0, x[1]);
+        const T i2 = op(i1, x[2]);
+        const T i3 = op(i2, x[3]);
+        T* o = y + 4 * l;
+        o[0] = op(prefix[l], i0);
+        o[1] = op(prefix[l], i1);
+        o[2] = op(prefix[l], i2);
+        o[3] = op(prefix[l], i3);
       }
     } else {
-      c[0] = prefix;
-      for (int i = 1; i < 4; ++i) {
-        const T* inc = col(j, i - 1);
-        for (int l = 0; l < kW; ++l) c[i][l] = op(prefix[l], inc[l]);
+      for (int l = 0; l < kW; ++l) {
+        const T* x = v + 4 * l;
+        const T i0 = x[0];
+        const T i1 = op(i0, x[1]);
+        const T i2 = op(i1, x[2]);
+        T* o = y + 4 * l;
+        o[0] = prefix[l];
+        o[1] = op(prefix[l], i0);
+        o[2] = op(prefix[l], i1);
+        o[3] = op(prefix[l], i2);
       }
     }
-    const std::int64_t off = static_cast<std::int64_t>(j) * kQuadSpan;
-    const int qvalid =
-        static_cast<int>(std::min<std::int64_t>(kQuadSpan, valid - off));
-    if (qvalid == kQuadSpan) {
-      detail::store_cols(c, dst + off);
-    } else {
-      detail::store_cols(c, pad.data());
-      std::copy(pad.begin(), pad.begin() + qvalid, dst + off);
+    if (qvalid != kQuadSpan) {
+      std::copy(pad.begin(), pad.begin() + qvalid, dst + quad(j));
     }
   }
 

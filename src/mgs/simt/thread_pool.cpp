@@ -1,5 +1,6 @@
 #include "mgs/simt/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
@@ -21,7 +22,8 @@ thread_local int t_slot = 0;
 int ThreadPool::current_slot() const { return t_pool == this ? t_slot : 0; }
 
 struct ThreadPool::Impl {
-  // Every run_ordered call installs a fresh Job object. Workers take a
+  // Every run_ordered call that wakes workers installs a fresh Job object
+  // (a job that wakes none stays private to the caller). Workers take a
   // shared_ptr to the job they saw, so a worker waking late (or stalled
   // between claiming and checking) can only ever touch *its* job's
   // counters: a stale worker draws an exhausted index from the old job
@@ -31,6 +33,7 @@ struct ThreadPool::Impl {
   struct Job {
     const std::function<void(std::int64_t)>* fn = nullptr;
     std::int64_t total = 0;
+    std::int64_t chunk = 1;  // indices per claim
     std::atomic<std::int64_t> next{0};
     std::atomic<std::int64_t> completed{0};
   };
@@ -61,26 +64,37 @@ struct ThreadPool::Impl {
     }
   }
 
+  // Claim chunks until the job is exhausted, running each chunk's indices
+  // in ascending order; the blocks this thread ran count towards
+  // completion once, after its last claim.
   void drain(Job& j) {
+    std::int64_t done = 0;
     for (;;) {
-      const std::int64_t i = j.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= j.total) break;
-      (*j.fn)(i);
-      if (j.completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          j.total) {
-        std::lock_guard<std::mutex> lock(mutex);
-        cv_done.notify_all();
-      }
+      const std::int64_t first =
+          j.next.fetch_add(j.chunk, std::memory_order_relaxed);
+      if (first >= j.total) break;
+      const std::int64_t last = std::min(first + j.chunk, j.total);
+      for (std::int64_t i = first; i < last; ++i) (*j.fn)(i);
+      done += last - first;
+    }
+    if (done > 0 &&
+        j.completed.fetch_add(done, std::memory_order_acq_rel) + done ==
+            j.total) {
+      std::lock_guard<std::mutex> lock(mutex);
+      cv_done.notify_all();
     }
   }
 };
 
-ThreadPool::ThreadPool(int workers) : impl_(new Impl) {
-  if (workers <= 0) {
-    workers = static_cast<int>(std::thread::hardware_concurrency());
-    if (workers <= 0) workers = 2;
-  }
-  workers_ = workers;
+ThreadPool::ThreadPool()
+    : ThreadPool([] {
+        // hardware_concurrency() is 0 when unknown: assume two cores.
+        const int cores = static_cast<int>(std::thread::hardware_concurrency());
+        return cores > 0 ? cores - 1 : 1;
+      }()) {}
+
+ThreadPool::ThreadPool(int workers) : impl_(new Impl), workers_(workers) {
+  MGS_CHECK(workers >= 0, "ThreadPool: negative worker count");
   impl_->threads.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     impl_->threads.emplace_back([this, i] {
@@ -108,19 +122,30 @@ void ThreadPool::run_ordered(std::int64_t n,
   auto job = std::make_shared<Impl::Job>();
   job->fn = &fn;  // valid until this call returns (we block on completion)
   job->total = n;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->job = job;
-    ++impl_->generation;
+  // About eight claims per thread: few enough that claims stay off the
+  // profile, enough that a thread finishing early finds more to take.
+  job->chunk = std::max<std::int64_t>(1, n / (8 * std::int64_t{slots()}));
+  const std::int64_t chunks = (n + job->chunk - 1) / job->chunk;
+  // The caller takes one chunk itself, so wake a worker per other chunk.
+  const int wake =
+      static_cast<int>(std::min<std::int64_t>(workers_, chunks - 1));
+  if (wake > 0) {
+    {
+      std::lock_guard<std::mutex> lock(impl_->mutex);
+      impl_->job = job;
+      ++impl_->generation;
+    }
+    for (int i = 0; i < wake; ++i) impl_->cv_work.notify_one();
   }
-  impl_->cv_work.notify_all();
-  // The calling thread participates too, so single-threaded environments
-  // still make progress and small launches avoid a context switch.
+  // The calling thread participates too, so a pool without workers still
+  // makes progress and small launches avoid a context switch.
   impl_->drain(*job);
-  std::unique_lock<std::mutex> lock(impl_->mutex);
-  impl_->cv_done.wait(lock, [&] {
-    return job->completed.load(std::memory_order_acquire) >= job->total;
-  });
+  if (job->completed.load(std::memory_order_acquire) < n) {
+    std::unique_lock<std::mutex> lock(impl_->mutex);
+    impl_->cv_done.wait(lock, [&] {
+      return job->completed.load(std::memory_order_acquire) >= n;
+    });
+  }
 }
 
 ThreadPool& ThreadPool::instance() {

@@ -6,6 +6,8 @@
 /// partials). Every primitive charges its lane-operations to a
 /// sim::KernelStats so the cost model sees the ALU work.
 
+#include <span>
+
 #include "mgs/sim/cost_model.hpp"
 #include "mgs/simt/types.hpp"
 
@@ -34,9 +36,11 @@ T shfl_idx(const WarpReg<T>& x, int src, sim::KernelStats& st) {
 
 /// One Kogge-Stone step out of place: lanes below D keep their value, lane
 /// l >= D combines op(x[l-D], x[l]). Split into two fixed-trip loops so the
-/// compiler vectorizes both.
+/// compiler vectorizes both; the two register files never overlap, and
+/// saying so (__restrict) lets it do that without a runtime overlap check
+/// when they are slots of one array.
 template <int D, typename T, typename Op>
-void ks_step(const WarpReg<T>& x, WarpReg<T>& y, Op op) {
+void ks_step(const T* __restrict x, T* __restrict y, Op op) {
   for (int l = 0; l < D; ++l) y[l] = x[l];
   for (int l = D; l < kWarpSize; ++l) y[l] = op(x[l - D], x[l]);
 }
@@ -48,12 +52,39 @@ template <typename T, typename Op>
 void lanes_scan_inclusive(WarpReg<T>& x, Op op) {
   static_assert(kWarpSize == 32, "five Kogge-Stone steps cover 32 lanes");
   WarpReg<T> y;
-  ks_step<1>(x, y, op);
-  ks_step<2>(y, x, op);
-  ks_step<4>(x, y, op);
-  ks_step<8>(y, x, op);
-  ks_step<16>(x, y, op);
+  ks_step<1>(x.data(), y.data(), op);
+  ks_step<2>(y.data(), x.data(), op);
+  ks_step<4>(x.data(), y.data(), op);
+  ks_step<8>(y.data(), x.data(), op);
+  ks_step<16>(x.data(), y.data(), op);
   x = y;
+}
+
+/// ks_step<D> from each register file of `from` into the same slot of `to`.
+template <int D, typename T, typename Op>
+void ks_steps(std::span<const WarpReg<T>> from, std::span<WarpReg<T>> to,
+              Op op) {
+  for (std::size_t w = 0; w < from.size(); ++w) {
+    ks_step<D>(from[w].data(), to[w].data(), op);
+  }
+}
+
+/// lanes_scan_inclusive of many warps' registers at once: out[w] becomes
+/// x[w] scanned, with the same op calls per warp. Each Kogge-Stone step
+/// runs over every warp before the next step starts, so a step reloads
+/// values stored a whole batch earlier rather than the vector stores just
+/// issued (a reload at an unaligned lane offset misses store-to-load
+/// forwarding and stalls). `tmp` is scratch; x is left as it was.
+template <typename T, typename Op>
+void lanes_scan_inclusive(std::span<const WarpReg<T>> x,
+                          std::span<WarpReg<T>> out, std::span<WarpReg<T>> tmp,
+                          Op op) {
+  static_assert(kWarpSize == 32, "five Kogge-Stone steps cover 32 lanes");
+  ks_steps<1, T>(x, out, op);
+  ks_steps<2, T>(out, tmp, op);
+  ks_steps<4, T>(tmp, out, op);
+  ks_steps<8, T>(out, tmp, op);
+  ks_steps<16, T>(tmp, out, op);
 }
 
 /// Inclusive Ladner-Fischer warp scan using log2(32) = 5 shuffle steps.

@@ -335,19 +335,67 @@ TEST(ThreadPool, RapidJobTurnoverNeverDoubleExecutes) {
   }
 }
 
+TEST(ThreadPool, ChunkedClaimsRunEveryIndexOnceInAscendingOrder) {
+  // Grid sizes on both sides of every chunk-size step (the chunk grows
+  // by one index every 8 * slots indices): every index runs exactly
+  // once, and each thread sees its indices in ascending order.
+  auto& pool = st::ThreadPool::instance();
+  const std::int64_t top = 3 * 8 * std::int64_t{pool.slots()} + 1;
+  for (std::int64_t n = 1; n <= top; ++n) {
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    std::vector<std::vector<std::int64_t>> seen(
+        static_cast<std::size_t>(pool.slots()));
+    pool.run_ordered(n, [&](std::int64_t i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+      seen[static_cast<std::size_t>(pool.current_slot())].push_back(i);
+    });
+    for (std::int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+          << "n=" << n << " i=" << i;
+    }
+    for (const auto& s : seen) {
+      ASSERT_TRUE(std::is_sorted(s.begin(), s.end())) << "n=" << n;
+    }
+  }
+}
+
 TEST(ThreadPool, OrderedClaimAllowsBackwardWaits) {
-  // Block i waits for block i-1's flag: must terminate at any pool size
-  // thanks to ascending-claim dispatch.
-  std::vector<std::atomic<int>> done(64);
-  st::ThreadPool::instance().run_ordered(64, [&](std::int64_t i) {
-    if (i > 0) {
-      while (done[static_cast<std::size_t>(i - 1)].load() == 0) {
+  // Block i waits for block i-1's flag, and the last block for block 0's
+  // too: must terminate at any pool size, oversubscribed included,
+  // because every lower block has been claimed by a running thread that
+  // runs its claims in ascending order.
+  st::ThreadPool oversubscribed(st::ThreadPool::instance().workers() + 3);
+  for (st::ThreadPool* pool : {&st::ThreadPool::instance(), &oversubscribed}) {
+    constexpr std::int64_t kBlocks = 4096;
+    std::vector<std::atomic<int>> done(kBlocks);
+    const auto wait_for = [&](std::int64_t j) {
+      while (done[static_cast<std::size_t>(j)].load() == 0) {
         std::this_thread::yield();
       }
-    }
-    done[static_cast<std::size_t>(i)].store(1);
+    };
+    pool->run_ordered(kBlocks, [&](std::int64_t i) {
+      if (i > 0) wait_for(i - 1);
+      if (i == kBlocks - 1) wait_for(0);
+      done[static_cast<std::size_t>(i)].store(1);
+    });
+    EXPECT_EQ(done[kBlocks - 1].load(), 1) << "workers=" << pool->workers();
+  }
+}
+
+TEST(ThreadPool, ZeroWorkersDrainOnTheCaller) {
+  st::ThreadPool pool(0);
+  EXPECT_EQ(pool.workers(), 0);
+  EXPECT_EQ(pool.slots(), 1);
+  const auto caller = std::this_thread::get_id();
+  std::vector<int> hits(1000, 0);
+  bool elsewhere = false;
+  pool.run_ordered(1000, [&](std::int64_t i) {
+    ++hits[static_cast<std::size_t>(i)];
+    elsewhere = elsewhere || pool.current_slot() != 0 ||
+                std::this_thread::get_id() != caller;
   });
-  EXPECT_EQ(done[63].load(), 1);
+  EXPECT_FALSE(elsewhere);
+  for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(Launch, GridIndexingAndClock) {

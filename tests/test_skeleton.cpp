@@ -462,6 +462,18 @@ mgs::sim::KernelStats run_block(st::Device& dev, int lx,
   return stats;
 }
 
+/// A non-associative, non-commutative operator: any regrouping, reordering
+/// or operand swap in a tile body changes the result, not just the ones
+/// that happen to perturb float rounding. 0 is only a left identity, so
+/// the bodies' identity operands must sit where the oracle's do too.
+struct LeftTriple {
+  using value_type = std::uint32_t;
+  static constexpr std::uint32_t identity() { return 0; }
+  constexpr std::uint32_t operator()(std::uint32_t a, std::uint32_t b) const {
+    return 3 * a + b;
+  }
+};
+
 /// Every (P, Lx, valid, kind) case of one (T, Op) cell against the oracle:
 /// reduce and scan totals and outputs bit for bit, all four counters.
 template <typename T, typename Op>
@@ -554,4 +566,5 @@ TEST(Skeleton, TileBodiesMatchTheWarpRegisterOracle) {
   check_dtype<std::uint32_t>("u32");
   check_dtype<float>("f32");
   check_dtype<double>("f64");
+  check_cell<std::uint32_t, LeftTriple>("u32/3a+b");
 }
