@@ -75,14 +75,14 @@ int main(int argc, char** argv) {
     plan.s13.k = 2;
     const auto batch_data =
         util::random_i32(static_cast<std::size_t>(nn * g), cfg.seed + 1);
+    std::vector<int> out(batch_data.size());
     auto c1 = topo::tsubame_kfc_cluster(1);
-    auto b1 = core::distribute_batch<int>(c1, gpus, batch_data, nn, g);
-    const auto regular = core::scan_mps<int>(c1, gpus, b1, nn, g, plan,
-                                             core::ScanKind::kInclusive);
+    const auto regular = core::scan_mps<int>(c1, gpus, batch_data, out, nn, g,
+                                             plan, core::ScanKind::kInclusive);
     auto c2 = topo::tsubame_kfc_cluster(1);
-    auto b2 = core::distribute_batch<int>(c2, gpus, batch_data, nn, g);
-    const auto direct = core::scan_mps_direct<int>(
-        c2, gpus, b2, nn, g, plan, core::ScanKind::kInclusive);
+    const auto direct = core::scan_mps<int>(
+        c2, gpus, batch_data, out, nn, g, plan, core::ScanKind::kInclusive, {},
+        core::MpsGather::kPeerWrites);
     std::printf(
         "\n(d) Gather strategy (W=4, G=%lld, n=%lld): explicit 2-D copies "
         "%s vs direct P2P peer writes %s (%.2fx)\n",

@@ -214,8 +214,8 @@ inline core::RunResult mppc_run(int y, int v, std::span<const int> data,
                                 const core::ScanPlan& plan) {
   auto cluster = topo::tsubame_kfc_cluster(1);
   const auto part = core::make_mppc_partition(cluster, y, v, g);
-  auto batches = core::distribute_mppc<int>(cluster, part, data, n);
-  return core::scan_mppc<int>(cluster, part, batches, n, plan,
+  std::vector<int> out(static_cast<std::size_t>(n * g));
+  return core::scan_mppc<int>(cluster, part, data, out, n, plan,
                               core::ScanKind::kInclusive);
 }
 
@@ -242,10 +242,10 @@ inline core::RunResult multinode_run(int m, int w, std::span<const int> data,
       ids.push_back(cluster.global_id(node, i / 4, i % 4));
     }
   }
-  msg::Communicator comm(cluster, ids);
-  auto batches = core::distribute_batch<int>(cluster, ids, data, n, g);
-  return core::scan_mps_multinode<int>(comm, batches, n, g, plan,
-                                       core::ScanKind::kInclusive);
+  std::vector<int> out(static_cast<std::size_t>(n * g));
+  return core::scan_mps<int>(cluster, ids, data, out, n, g, plan,
+                             core::ScanKind::kInclusive, {},
+                             core::MpsGather::kMpi);
 }
 
 /// Throughput in GB/s for a run of `elems` total elements (in+out bytes).
@@ -258,7 +258,8 @@ inline double gbps(std::int64_t elems, double seconds, int elem_bytes = 4) {
 /// ScanContext (shared plan cache + workspace pool) and one executor per
 /// (proposal, placement) pair, reused across every data point of a sweep.
 /// This is the production calling convention. The *_run free functions
-/// above run plans the executors cannot: the executors plan through
+/// above call the proposals' span entries (scan_sp, scan_mps, scan_mppc)
+/// directly, to run plans the executors cannot: the executors plan through
 /// ScanContext::plan_for, while the Section 3.2 and multi-node K searches,
 /// Figure 10's per-group plan and the ablations' pinned plans come from
 /// elsewhere.

@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
   plan.s13.k = 4;
   const auto part = core::make_mppc_partition(
       cluster, std::min(cfg.networks_per_node, 2), cfg.gpus_per_network, g);
-  auto batches = core::distribute_mppc<int>(cluster, part, data, n);
-  const auto r = core::scan_mppc<int>(cluster, part, batches, n, plan,
+  std::vector<int> out(data.size());
+  const auto r = core::scan_mppc<int>(cluster, part, data, out, n, plan,
                                       core::ScanKind::kInclusive);
 
   std::printf("\nTraced Scan-MP-PC run (N=%lld, G=%lld): %s, %.2f GB/s\n",

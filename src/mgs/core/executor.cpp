@@ -20,15 +20,10 @@ std::unique_ptr<ScanExecutor> make(const char* name, ScanContext& ctx,
                                    const ExecutorParams& p, DType dtype,
                                    OpTag op) {
   return detail::make_placed_executor(name, ctx, p,
-                                      detail::make_data_path(dtype, op));
+                                      kPathTable.at(dtype, op)());
 }
 
 }  // namespace
-
-std::unique_ptr<detail::DataPath> detail::make_data_path(DType dtype,
-                                                         OpTag op) {
-  return kPathTable.at(dtype, op)();
-}
 
 // The factories: the one runtime dispatch, (dtype, op) -> monomorphic
 // data path under a type-free proposal executor.

@@ -33,29 +33,28 @@ class TypedPath final : public DataPath {
   }
 
   RunResult scan_sp(const Call& c, int device) override {
-    auto b = borrow(c, {device}, 0, c.g);
-    return core::scan_sp<T, Op>(c.ctx.cluster().device(device), b[0].in,
-                                b[0].out, c.n, c.g, c.plan, c.kind, Op{},
-                                &c.ctx.workspace());
+    const auto in = c.in.template as<T>();
+    // Read-only by contract: the kernels only ever store through `out`.
+    const auto src = simt::DeviceBuffer<T>::borrow(
+        std::span<T>(const_cast<T*>(in.data()), in.size()), device);
+    auto dst = simt::DeviceBuffer<T>::borrow(c.out.template as<T>(), device);
+    return core::scan_sp<T, Op>(c.ctx.cluster().device(device), src, dst, c.n,
+                                c.g, c.plan, c.kind, Op{}, &c.ctx.workspace());
   }
 
   RunResult scan_mps(const Call& c, const std::vector<int>& gpus,
                      MpsGather gather, MpsProgress& ck) override {
-    auto b = borrow(c, gpus, 0, c.g);
-    return run_mps<T, Op>(c.ctx.cluster(), gpus, b, c.n, c.g, c.plan, c.kind,
-                          Op{}, &c.ctx.workspace(),
-                          static_cast<MpsCheckpoint<T>&>(ck), gather);
+    return core::scan_mps<T, Op>(c.ctx.cluster(), gpus, c.in.template as<T>(),
+                                 c.out.template as<T>(), c.n, c.g, c.plan,
+                                 c.kind, Op{}, gather, &c.ctx.workspace(),
+                                 &static_cast<MpsCheckpoint<T>&>(ck));
   }
 
   RunResult scan_mppc(const Call& c, const MppcPartition& part,
                       MpsProgress& ck) override {
-    std::vector<std::vector<GpuBatch<T>>> batches;
-    for (std::size_t grp = 0; grp < part.groups.size(); ++grp) {
-      batches.push_back(borrow(c, part.groups[grp], part.g_offset[grp],
-                               part.g_of_group[grp]));
-    }
-    return core::scan_mppc<T, Op>(c.ctx.cluster(), part, batches, c.n,
-                                  c.plan, c.kind, Op{}, &c.ctx.workspace(),
+    return core::scan_mppc<T, Op>(c.ctx.cluster(), part, c.in.template as<T>(),
+                                  c.out.template as<T>(), c.n, c.plan, c.kind,
+                                  Op{}, &c.ctx.workspace(),
                                   &static_cast<MpsCheckpoint<T>&>(ck));
   }
 
@@ -85,19 +84,6 @@ class TypedPath final : public DataPath {
   }
 
  private:
-  /// Problems [g0, g0+g) of the call's spans, portion d borrowed as
-  /// memory of gpus[d].
-  static std::vector<GpuBatch<T>> borrow(const Call& c,
-                                         const std::vector<int>& gpus,
-                                         std::int64_t g0, std::int64_t g) {
-    const auto rows = [&](auto span) {
-      return span.subspan(static_cast<std::size_t>(g0 * c.n),
-                          static_cast<std::size_t>(g * c.n));
-    };
-    return borrow_batch<T>(gpus, rows(c.in.template as<T>()),
-                           rows(c.out.template as<T>()), c.n, g);
-  }
-
   std::vector<T> snapshot_;  ///< reused across calls
 };
 

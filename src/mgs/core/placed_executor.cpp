@@ -65,13 +65,6 @@ int blame_endpoint(sim::FaultInjector& fi, int src_dev, int dst_dev,
   return dead;
 }
 
-/// Whether the first `bytes` of two host ranges share memory.
-bool overlaps(const void* a, const void* b, std::size_t bytes) {
-  const auto x = reinterpret_cast<std::uintptr_t>(a);
-  const auto y = reinterpret_cast<std::uintptr_t>(b);
-  return x < y + bytes && y < x + bytes;
-}
-
 /// Fold a mid-run recovery into a run's fault report, which so far only
 /// reflects the prepare-time placement.
 void merge_mid_run_losses(sim::FaultReport& f, const std::string& executor,

@@ -20,8 +20,8 @@ namespace mgs::core::detail {
 
 /// The typed half of an executor. Every scan call borrows the caller's
 /// spans where they lie: portion d of each problem is viewed as memory of
-/// the d-th GPU of the placement (GpuBatch with the caller's row pitch N),
-/// so the kernels read `in` and write `out` directly, with no staging
+/// the d-th GPU of the placement with the caller's row pitch N, so the
+/// kernels read `in` and write `out` directly, with no staging
 /// copy in either direction. Device memory for those portions is
 /// reserved, not allocated, by the type-free executor at prepare().
 class DataPath {
@@ -77,9 +77,6 @@ class DataPath {
   virtual void move_master(ScanContext& ctx, MpsProgress& ck, int device,
                            std::int64_t aux_all_elems, std::int64_t g) = 0;
 };
-
-/// The data path of the (dtype, op) cell, from the scalar dispatch table.
-std::unique_ptr<DataPath> make_data_path(DType dtype, OpTag op);
 
 /// The proposal called `name` in the registry over `path`'s cell. Throws
 /// util::Error for an unknown name.

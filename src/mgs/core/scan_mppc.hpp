@@ -74,55 +74,25 @@ inline MppcPartition make_mppc_partition(const topo::Cluster& cluster, int y,
   return make_mppc_partition(nets, v, g);
 }
 
-/// Place host data for every group (untimed; see distribute_batch).
-template <typename T>
-std::vector<std::vector<GpuBatch<T>>> distribute_mppc(
-    topo::Cluster& cluster, const MppcPartition& part,
-    std::span<const T> host, std::int64_t n) {
-  std::vector<std::vector<GpuBatch<T>>> all;
-  all.reserve(part.groups.size());
-  for (std::size_t grp = 0; grp < part.groups.size(); ++grp) {
-    const std::int64_t first = part.g_offset[grp] * n;
-    all.push_back(distribute_batch<T>(
-        cluster, part.groups[grp],
-        host.subspan(static_cast<std::size_t>(first),
-                     static_cast<std::size_t>(part.g_of_group[grp] * n)),
-        n, part.g_of_group[grp]));
-  }
-  return all;
-}
-
-/// Reassemble all groups' outputs into one host vector (untimed).
-template <typename T>
-std::vector<T> collect_mppc(const MppcPartition& part,
-                            const std::vector<std::vector<GpuBatch<T>>>& all,
-                            std::int64_t n) {
-  std::int64_t g_total = 0;
-  for (auto s : part.g_of_group) g_total += s;
-  std::vector<T> host(static_cast<std::size_t>(n * g_total));
-  for (std::size_t grp = 0; grp < part.groups.size(); ++grp) {
-    const auto sub = collect_batch(all[grp], n, part.g_of_group[grp]);
-    std::copy(sub.begin(), sub.end(),
-              host.begin() + static_cast<std::ptrdiff_t>(part.g_offset[grp] * n));
-  }
-  return host;
-}
-
-/// Run Scan-MP-PC: every group runs the MPS pipeline on its own problems
-/// concurrently (disjoint devices, independent simulated clocks). The
-/// result is the makespan across groups; the breakdown reported is the
-/// slowest group's (groups are symmetric up to a +-1 problem imbalance).
-/// The groups' scans run one after another through one checkpoint (`ck`,
-/// when given), whose counters sum every group's -- and, across a
-/// restart, every aborted attempt's.
+/// Run Scan-MP-PC over the caller's G problems of N elements: group k
+/// scans problems [g_offset[k], +g_of_group[k]) of `in` into `out` where
+/// they lie, as Scan-MPS over its GPUs (see scan_mps; `out` may be `in`
+/// itself but must not overlap it otherwise). Every group runs the MPS
+/// pipeline on its own problems concurrently (disjoint devices,
+/// independent simulated clocks). The result is the makespan across
+/// groups; the breakdown reported is the slowest group's (groups are
+/// symmetric up to a +-1 problem imbalance). The groups' scans run one
+/// after another through one checkpoint (`ck`, when given), whose counters
+/// sum every group's -- and, across a restart, every aborted attempt's.
 template <typename T, typename Op = Plus<T>>
 RunResult scan_mppc(topo::Cluster& cluster, const MppcPartition& part,
-                    std::vector<std::vector<GpuBatch<T>>>& batches,
-                    std::int64_t n, const ScanPlan& plan, ScanKind kind,
-                    Op op = {}, WorkspacePool* ws = nullptr,
+                    std::span<const T> in, std::span<T> out, std::int64_t n,
+                    const ScanPlan& plan, ScanKind kind, Op op = {},
+                    WorkspacePool* ws = nullptr,
                     MpsCheckpoint<T>* ck = nullptr) {
-  MGS_REQUIRE(batches.size() == part.groups.size(),
-              "scan_mppc: one batch set per group required");
+  MGS_REQUIRE(!part.groups.empty(), "scan_mppc: empty partition");
+  detail::require_rows<T>(in, out,
+                          n * (part.g_offset.back() + part.g_of_group.back()));
   MpsCheckpoint<T> local_ck;
   MpsCheckpoint<T>& c = ck != nullptr ? *ck : local_ck;
   RunResult result;
@@ -140,9 +110,13 @@ RunResult scan_mppc(topo::Cluster& cluster, const MppcPartition& part,
       group_stage = obs::open_stage(
           ("group" + std::to_string(grp)).c_str(), group_t0);
     }
-    RunResult r =
-        scan_mps(cluster, part.groups[grp], batches[grp], n,
-                 part.g_of_group[grp], plan, kind, op, ws, &c);
+    const auto rows = [&](auto span) {
+      return span.subspan(static_cast<std::size_t>(part.g_offset[grp] * n),
+                          static_cast<std::size_t>(part.g_of_group[grp] * n));
+    };
+    RunResult r = scan_mps<T, Op>(cluster, part.groups[grp], rows(in),
+                                  rows(out), n, part.g_of_group[grp], plan,
+                                  kind, op, MpsGather::kCopies, ws, &c);
     group_stage.close(group_t0 + r.seconds);
     result.payload_bytes += r.payload_bytes;
     if (r.seconds > worst) {

@@ -6,9 +6,12 @@
 /// GPU for Stage 2, and the scanned prefixes return for Stage 3. The
 /// multi-node proposal (Section 4.1's multi-node paragraph) is the same
 /// schedule over one MPI rank per GPU, the reductions travelling by MPI.
+/// Every form scans the caller's spans where they lie.
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,115 +24,6 @@
 #include "mgs/topo/transfer.hpp"
 
 namespace mgs::core {
-
-/// Per-GPU problem portions: `in`/`out` hold G portions of n_local
-/// elements, portion g at offset g*pitch. distribute_batch copies them into
-/// packed device allocations (pitch = n_local); borrow_batch views the
-/// caller's rows where they lie (pitch = N).
-template <typename T>
-struct GpuBatch {
-  simt::DeviceBuffer<T> in;
-  simt::DeviceBuffer<T> out;
-  std::int64_t pitch = 0;  ///< elements between portions; 0 = n_local
-};
-
-/// G host-resident problems of N elements split across `gpus` without a
-/// copy: portion d of problem g is elements [g*N + d*N/W, +N/W) of `in`
-/// and `out`, borrowed as memory of gpus[d]. Untimed, like placement: the
-/// paper's evaluation starts with data already in GPU memory. The spans
-/// must outlive the batches; `out` may be `in` itself (an in-place scan)
-/// but must not overlap it otherwise.
-template <typename T>
-std::vector<GpuBatch<T>> borrow_batch(const std::vector<int>& gpus,
-                                      std::span<const T> in,
-                                      std::span<T> out, std::int64_t n,
-                                      std::int64_t g) {
-  const auto w = static_cast<std::int64_t>(gpus.size());
-  MGS_REQUIRE(w > 0 && n % w == 0,
-              "borrow_batch: N must be divisible by W");
-  MGS_REQUIRE(static_cast<std::int64_t>(in.size()) >= n * g &&
-                  static_cast<std::int64_t>(out.size()) >= n * g,
-              "borrow_batch: spans must hold N*G elements");
-  const std::int64_t n_local = n / w;
-  const auto extent = static_cast<std::size_t>((g - 1) * n + n_local);
-  // Read-only by contract: the kernels only ever store through `out`.
-  const std::span<T> src(const_cast<T*>(in.data()), in.size());
-  std::vector<GpuBatch<T>> batches;
-  batches.reserve(gpus.size());
-  for (std::int64_t d = 0; d < w; ++d) {
-    const auto off = static_cast<std::size_t>(d * n_local);
-    const int dev = gpus[static_cast<std::size_t>(d)];
-    batches.push_back(GpuBatch<T>{
-        simt::DeviceBuffer<T>::borrow(src.subspan(off, extent), dev),
-        simt::DeviceBuffer<T>::borrow(out.subspan(off, extent), dev), n});
-  }
-  return batches;
-}
-
-/// Split G host-resident problems of N elements across `gpus` (portion d
-/// of each problem to gpus[d]), copied into packed device allocations with
-/// matching outputs. Placement is untimed: the paper's evaluation starts
-/// with data already in GPU memory.
-template <typename T>
-std::vector<GpuBatch<T>> distribute_batch(topo::Cluster& cluster,
-                                          const std::vector<int>& gpus,
-                                          std::span<const T> host,
-                                          std::int64_t n, std::int64_t g) {
-  const int w = static_cast<int>(gpus.size());
-  MGS_REQUIRE(w > 0, "distribute_batch: need at least one GPU");
-  MGS_REQUIRE(n % w == 0, "distribute_batch: N must be divisible by W");
-  MGS_REQUIRE(static_cast<std::int64_t>(host.size()) >= n * g,
-              "distribute_batch: host data too small");
-  const std::int64_t n_local = n / w;
-  std::vector<GpuBatch<T>> batches;
-  batches.reserve(static_cast<std::size_t>(w));
-  for (int d = 0; d < w; ++d) {
-    simt::Device& dev = cluster.device(gpus[static_cast<std::size_t>(d)]);
-    GpuBatch<T> b{dev.template alloc<T>(n_local * g),
-                  dev.template alloc<T>(n_local * g), n_local};
-    auto dst = b.in.host_span();
-    for (std::int64_t gg = 0; gg < g; ++gg) {
-      const auto row = host.begin() + (gg * n + d * n_local);
-      std::copy(row, row + n_local, dst.begin() + gg * n_local);
-    }
-    batches.push_back(std::move(b));
-  }
-  return batches;
-}
-
-/// Reassemble the scanned problems from the per-GPU outputs (untimed).
-template <typename T>
-std::vector<T> collect_batch(const std::vector<GpuBatch<T>>& batches,
-                             std::int64_t n, std::int64_t g) {
-  const int w = static_cast<int>(batches.size());
-  MGS_REQUIRE(w > 0 && n % w == 0, "collect_batch: bad shape");
-  const std::int64_t n_local = n / w;
-  std::vector<T> host(static_cast<std::size_t>(n * g));
-  for (int d = 0; d < w; ++d) {
-    const GpuBatch<T>& b = batches[static_cast<std::size_t>(d)];
-    const std::int64_t pitch = b.pitch == 0 ? n_local : b.pitch;
-    const auto src = b.out.host_span();
-    for (std::int64_t gg = 0; gg < g; ++gg) {
-      const auto row = src.begin() + gg * pitch;
-      std::copy(row, row + n_local, host.begin() + (gg * n + d * n_local));
-    }
-  }
-  return host;
-}
-
-namespace detail {
-
-/// The row pitch every batch of one run shares (0 = packed).
-template <typename T>
-std::int64_t batch_pitch(const std::vector<GpuBatch<T>>& batches) {
-  const std::int64_t pitch = batches.empty() ? 0 : batches.front().pitch;
-  for (const GpuBatch<T>& b : batches) {
-    MGS_REQUIRE(b.pitch == pitch, "scan: batches must share one row pitch");
-  }
-  return pitch;
-}
-
-}  // namespace detail
 
 /// Whether Scan-MPS runs its joined schedule -- one wave, every copy on
 /// the compute engine, a barrier at each stage boundary and one
@@ -216,13 +110,36 @@ struct MpsCheckpoint : MpsProgress {
   WorkspacePool::Handle<T> carry;    ///< overlapped: per-row Stage-2 carry
 };
 
-namespace detail {
-
 /// How the chunk reductions reach the master and the scanned prefixes
 /// return: explicit strided copies after Stage 1, UVA peer stores from
 /// inside the Stage-1 kernel (Scan-MPS-direct; prefixes return by copy),
 /// or MPI messages between one rank per GPU (the multi-node proposal).
 enum class MpsGather { kCopies, kPeerWrites, kMpi };
+
+namespace detail {
+
+/// Whether the first `bytes` of two host ranges share memory.
+inline bool overlaps(const void* a, const void* b, std::size_t bytes) {
+  const auto x = reinterpret_cast<std::uintptr_t>(a);
+  const auto y = reinterpret_cast<std::uintptr_t>(b);
+  return x < y + bytes && y < x + bytes;
+}
+
+/// The caller's G problems of N elements: both spans hold N*G elements,
+/// and `out` is either `in` itself (an in-place scan) or shares none of
+/// its memory -- a partial overlap would overwrite input rows before the
+/// scan reads them.
+template <typename T>
+void require_rows(std::span<const T> in, std::span<const T> out,
+                  std::int64_t elems) {
+  MGS_REQUIRE(static_cast<std::int64_t>(in.size()) >= elems &&
+                  static_cast<std::int64_t>(out.size()) >= elems,
+              "scan: spans must hold N*G elements");
+  MGS_REQUIRE(in.data() == out.data() ||
+                  !overlaps(in.data(), out.data(),
+                            static_cast<std::size_t>(elems) * sizeof(T)),
+              "scan: out must be in itself or not overlap it");
+}
 
 /// Stage 1 of Scan-MPS-direct for portion `d` on `dev`: the chunk
 /// reductions are stored straight into the master's combined array
@@ -284,18 +201,31 @@ void reduce_into_master(topo::Cluster& cluster, topo::TransferEngine& xfer,
   }
 }
 
-/// The one Scan-MPS schedule (Section 4.1): Stage 1 -> gather the chunk
-/// reductions to the master -> Stage 2 on the master -> scatter the
-/// scanned prefixes back -> Stage 3, over (wave, device) cells that
-/// record their progress in `c`, so a resume skips every cell whose data
-/// survived. The gather modes differ only in the transport, which is
-/// fixed once at entry: how a cell moves, where it lives in the master's
-/// combined array, and which Stage-2 launcher scans it.
+}  // namespace detail
+
+/// Scan-MPS (Section 4.1) over `gpus`, gpus[0] the master: G problems of
+/// N elements in the caller's `in` and `out`, portion d of problem g
+/// (elements [g*N + d*N/W, +N/W)) borrowed in place as memory of gpus[d].
+/// Placement is untimed: the paper's evaluation starts with data already
+/// in GPU memory. `out` may be `in` itself (an in-place scan) but must not
+/// overlap it otherwise. Returns the simulated makespan across the
+/// participating GPUs plus the stage breakdown. When `ws` is given, the
+/// auxiliary arrays are leased from it instead of allocated per call;
+/// `ck`, when given, carries the progress a resume continues from.
+///
+/// The one schedule: Stage 1 -> gather the chunk reductions to the master
+/// -> Stage 2 on the master -> scatter the scanned prefixes back -> Stage
+/// 3, over (wave, device) cells that record their progress in the
+/// checkpoint, so a resume skips every cell whose data survived. The
+/// gather modes differ only in the transport, which is fixed once at
+/// entry: how a cell moves, where it lives in the master's combined
+/// array, and which Stage-2 launcher scans it.
 ///
 /// On the joined schedule (mps_joined) the cells are one wave, every
 /// cell moves on the compute engine and every stage boundary is a barrier
 /// cut on the compute front; the breakdown is Stage1 / AuxGather / Stage2
-/// / AuxScatter / Stage3. Peer writes replace Stage1 + AuxGather with
+/// / AuxScatter / Stage3. Peer writes (Scan-MPS-direct: every GPU must
+/// share the master's PCIe network) replace Stage1 + AuxGather with
 /// Stage1+P2PWrites; MPI moves all cells in one MPI_Gather and one
 /// MPI_Scatter collective, named as such.
 ///
@@ -311,30 +241,45 @@ void reduce_into_master(topo::Cluster& cluster, topo::TransferEngine& xfer,
 /// that is the overlap -- and the critical-path analyzer clips leaf spans
 /// by time.
 ///
-/// MPI runs one rank per GPU (gpus must be distinct) and brackets the
-/// stages with MPI_Barrier (the EntryBarrier and ExitBarrier spans),
-/// charging both dwells to one trailing MPI_Barrier entry.
+/// MPI (the multi-node proposal: Figures 13-14) runs one rank per GPU,
+/// rank d on gpus[d] (gpus must be distinct), over its own communicator,
+/// and brackets the stages with MPI_Barrier (the EntryBarrier and
+/// ExitBarrier spans), charging both dwells to one trailing MPI_Barrier
+/// entry.
 ///
 /// Either way the master applies the operator per row in ascending device
 /// order on its in-order compute engine, so results are bit-identical
 /// across schedules and transports, and across healthy and resumed runs;
 /// the breakdown entries are cut at the stage-span boundaries and sum to
 /// result.seconds.
-template <typename T, typename Op>
-RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
-                  std::vector<GpuBatch<T>>& batches, std::int64_t n,
-                  std::int64_t g, const ScanPlan& plan, ScanKind kind, Op op,
-                  WorkspacePool* ws, MpsCheckpoint<T>& c, MpsGather gather) {
+template <typename T, typename Op = Plus<T>>
+RunResult scan_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
+                   std::span<const T> in, std::span<T> out, std::int64_t n,
+                   std::int64_t g, const ScanPlan& plan, ScanKind kind,
+                   Op op = {}, MpsGather gather = MpsGather::kCopies,
+                   WorkspacePool* ws = nullptr,
+                   MpsCheckpoint<T>* ck = nullptr) {
+  MpsCheckpoint<T> local_ck;
+  MpsCheckpoint<T>& c = ck != nullptr ? *ck : local_ck;
   plan.validate();
   const int w = static_cast<int>(gpus.size());
-  MGS_REQUIRE(w > 0 && static_cast<int>(batches.size()) == w,
-              "scan_mps: one batch per GPU required");
+  MGS_REQUIRE(w > 0, "scan_mps: need at least one GPU");
   MGS_REQUIRE(n % w == 0, "scan_mps: N must be divisible by W");
   const std::int64_t n_local = n / w;
-  const BatchLayout lay =
-      make_layout(n_local, g, plan.s13, batch_pitch(batches));
+  const BatchLayout lay = make_layout(n_local, g, plan.s13, n);
   MGS_REQUIRE(lay.bx >= 1,
               "scan_mps: every GPU needs at least one chunk (Equation 2)");
+  detail::require_rows<T>(in, out, n * g);
+  // Portion d of every problem, viewed where it lies as memory of gpus[d]
+  // (row pitch N). Read-only through `in` by contract: the kernels only
+  // ever store through `out`.
+  const std::span<T> src(const_cast<T*>(in.data()), in.size());
+  const auto portion = [&](std::span<T> rows, int d) {
+    return simt::DeviceBuffer<T>::borrow(
+        rows.subspan(static_cast<std::size_t>(d * n_local),
+                     static_cast<std::size_t>(lay.extent())),
+        gpus[static_cast<std::size_t>(d)]);
+  };
   const bool peer = gather == MpsGather::kPeerWrites;
   const bool mpi = gather == MpsGather::kMpi;
   const bool joined = mps_joined(plan, w, peer);
@@ -352,8 +297,8 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
       const auto link = cluster.link_between(master, d);
       MGS_REQUIRE(
           link == topo::LinkType::kSelf || link == topo::LinkType::kP2P,
-          "scan_mps_direct: all GPUs must share the master's PCIe network "
-          "(peer access)");
+          "scan_mps: peer writes need every GPU on the master's PCIe "
+          "network");
     }
   }
 
@@ -538,16 +483,17 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
         for (int d = 0; d < w; ++d) {
           if (c.s1_done[static_cast<std::size_t>(d)] != 0) continue;
           simt::Stream s(cluster.device(gpus[static_cast<std::size_t>(d)]));
-          const auto& in = batches[static_cast<std::size_t>(d)].in;
+          const auto in_d = portion(src, d);
           if (peer) {
-            reduce_into_master(cluster, xfer, s.device(), master, in,
-                               c.aux_all.buffer(), lay, w, d, plan.s13, op);
+            detail::reduce_into_master(cluster, xfer, s.device(), master,
+                                       in_d, c.aux_all.buffer(), lay, w, d,
+                                       plan.s13, op);
             c.gathered[cell(0, d)] = 1;
           } else {
             for (int v = 0; v < k; ++v) {
               const std::int64_t g0 = wave_begin(v);
               launch_chunk_reduce(
-                  s.device(), in,
+                  s.device(), in_d,
                   c.aux_local[static_cast<std::size_t>(d)].buffer(), lay,
                   plan.s13, op, g0, wave_begin(v + 1) - g0);
               c.ev_s1[cell(v, d)] = s.record();
@@ -623,11 +569,12 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
     stage("Stage3", -1, [&] {
       for (int d = 0; d < w; ++d) {
         simt::Stream s(cluster.device(gpus[static_cast<std::size_t>(d)]));
+        const auto in_d = portion(src, d);
+        auto out_d = portion(out, d);
         for (int v = 0; v < k; ++v) {
           const std::int64_t g0 = wave_begin(v);
           s.wait(c.ev_scatter[cell(v, d)]);
-          launch_scan_add(s.device(), batches[static_cast<std::size_t>(d)].in,
-                          batches[static_cast<std::size_t>(d)].out,
+          launch_scan_add(s.device(), in_d, out_d,
                           c.prefix_local[static_cast<std::size_t>(d)].buffer(),
                           lay, plan.s13, kind, op, g0, wave_begin(v + 1) - g0);
         }
@@ -659,67 +606,6 @@ RunResult run_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
   result.faults.counters = c.counters;
   result.faults.resumed_stages = c.resumed_stages;
   return result;
-}
-
-}  // namespace detail
-
-/// Run Scan-MPS over `gpus` (gpus[0] is the master). Batches hold portion
-/// d on gpus[d] (distribute_batch or borrow_batch). Returns the simulated makespan across the
-/// participating GPUs plus the phase breakdown. When `ws` is given, the
-/// auxiliary arrays are leased from it instead of allocated per call.
-/// plan.pipe selects the joined or the overlapped schedule (see
-/// detail::run_mps); results are bit-identical either way. `ck`, when
-/// given, carries the progress a resume continues from.
-template <typename T, typename Op = Plus<T>>
-RunResult scan_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
-                   std::vector<GpuBatch<T>>& batches, std::int64_t n,
-                   std::int64_t g, const ScanPlan& plan, ScanKind kind,
-                   Op op = {}, WorkspacePool* ws = nullptr,
-                   MpsCheckpoint<T>* ck = nullptr) {
-  MpsCheckpoint<T> local_ck;
-  return detail::run_mps(cluster, gpus, batches, n, g, plan, kind, op, ws,
-                         ck != nullptr ? *ck : local_ck,
-                         detail::MpsGather::kCopies);
-}
-
-/// Scan-MPS variant with direct peer writes: when every participating GPU
-/// shares a PCIe network with the master, Stage 1 writes its chunk
-/// reductions straight into the master's combined auxiliary array through
-/// UVA peer access, eliminating the separate gather step. Always runs the
-/// joined schedule.
-///
-/// Requires all GPUs on one PCIe network (throws util::Error otherwise);
-/// the scatter-back still uses explicit copies (Stage 3 needs the data
-/// resident before it starts).
-template <typename T, typename Op = Plus<T>>
-RunResult scan_mps_direct(topo::Cluster& cluster, const std::vector<int>& gpus,
-                          std::vector<GpuBatch<T>>& batches, std::int64_t n,
-                          std::int64_t g, const ScanPlan& plan, ScanKind kind,
-                          Op op = {}, WorkspacePool* ws = nullptr) {
-  MpsCheckpoint<T> ck;
-  return detail::run_mps(cluster, gpus, batches, n, g, plan, kind, op, ws, ck,
-                         detail::MpsGather::kPeerWrites);
-}
-
-/// Multi-node Scan-MPS (Section 4.1, multi-node paragraph): Scan-MPS over
-/// the ranks of `comm`, one MPI rank per GPU across M nodes, rank r
-/// scanning `batches[r]` (distribute_batch or borrow_batch over the
-/// ranks' devices). The chunk reductions travel to rank 0 by MPI_Gather
-/// (or per-(wave, rank) MPI_Isends when overlapped), Stage 2 runs on the
-/// master over the rank-major layout, the prefixes return by MPI_Scatter
-/// (or Isends), and barriers bracket the pipeline: the data behind
-/// Figure 14. The run uses its own communicator over the same ranks.
-template <typename T, typename Op = Plus<T>>
-RunResult scan_mps_multinode(msg::Communicator& comm,
-                             std::vector<GpuBatch<T>>& batches,
-                             std::int64_t n, std::int64_t g,
-                             const ScanPlan& plan, ScanKind kind, Op op = {},
-                             WorkspacePool* ws = nullptr) {
-  std::vector<int> ranks;
-  for (int r = 0; r < comm.size(); ++r) ranks.push_back(comm.device_of(r));
-  MpsCheckpoint<T> ck;
-  return detail::run_mps(comm.cluster(), ranks, batches, n, g, plan, kind, op,
-                         ws, ck, detail::MpsGather::kMpi);
 }
 
 }  // namespace mgs::core

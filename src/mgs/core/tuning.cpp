@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "mgs/core/placed_executor.hpp"
-#include "mgs/core/scan_context.hpp"
+#include "mgs/core/scan_mps.hpp"
 #include "mgs/core/scan_sp.hpp"
 #include "mgs/core/segmented.hpp"
 #include "mgs/obs/span.hpp"
@@ -258,7 +257,6 @@ ScanPlan multinode_k_search(const topo::ClusterConfig& config, int m, int w,
   topo::ClusterConfig shape = config;
   shape.nodes = m;
   topo::Cluster cluster(shape);
-  ScanContext ctx(cluster);
   std::vector<int> ranks;
   for (int node = 0; node < m; ++node) {
     for (int i = 0; i < w; ++i) {
@@ -272,18 +270,17 @@ ScanPlan multinode_k_search(const topo::ClusterConfig& config, int m, int w,
   const auto k_eq2 = static_cast<int>(util::floor_pow2(
       static_cast<std::uint64_t>(k1_max_gpus(n, plan.s13, gpus))));
 
-  // The i32/plus data path the executors run, over zero-filled rows.
-  const auto path = detail::make_data_path(DType::kI32, OpTag::kPlus);
+  // The i32/plus MPI Scan-MPS the executors run, over zero-filled rows,
+  // its workspace kept across the probes.
   const std::vector<std::int32_t> in(static_cast<std::size_t>(n * g));
   std::vector<std::int32_t> out(in.size());
+  WorkspacePool ws;
   const auto measure = [&](const ScanPlan& p) {
     cluster.reset_clocks();
-    const auto ck = path->checkpoint();
-    const detail::DataPath::Call call{
-        ctx, p, ConstTypedSpan::of(std::span<const std::int32_t>(in)),
-        TypedSpan::of(std::span<std::int32_t>(out)), n, g,
-        ScanKind::kInclusive};
-    return path->scan_mps(call, ranks, detail::MpsGather::kMpi, *ck).seconds;
+    return scan_mps<std::int32_t>(cluster, ranks, in, out, n, g, p,
+                                  ScanKind::kInclusive, {}, MpsGather::kMpi,
+                                  &ws)
+        .seconds;
   };
 
   // Coarse x4 pass, then a x2 refinement around the winner (the measured

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "mgs/core/api.hpp"
-#include "mgs/msg/comm.hpp"
 
 namespace mc = mgs::core;
 namespace ms = mgs::sim;
@@ -68,17 +67,55 @@ TEST(Errors, ScanSpArgumentChecks) {
 TEST(Errors, MpsShapeChecks) {
   auto cluster = mt::tsubame_kfc_cluster(1);
   const auto plan = valid_plan();
-  std::vector<mc::GpuBatch<int>> two(2);
   std::vector<int> gpus = {0, 1, 2};
-  // Batch count must match GPU count.
-  EXPECT_THROW(mc::scan_mps<int>(cluster, gpus, two, 3 * 1024, 1, plan,
+  // The spans must hold N*G elements.
+  std::vector<int> in(3 * 1024);
+  std::vector<int> out(in.size());
+  EXPECT_THROW(mc::scan_mps<int>(cluster, gpus, in, out, 3 * 1024, 2, plan,
                                  mc::ScanKind::kInclusive),
+               mgs::util::Error);
+  EXPECT_THROW(mc::scan_mps<int>(cluster, gpus, in,
+                                 std::span<int>(out).first(1024), 3 * 1024, 1,
+                                 plan, mc::ScanKind::kInclusive),
                mgs::util::Error);
   // N must divide by W.
-  std::vector<mc::GpuBatch<int>> three(3);
-  EXPECT_THROW(mc::scan_mps<int>(cluster, gpus, three, 1000, 1, plan,
+  EXPECT_THROW(mc::scan_mps<int>(cluster, gpus, in, out, 1000, 1, plan,
                                  mc::ScanKind::kInclusive),
                mgs::util::Error);
+  // Scan-MP-PC: the spans must hold every group's problems.
+  const auto part = mc::make_mppc_partition(cluster, 2, 2, 4);
+  EXPECT_THROW(mc::scan_mppc<int>(cluster, part, in, out, 1024, plan,
+                                  mc::ScanKind::kInclusive),
+               mgs::util::Error);
+}
+
+TEST(Errors, ScanEntriesRejectPartialOverlap) {
+  // `out` may be `in` itself, but an `out` that shares only part of `in`'s
+  // memory would overwrite input rows before the scan reads them.
+  auto cluster = mt::tsubame_kfc_cluster(1);
+  const auto plan = valid_plan();
+  const std::vector<int> gpus = {0, 1, 2, 3};
+  const std::int64_t n = 1 << 16;
+  const std::int64_t g = 2;
+  const auto elems = static_cast<std::size_t>(n * g);
+  std::vector<int> buf(elems + 4, 1);
+  const std::span<const int> in(buf.data(), elems);
+  const std::span<int> ahead(buf.data() + 4, elems);
+  const std::span<int> behind(buf.data(), elems);
+  const std::span<const int> in_ahead(buf.data() + 4, elems);
+  EXPECT_THROW(mc::scan_mps<int>(cluster, gpus, in, ahead, n, g, plan,
+                                 mc::ScanKind::kInclusive),
+               mgs::util::Error);
+  EXPECT_THROW(mc::scan_mps<int>(cluster, gpus, in_ahead, behind, n, g, plan,
+                                 mc::ScanKind::kInclusive),
+               mgs::util::Error);
+  const auto part = mc::make_mppc_partition(cluster, 2, 2, g);
+  EXPECT_THROW(mc::scan_mppc<int>(cluster, part, in, ahead, n, plan,
+                                  mc::ScanKind::kInclusive),
+               mgs::util::Error);
+  // In place is accepted.
+  EXPECT_NO_THROW(mc::scan_mps<int>(cluster, gpus, in, behind, n, g, plan,
+                                    mc::ScanKind::kInclusive));
 }
 
 TEST(Errors, MppcPartitionChecks) {
@@ -91,12 +128,13 @@ TEST(Errors, MppcPartitionChecks) {
 
 TEST(Errors, MultinodeShapeChecks) {
   auto cluster = mt::tsubame_kfc_cluster(2);
-  mgs::msg::Communicator comm(cluster, {0, 1, 8, 9});
-  std::vector<mc::GpuBatch<int>> batches(4);
+  const std::vector<int> ranks = {0, 1, 8, 9};
+  std::vector<int> in(1001);
+  std::vector<int> out(in.size());
   // N must divide by the rank count.
-  EXPECT_THROW(mc::scan_mps_multinode<int>(comm, batches, 1001, 1,
-                                           valid_plan(),
-                                           mc::ScanKind::kInclusive),
+  EXPECT_THROW(mc::scan_mps<int>(cluster, ranks, in, out, 1001, 1,
+                                 valid_plan(), mc::ScanKind::kInclusive, {},
+                                 mc::MpsGather::kMpi),
                mgs::util::Error);
 }
 

@@ -27,7 +27,6 @@
 
 namespace mc = mgs::core;
 namespace mt = mgs::topo;
-namespace mm = mgs::msg;
 using mgs::baselines::reference_batch_scan;
 
 namespace {
@@ -205,16 +204,13 @@ TEST(ExecutorEquivalence, ScanMpsAndDirect) {
 
     auto legacy_cluster = mt::tsubame_kfc_cluster(1);
     const auto gpus = node_major_ids(legacy_cluster, 1, w);
-    auto batches =
-        mc::distribute_batch<int>(legacy_cluster, gpus, data, kN, kG);
     const auto& plan =
         ctx.plan_for(kN, kG, mc::DType::kI32, mc::OpTag::kPlus, w);
-    const auto rl =
-        direct ? mc::scan_mps_direct<int>(legacy_cluster, gpus, batches, kN,
-                                          kG, plan, mc::ScanKind::kExclusive)
-               : mc::scan_mps<int>(legacy_cluster, gpus, batches, kN, kG,
-                                   plan, mc::ScanKind::kExclusive);
-    const auto want = mc::collect_batch(batches, kN, kG);
+    std::vector<int> want(data.size());
+    const auto rl = mc::scan_mps<int>(
+        legacy_cluster, gpus, data, want, kN, kG, plan,
+        mc::ScanKind::kExclusive, {},
+        direct ? mc::MpsGather::kPeerWrites : mc::MpsGather::kCopies);
 
     EXPECT_EQ(got, want) << (direct ? "direct" : "staged");
     EXPECT_EQ(r.seconds, rl.seconds);
@@ -235,12 +231,11 @@ TEST(ExecutorEquivalence, ScanMppc) {
 
   auto legacy_cluster = mt::tsubame_kfc_cluster(1);
   const auto part = mc::make_mppc_partition(legacy_cluster, 2, 4, g);
-  auto batches = mc::distribute_mppc<int>(legacy_cluster, part, data, kN);
   const auto& plan =
       ctx.plan_for(kN, g, mc::DType::kI32, mc::OpTag::kPlus, 4);
-  const auto rl = mc::scan_mppc<int>(legacy_cluster, part, batches, kN, plan,
-                                     mc::ScanKind::kInclusive);
-  const auto want = mc::collect_mppc(part, batches, kN);
+  std::vector<int> want(data.size());
+  const auto rl = mc::scan_mppc<int>(legacy_cluster, part, data, want, kN,
+                                     plan, mc::ScanKind::kInclusive);
 
   EXPECT_EQ(got, want);
   EXPECT_EQ(r.seconds, rl.seconds);
@@ -260,14 +255,12 @@ TEST(ExecutorEquivalence, ScanMpsMultinode) {
 
   auto legacy_cluster = mt::tsubame_kfc_cluster(2);
   const auto ids = node_major_ids(legacy_cluster, m, w);
-  mm::Communicator comm(legacy_cluster, ids);
-  auto batches =
-      mc::distribute_batch<int>(legacy_cluster, ids, data, kN, kG);
   const auto& plan =
       ctx.plan_for(kN, kG, mc::DType::kI32, mc::OpTag::kPlus, m * w);
-  const auto rl = mc::scan_mps_multinode<int>(comm, batches, kN, kG, plan,
-                                              mc::ScanKind::kInclusive);
-  const auto want = mc::collect_batch(batches, kN, kG);
+  std::vector<int> want(data.size());
+  const auto rl = mc::scan_mps<int>(legacy_cluster, ids, data, want, kN, kG,
+                                    plan, mc::ScanKind::kInclusive, {},
+                                    mc::MpsGather::kMpi);
 
   EXPECT_EQ(got, want);
   EXPECT_EQ(r.seconds, rl.seconds);

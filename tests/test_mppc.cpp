@@ -89,9 +89,8 @@ TEST_P(MppcSweep, MatchesReference) {
   const auto data = mgs::util::random_i32(
       static_cast<std::size_t>(c.n * c.g),
       static_cast<std::uint64_t>(c.n + c.g));
-  auto batches = mc::distribute_mppc<int>(cluster, part, data, c.n);
-  mc::scan_mppc<int>(cluster, part, batches, c.n, plan, c.kind);
-  const auto got = mc::collect_mppc<int>(part, batches, c.n);
+  std::vector<int> got(data.size());
+  mc::scan_mppc<int>(cluster, part, data, got, c.n, plan, c.kind);
   const auto want = reference_batch_scan<int>(data, c.n, c.g, c.kind);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -119,22 +118,34 @@ TEST(Mppc, MultiNodeVariantMatchesReference) {
   const auto part = mc::make_mppc_partition(cluster, 2, 2, g, /*nodes=*/2);
   ASSERT_EQ(part.groups.size(), 4u);  // 2 nodes x 2 networks
   const auto data = mgs::util::random_i32(static_cast<std::size_t>(n * g), 6);
-  auto batches = mc::distribute_mppc<int>(cluster, part, data, n);
-  const auto r = mc::scan_mppc<int>(cluster, part, batches, n, plan,
+  std::vector<int> got(data.size());
+  const auto r = mc::scan_mppc<int>(cluster, part, data, got, n, plan,
                                     mc::ScanKind::kInclusive);
   EXPECT_GT(r.seconds, 0.0);
-  const auto got = mc::collect_mppc<int>(part, batches, n);
   EXPECT_EQ(got, reference_batch_scan<int>(data, n, g,
                                            mc::ScanKind::kInclusive));
   // No MPI and no host staging: every transfer stayed on P2P/self links,
   // so two nodes take about the time of one node with half the problems.
   auto c1 = mt::tsubame_kfc_cluster(1);
   const auto part1 = mc::make_mppc_partition(c1, 2, 2, g / 2, 1);
-  auto b1 = mc::distribute_mppc<int>(
-      c1, part1, std::span<const int>(data).subspan(0, static_cast<std::size_t>(n * g / 2)), n);
-  const auto r1 = mc::scan_mppc<int>(c1, part1, b1, n, plan,
+  const auto r1 = mc::scan_mppc<int>(c1, part1, data, got, n, plan,
                                      mc::ScanKind::kInclusive);
   EXPECT_NEAR(r.seconds, r1.seconds, 0.2 * r1.seconds);
+}
+
+TEST(Mppc, InPlaceMatchesReference) {
+  // `out` may be `in` itself: each group scans its own rows in place.
+  const std::int64_t n = 2 * 9999;  // partial chunks
+  const std::int64_t g = 5;         // uneven split over the groups
+  for (const auto kind : {mc::ScanKind::kInclusive, mc::ScanKind::kExclusive}) {
+    auto cluster = mt::tsubame_kfc_cluster(1);
+    const auto part = mc::make_mppc_partition(cluster, 2, 2, g);
+    const auto data =
+        mgs::util::random_i32(static_cast<std::size_t>(n * g), 12);
+    auto buf = data;
+    mc::scan_mppc<int>(cluster, part, buf, buf, n, paper_plan(2), kind);
+    EXPECT_EQ(buf, reference_batch_scan<int>(data, n, g, kind));
+  }
 }
 
 TEST(MppcPerf, AvoidsHostStagingAndBeatsW8MpsAtLargeG) {
@@ -148,14 +159,13 @@ TEST(MppcPerf, AvoidsHostStagingAndBeatsW8MpsAtLargeG) {
   auto c_mps = mt::tsubame_kfc_cluster(1);
   std::vector<int> gpus = {0, 1, 2, 3, 4, 5, 6, 7};
   const auto data = mgs::util::random_i32(static_cast<std::size_t>(n * g), 3);
-  auto b_mps = mc::distribute_batch<int>(c_mps, gpus, data, n, g);
-  const auto r_mps = mc::scan_mps<int>(c_mps, gpus, b_mps, n, g, plan,
+  std::vector<int> out(data.size());
+  const auto r_mps = mc::scan_mps<int>(c_mps, gpus, data, out, n, g, plan,
                                        mc::ScanKind::kInclusive);
 
   auto c_pc = mt::tsubame_kfc_cluster(1);
   const auto part = mc::make_mppc_partition(c_pc, 2, 4, g);
-  auto b_pc = mc::distribute_mppc<int>(c_pc, part, data, n);
-  const auto r_pc = mc::scan_mppc<int>(c_pc, part, b_pc, n, plan,
+  const auto r_pc = mc::scan_mppc<int>(c_pc, part, data, out, n, plan,
                                        mc::ScanKind::kInclusive);
 
   EXPECT_LT(r_pc.seconds, r_mps.seconds);
@@ -172,15 +182,14 @@ TEST(MppcPerf, GroupsRunConcurrently) {
   auto c1 = mt::tsubame_kfc_cluster(1);
   const auto part1 = mc::make_mppc_partition(c1, 1, 4, g);
   const auto data = mgs::util::random_i32(static_cast<std::size_t>(n * g), 4);
-  auto b1 = mc::distribute_mppc<int>(c1, part1, data, n);
-  const auto one_group =
-      mc::scan_mppc<int>(c1, part1, b1, n, plan, mc::ScanKind::kInclusive);
+  std::vector<int> out(data.size());
+  const auto one_group = mc::scan_mppc<int>(c1, part1, data, out, n, plan,
+                                            mc::ScanKind::kInclusive);
 
   auto c2 = mt::tsubame_kfc_cluster(1);
   const auto part2 = mc::make_mppc_partition(c2, 2, 4, g);
-  auto b2 = mc::distribute_mppc<int>(c2, part2, data, n);
-  const auto two_groups =
-      mc::scan_mppc<int>(c2, part2, b2, n, plan, mc::ScanKind::kInclusive);
+  const auto two_groups = mc::scan_mppc<int>(c2, part2, data, out, n, plan,
+                                             mc::ScanKind::kInclusive);
 
   // Each group now handles half the problems; with parallel groups the
   // makespan must drop to roughly half a single group's time.

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "mgs/baselines/reference.hpp"
 #include "mgs/core/scan_mps.hpp"
 #include "mgs/core/tuning.hpp"
@@ -36,9 +38,9 @@ mc::RunResult run_mps(mt::Cluster& cluster, int w, std::int64_t n,
   const auto gpus = first_gpus(w);
   const auto data = mgs::util::random_i32(static_cast<std::size_t>(n * g),
                                           static_cast<std::uint64_t>(n + w));
-  auto batches = mc::distribute_batch<int>(cluster, gpus, data, n, g);
-  const auto r = mc::scan_mps<int>(cluster, gpus, batches, n, g, plan, kind);
-  if (got != nullptr) *got = mc::collect_batch(batches, n, g);
+  std::vector<int> out(data.size());
+  const auto r = mc::scan_mps<int>(cluster, gpus, data, out, n, g, plan, kind);
+  if (got != nullptr) *got = std::move(out);
   if (out_data_check_seed != nullptr) {
     *out_data_check_seed = data;
   }
@@ -82,6 +84,38 @@ INSTANTIATE_TEST_SUITE_P(
                       MpsCase{4, 4 * 12345, 2, mc::ScanKind::kInclusive, 2},
                       MpsCase{2, 2 * 1000, 3, mc::ScanKind::kExclusive, 1}));
 
+class MpsInPlace : public ::testing::TestWithParam<
+                       std::tuple<mc::MpsGather, mc::ScanKind>> {};
+
+TEST_P(MpsInPlace, MatchesReference) {
+  // `out` may be `in` itself, on every transport and both schedules.
+  const auto [gather, kind] = GetParam();
+  const std::int64_t n = 4 * 12345;  // partial chunks
+  const std::int64_t g = 3;
+  const auto data = mgs::util::random_i32(static_cast<std::size_t>(n * g), 9);
+  const auto want = reference_batch_scan<int>(data, n, g, kind);
+  for (const bool overlap : {false, true}) {
+    auto cluster = mt::tsubame_kfc_cluster(2);
+    const std::vector<int> gpus = gather == mc::MpsGather::kMpi
+                                      ? std::vector<int>{0, 1, 8, 9}
+                                      : first_gpus(4);
+    auto plan = paper_plan(2);
+    plan.pipe.overlap = overlap;
+    plan.pipe.waves = 2;
+    auto buf = data;
+    mc::scan_mps<int>(cluster, gpus, buf, buf, n, g, plan, kind, {}, gather);
+    EXPECT_EQ(buf, want) << "overlap=" << overlap;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, MpsInPlace,
+    ::testing::Combine(::testing::Values(mc::MpsGather::kCopies,
+                                         mc::MpsGather::kPeerWrites,
+                                         mc::MpsGather::kMpi),
+                       ::testing::Values(mc::ScanKind::kInclusive,
+                                         mc::ScanKind::kExclusive)));
+
 TEST(Mps, BreakdownHasAllPhases) {
   auto cluster = mt::tsubame_kfc_cluster(1);
   const auto r = run_mps(cluster, 4, 1 << 16, 2, mc::ScanKind::kInclusive, 2);
@@ -98,13 +132,10 @@ TEST(Mps, RequiresDivisibleN) {
   const auto plan = paper_plan(1);
   const auto gpus = first_gpus(4);
   std::vector<int> data(1001);
-  EXPECT_THROW(mc::distribute_batch<int>(cluster, gpus, data, 1001, 1),
+  std::vector<int> out(data.size());
+  EXPECT_THROW(mc::scan_mps<int>(cluster, gpus, data, out, 1001, 1, plan,
+                                 mc::ScanKind::kInclusive),
                mgs::util::Error);
-  auto batches = std::vector<mc::GpuBatch<int>>(4);
-  EXPECT_THROW(
-      mc::scan_mps<int>(cluster, gpus, batches, 1001, 1, plan,
-                        mc::ScanKind::kInclusive),
-      mgs::util::Error);
 }
 
 TEST(MpsDirect, MatchesReferenceOnP2PNetwork) {
@@ -114,13 +145,13 @@ TEST(MpsDirect, MatchesReferenceOnP2PNetwork) {
   const std::int64_t n = 1 << 16;
   const std::int64_t g = 4;
   const auto data = mgs::util::random_i32(static_cast<std::size_t>(n * g), 31);
-  auto batches = mc::distribute_batch<int>(cluster, gpus, data, n, g);
-  const auto r = mc::scan_mps_direct<int>(cluster, gpus, batches, n, g, plan,
-                                          mc::ScanKind::kInclusive);
+  std::vector<int> out(data.size());
+  const auto r = mc::scan_mps<int>(cluster, gpus, data, out, n, g, plan,
+                                   mc::ScanKind::kInclusive, {},
+                                   mc::MpsGather::kPeerWrites);
   EXPECT_GT(r.breakdown.get("Stage1+P2PWrites"), 0.0);
   EXPECT_EQ(r.breakdown.get("AuxGather"), 0.0);  // no separate gather step
-  const auto got = mc::collect_batch(batches, n, g);
-  EXPECT_EQ(got, reference_batch_scan<int>(data, n, g,
+  EXPECT_EQ(out, reference_batch_scan<int>(data, n, g,
                                            mc::ScanKind::kInclusive));
 }
 
@@ -128,9 +159,11 @@ TEST(MpsDirect, RejectsCrossNetworkGroups) {
   auto cluster = mt::tsubame_kfc_cluster(1);
   const auto plan = paper_plan(1);
   std::vector<int> gpus = {0, 1, 4, 5};  // spans both PCIe networks
-  std::vector<mc::GpuBatch<int>> batches(4);
-  EXPECT_THROW(mc::scan_mps_direct<int>(cluster, gpus, batches, 1 << 14, 1,
-                                        plan, mc::ScanKind::kInclusive),
+  std::vector<int> data(1 << 14);
+  std::vector<int> out(data.size());
+  EXPECT_THROW(mc::scan_mps<int>(cluster, gpus, data, out, 1 << 14, 1, plan,
+                                 mc::ScanKind::kInclusive, {},
+                                 mc::MpsGather::kPeerWrites),
                mgs::util::Error);
 }
 
@@ -144,15 +177,16 @@ TEST(MpsDirect, OverlapBeatsExplicitGatherAtLargeG) {
   const auto data = mgs::util::random_i32(static_cast<std::size_t>(n * g), 32);
 
   auto c1 = mt::tsubame_kfc_cluster(1);
-  auto b1 = mc::distribute_batch<int>(c1, gpus, data, n, g);
-  const auto regular = mc::scan_mps<int>(c1, gpus, b1, n, g, plan,
+  std::vector<int> out1(data.size());
+  const auto regular = mc::scan_mps<int>(c1, gpus, data, out1, n, g, plan,
                                          mc::ScanKind::kInclusive);
   auto c2 = mt::tsubame_kfc_cluster(1);
-  auto b2 = mc::distribute_batch<int>(c2, gpus, data, n, g);
-  const auto direct = mc::scan_mps_direct<int>(c2, gpus, b2, n, g, plan,
-                                               mc::ScanKind::kInclusive);
+  std::vector<int> out2(data.size());
+  const auto direct = mc::scan_mps<int>(c2, gpus, data, out2, n, g, plan,
+                                        mc::ScanKind::kInclusive, {},
+                                        mc::MpsGather::kPeerWrites);
   EXPECT_LT(direct.seconds, regular.seconds);
-  EXPECT_EQ(mc::collect_batch(b2, n, g), mc::collect_batch(b1, n, g));
+  EXPECT_EQ(out2, out1);
 }
 
 TEST(Mps, GenericOperatorAcrossGpus) {
@@ -164,10 +198,9 @@ TEST(Mps, GenericOperatorAcrossGpus) {
   const std::int64_t n = 1 << 16;
   const auto data =
       mgs::util::random_i32(static_cast<std::size_t>(n), 21, -100000, 100000);
-  auto batches = mc::distribute_batch<int>(cluster, gpus, data, n, 1);
-  mc::scan_mps<int, mc::Max<int>>(cluster, gpus, batches, n, 1, plan,
+  std::vector<int> got(data.size());
+  mc::scan_mps<int, mc::Max<int>>(cluster, gpus, data, got, n, 1, plan,
                                   mc::ScanKind::kInclusive);
-  const auto got = mc::collect_batch(batches, n, 1);
   int acc = mc::Max<int>::identity();
   for (std::int64_t i = 0; i < n; ++i) {
     acc = std::max(acc, data[static_cast<std::size_t>(i)]);
@@ -181,18 +214,9 @@ TEST(Mps, Int64AcrossGpus) {
   const std::vector<int> gpus = {0, 1};
   const std::int64_t n = 1 << 14;
   const auto data = mgs::util::random_i64(static_cast<std::size_t>(n), 22);
-  std::vector<mc::GpuBatch<std::int64_t>> batches;
-  for (int d = 0; d < 2; ++d) {
-    mc::GpuBatch<std::int64_t> b;
-    b.in = cluster.device(d).alloc<std::int64_t>(n / 2);
-    b.out = cluster.device(d).alloc<std::int64_t>(n / 2);
-    std::copy(data.begin() + d * (n / 2), data.begin() + (d + 1) * (n / 2),
-              b.in.host_span().begin());
-    batches.push_back(std::move(b));
-  }
-  mc::scan_mps<std::int64_t>(cluster, gpus, batches, n, 1, plan,
+  std::vector<std::int64_t> got(data.size());
+  mc::scan_mps<std::int64_t>(cluster, gpus, data, got, n, 1, plan,
                              mc::ScanKind::kInclusive);
-  const auto got = mc::collect_batch(batches, n, 1);
   std::int64_t acc = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     acc += data[static_cast<std::size_t>(i)];
@@ -262,16 +286,15 @@ TEST(MpsPerf, NoW8PenaltyOnAnNvlinkFabric) {
   const auto plan = paper_plan(2);
   const auto data = mgs::util::random_i32(static_cast<std::size_t>(n * g), 77);
 
+  std::vector<int> out(data.size());
   auto c4 = mgs::topo::dgx1_like_cluster(1);
-  auto b4 = mc::distribute_batch<int>(c4, first_gpus(4), data, n, g);
-  const auto r4 = mc::scan_mps<int>(c4, first_gpus(4), b4, n, g, plan,
+  const auto r4 = mc::scan_mps<int>(c4, first_gpus(4), data, out, n, g, plan,
                                     mc::ScanKind::kInclusive);
   auto c8 = mgs::topo::dgx1_like_cluster(1);
-  auto b8 = mc::distribute_batch<int>(c8, first_gpus(8), data, n, g);
-  const auto r8 = mc::scan_mps<int>(c8, first_gpus(8), b8, n, g, plan,
+  const auto r8 = mc::scan_mps<int>(c8, first_gpus(8), data, out, n, g, plan,
                                     mc::ScanKind::kInclusive);
   EXPECT_LT(r8.seconds, r4.seconds);
-  EXPECT_EQ(mc::collect_batch(b8, n, g),
+  EXPECT_EQ(out,
             reference_batch_scan<int>(data, n, g, mc::ScanKind::kInclusive));
 }
 
@@ -299,14 +322,14 @@ TEST(Mps, StragglerGpuDelaysTheWholeScan) {
   const auto gpus = first_gpus(4);
   const auto input = mgs::util::random_i32(static_cast<std::size_t>(n * 2),
                                            static_cast<std::uint64_t>(n + 4));
-  auto batches = mc::distribute_batch<int>(c2, gpus, input, n, 2);
-  const auto delayed = mc::scan_mps<int>(c2, gpus, batches, n, 2, plan2,
+  std::vector<int> out(input.size());
+  const auto delayed = mc::scan_mps<int>(c2, gpus, input, out, n, 2, plan2,
                                          mc::ScanKind::kInclusive);
   // The makespan (measured from the common phase start, which includes
   // the straggler) grows by at most the injected delay, and the result
   // stays correct.
   EXPECT_GE(c2.makespan({0, 1, 2, 3}), delay + base.seconds * 0.5);
-  EXPECT_EQ(mc::collect_batch(batches, n, 2),
+  EXPECT_EQ(out,
             reference_batch_scan<int>(input, n, 2, mc::ScanKind::kInclusive));
 }
 
@@ -334,10 +357,9 @@ TEST(Mps, SolvesProblemTooLargeForOneGpu) {
   const auto plan = paper_plan(2);
   const auto gpus = first_gpus(4);
   const auto data = mgs::util::random_i32(static_cast<std::size_t>(n), 5);
-  auto batches = mc::distribute_batch<int>(cluster, gpus, data, n, 1);
-  mc::scan_mps<int>(cluster, gpus, batches, n, 1, plan,
+  std::vector<int> got(data.size());
+  mc::scan_mps<int>(cluster, gpus, data, got, n, 1, plan,
                     mc::ScanKind::kInclusive);
-  const auto got = mc::collect_batch(batches, n, 1);
   const auto want = reference_batch_scan<int>(data, n, 1,
                                               mc::ScanKind::kInclusive);
   EXPECT_EQ(got, want);

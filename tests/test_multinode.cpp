@@ -10,7 +10,6 @@
 #include "mgs/util/random.hpp"
 
 namespace mc = mgs::core;
-namespace mm = mgs::msg;
 namespace mt = mgs::topo;
 using mgs::baselines::reference_batch_scan;
 
@@ -40,16 +39,15 @@ mc::RunResult run_multinode(int m, int w, std::int64_t n, std::int64_t g,
                             std::vector<int>* data_out = nullptr,
                             std::vector<int>* got = nullptr) {
   auto cluster = mt::tsubame_kfc_cluster(m);
-  mm::Communicator comm(cluster, ranks_for(cluster, m, w));
   const auto plan = paper_plan(k);
   const auto data = mgs::util::random_i32(
       static_cast<std::size_t>(n * g),
       static_cast<std::uint64_t>(n + m * 100 + w));
-  // distribute_batch works per device id list == rank order.
-  std::vector<int> ids = ranks_for(cluster, m, w);
-  auto batches = mc::distribute_batch<int>(cluster, ids, data, n, g);
-  const auto r = mc::scan_mps_multinode<int>(comm, batches, n, g, plan, kind);
-  if (got != nullptr) *got = mc::collect_batch(batches, n, g);
+  std::vector<int> out(data.size());
+  const auto r = mc::scan_mps<int>(cluster, ranks_for(cluster, m, w), data,
+                                   out, n, g, plan, kind, {},
+                                   mc::MpsGather::kMpi);
+  if (got != nullptr) *got = std::move(out);
   if (data_out != nullptr) *data_out = data;
   return r;
 }
@@ -139,13 +137,15 @@ TEST(MultiNode, CombinationStudyM2W4BeatsM8W1) {
   EXPECT_LT(gap_big, gap_small);  // and the gap narrows at large N
 }
 
-TEST(MultiNode, RejectsMismatchedBatches) {
+TEST(MultiNode, RejectsShortSpans) {
   auto cluster = mt::tsubame_kfc_cluster(2);
-  mm::Communicator comm(cluster, ranks_for(cluster, 2, 4));
-  std::vector<mc::GpuBatch<int>> batches(3);  // wrong count
-  EXPECT_THROW(mc::scan_mps_multinode<int>(comm, batches, 1 << 16, 1,
-                                           paper_plan(2),
-                                           mc::ScanKind::kInclusive),
+  std::vector<int> in(1 << 16);
+  std::vector<int> out(in.size());
+  // Two problems of N elements do not fit in spans of one.
+  EXPECT_THROW(mc::scan_mps<int>(cluster, ranks_for(cluster, 2, 4), in, out,
+                                 1 << 16, 2, paper_plan(2),
+                                 mc::ScanKind::kInclusive, {},
+                                 mc::MpsGather::kMpi),
                mgs::util::Error);
 }
 

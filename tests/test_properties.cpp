@@ -123,10 +123,10 @@ TEST(Property, AllImplementationsAgree) {
   // Scan-MPS over 4 GPUs.
   auto cluster = mgs::topo::tsubame_kfc_cluster(1);
   std::vector<int> gpus = {0, 1, 2, 3};
-  auto batches = mc::distribute_batch<int>(cluster, gpus, data, n, g);
-  mc::scan_mps<int>(cluster, gpus, batches, n, g, plan_with_k(2),
+  std::vector<int> got(data.size());
+  mc::scan_mps<int>(cluster, gpus, data, got, n, g, plan_with_k(2),
                     mc::ScanKind::kInclusive);
-  EXPECT_EQ(mc::collect_batch(batches, n, g), want);
+  EXPECT_EQ(got, want);
 
   // Every baseline library model.
   for (const auto& b : mb::all_baselines()) {
@@ -180,15 +180,16 @@ TEST(Property, ProposalsAgreeOnRandomShapes) {
     auto cluster = mgs::topo::tsubame_kfc_cluster(1);
     std::vector<int> gpus;
     for (int d = 0; d < w; ++d) gpus.push_back(d);
-    auto batches = mc::distribute_batch<int>(cluster, gpus, data, n, g);
-    mc::scan_mps<int>(cluster, gpus, batches, n, g, plan_with_k(2), kind);
-    ASSERT_EQ(mc::collect_batch(batches, n, g), want)
-        << "trial=" << trial << " w=" << w << " n=" << n << " g=" << g;
+    std::vector<int> got(data.size());
+    mc::scan_mps<int>(cluster, gpus, data, got, n, g, plan_with_k(2), kind);
+    ASSERT_EQ(got, want) << "trial=" << trial << " w=" << w << " n=" << n
+                         << " g=" << g;
 
     auto c2 = mgs::topo::tsubame_kfc_cluster(1);
-    auto b2 = mc::distribute_batch<int>(c2, gpus, data, n, g);
-    mc::scan_mps_direct<int>(c2, gpus, b2, n, g, plan_with_k(2), kind);
-    ASSERT_EQ(mc::collect_batch(b2, n, g), want) << "direct trial=" << trial;
+    std::vector<int> got2(data.size());
+    mc::scan_mps<int>(c2, gpus, data, got2, n, g, plan_with_k(2), kind, {},
+                      mc::MpsGather::kPeerWrites);
+    ASSERT_EQ(got2, want) << "direct trial=" << trial;
   }
 }
 
