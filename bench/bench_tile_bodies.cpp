@@ -2,10 +2,12 @@
 /// tile body (core::reduce_tile) and the Stage 3 tile body
 /// (core::scan_tile, inclusive, carry chained across tiles as the cascade
 /// loop does) single-threaded on the calling thread, at the paper's tile
-/// (P = 8, Lx = 128: 1024 elements), per dtype under plus, over two buffer
-/// sizes: one that stays in L2 and one that streams from memory. Each
-/// buffer ends in a 1000-element tail tile. A plain serial scan loop is
-/// printed beside them for scale.
+/// (P = 8, Lx = 128: 1024 elements), per dtype under plus and for i32 and
+/// f32 under max, over two buffer sizes: one that stays in L2 and one that
+/// streams from memory. Each buffer ends in a 1000-element tail tile. A
+/// plain serial scan loop is printed beside them for scale. The integer
+/// rows time the exact operators' serial body, the float rows the
+/// lane-order body (skeleton.hpp).
 ///
 /// Times are the fastest sweep's ns/elem over repeated sweeps: on a shared
 /// machine interference only ever adds time, so the minimum is the stable
@@ -60,8 +62,8 @@ double ns_per_elem(std::int64_t n, double min_seconds, Fn&& sweep) {
   return *std::min_element(ns.begin(), ns.end());
 }
 
-template <typename T>
-void bench_dtype(const char* name, const Options& opt, util::Table& table) {
+template <typename T, typename Op>
+void bench_cell(const char* dtype, const Options& opt, util::Table& table) {
   core::StagePlan sp;
   sp.p = 8;
   sp.lx = 128;
@@ -72,7 +74,7 @@ void bench_dtype(const char* name, const Options& opt, util::Table& table) {
   cfg.block = {sp.lx, 1, 1};
   cfg.smem_per_block = sp.smem_bytes(static_cast<int>(sizeof(T)));
   std::vector<std::byte> smem(static_cast<std::size_t>(cfg.smem_per_block));
-  const core::Plus<T> op;
+  const Op op;
 
   for (const std::int64_t bytes : {opt.small_bytes, opt.large_bytes}) {
     const std::int64_t tiles = std::max<std::int64_t>(
@@ -124,8 +126,8 @@ void bench_dtype(const char* name, const Options& opt, util::Table& table) {
     char hash[17];
     std::snprintf(hash, sizeof(hash), "%016llx",
                   static_cast<unsigned long long>(h));
-    table.add_row({name, util::fmt_bytes(static_cast<std::uint64_t>(n) *
-                                         sizeof(T)),
+    table.add_row({dtype, Op::name(),
+                   util::fmt_bytes(static_cast<std::uint64_t>(n) * sizeof(T)),
                    std::to_string(n), util::fmt_double(reduce_ns, 3),
                    util::fmt_double(scan_ns, 3),
                    util::fmt_double(serial_ns, 3), hash});
@@ -153,13 +155,15 @@ int main(int argc, char** argv) {
                   opt.min_seconds >= 0,
               "--small-kb and --large-mb must be positive, --min-ms >= 0");
 
-  util::Table table({"dtype", "buffer", "elems", "reduce_tile ns/elem",
+  util::Table table({"dtype", "op", "buffer", "elems", "reduce_tile ns/elem",
                      "scan_tile ns/elem", "serial scan ns/elem", "hash"});
-  bench_dtype<std::int32_t>("i32", opt, table);
-  bench_dtype<std::int64_t>("i64", opt, table);
-  bench_dtype<std::uint32_t>("u32", opt, table);
-  bench_dtype<float>("f32", opt, table);
-  bench_dtype<double>("f64", opt, table);
+  bench_cell<std::int32_t, core::Plus<std::int32_t>>("i32", opt, table);
+  bench_cell<std::int32_t, core::Max<std::int32_t>>("i32", opt, table);
+  bench_cell<std::int64_t, core::Plus<std::int64_t>>("i64", opt, table);
+  bench_cell<std::uint32_t, core::Plus<std::uint32_t>>("u32", opt, table);
+  bench_cell<float, core::Plus<float>>("f32", opt, table);
+  bench_cell<float, core::Max<float>>("f32", opt, table);
+  bench_cell<double, core::Plus<double>>("f64", opt, table);
   if (cli.get_bool("csv", false)) {
     table.print_csv(std::cout);
   } else {

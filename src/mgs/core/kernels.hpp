@@ -195,7 +195,8 @@ sim::KernelTime launch_intermediate_scan_ranked_slice(
 
 /// Stage 3. `aux` holds the *exclusively scanned* chunk totals for this
 /// GPU's chunks, problem-major like Stage 1 wrote them. `in` and `out`
-/// share the layout's pitch and may alias (in-place scan).
+/// share the layout's pitch; `out` may be `in` itself (in-place scan) but
+/// must not overlap it otherwise (rows.hpp).
 template <typename T, typename Op>
 sim::KernelTime launch_scan_add(simt::Device& dev,
                                 const simt::DeviceBuffer<T>& in,

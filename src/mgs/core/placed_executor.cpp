@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "mgs/core/rows.hpp"
 #include "mgs/sim/fault.hpp"
 
 namespace mgs::core::detail {

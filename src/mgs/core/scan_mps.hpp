@@ -17,6 +17,7 @@
 
 #include "mgs/core/kernels.hpp"
 #include "mgs/core/plan.hpp"
+#include "mgs/core/rows.hpp"
 #include "mgs/core/workspace.hpp"
 #include "mgs/msg/comm.hpp"
 #include "mgs/obs/span.hpp"
@@ -117,29 +118,6 @@ struct MpsCheckpoint : MpsProgress {
 enum class MpsGather { kCopies, kPeerWrites, kMpi };
 
 namespace detail {
-
-/// Whether the first `bytes` of two host ranges share memory.
-inline bool overlaps(const void* a, const void* b, std::size_t bytes) {
-  const auto x = reinterpret_cast<std::uintptr_t>(a);
-  const auto y = reinterpret_cast<std::uintptr_t>(b);
-  return x < y + bytes && y < x + bytes;
-}
-
-/// The caller's G problems of N elements: both spans hold N*G elements,
-/// and `out` is either `in` itself (an in-place scan) or shares none of
-/// its memory -- a partial overlap would overwrite input rows before the
-/// scan reads them.
-template <typename T>
-void require_rows(std::span<const T> in, std::span<const T> out,
-                  std::int64_t elems) {
-  MGS_REQUIRE(static_cast<std::int64_t>(in.size()) >= elems &&
-                  static_cast<std::int64_t>(out.size()) >= elems,
-              "scan: spans must hold N*G elements");
-  MGS_REQUIRE(in.data() == out.data() ||
-                  !overlaps(in.data(), out.data(),
-                            static_cast<std::size_t>(elems) * sizeof(T)),
-              "scan: out must be in itself or not overlap it");
-}
 
 /// Stage 1 of Scan-MPS-direct for portion `d` on `dev`: the chunk
 /// reductions are stored straight into the master's combined array

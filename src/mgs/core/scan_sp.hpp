@@ -6,13 +6,15 @@
 
 #include "mgs/core/kernels.hpp"
 #include "mgs/core/plan.hpp"
+#include "mgs/core/rows.hpp"
 #include "mgs/core/workspace.hpp"
 #include "mgs/obs/span.hpp"
 
 namespace mgs::core {
 
 /// Run the batch scan on one device. `in` and `out` hold G problems of N
-/// contiguous elements each (problem g at offset g*N); they may alias.
+/// contiguous elements each (problem g at offset g*N); `out` is either
+/// `in` itself or shares none of its memory (rows.hpp).
 /// The device clock advances by the simulated duration; the returned
 /// RunResult reports it along with the per-stage breakdown. When `ws` is
 /// given, the auxiliary array is leased from it instead of allocated.
@@ -25,6 +27,7 @@ RunResult scan_sp(simt::Device& dev, const simt::DeviceBuffer<T>& in,
   MGS_REQUIRE(n > 0 && g > 0, "scan_sp: N and G must be positive");
   MGS_REQUIRE(in.size() >= n * g && out.size() >= n * g,
               "scan_sp: buffers must hold G*N elements");
+  detail::require_rows<T>(in.host_span(), out.host_span(), n * g);
 
   const BatchLayout lay = make_layout(n, g, plan.s13);
   RunResult result;

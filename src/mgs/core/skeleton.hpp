@@ -21,6 +21,19 @@
 /// element order. Each op call takes the operands, in the order, that the
 /// warp code would, so results are bit-identical to it; work counters are
 /// charged in closed form per tile.
+///
+/// That lane-order replay is what float operators, the u32 `3a + b` test
+/// operator, SegOp and any custom operator run. An operator that declares
+/// itself exact on its value type (op.hpp: plus, max and min on integral
+/// T) gives the same bits under every grouping, so for it the Stage 1 and
+/// Stage 3 tile bodies run the plain serial recurrence instead. Both
+/// bodies make the same barrier calls and charge the same counters, so the
+/// modeled clock cannot tell them apart.
+///
+/// Aliasing: a tile body's `out` is either `in` itself (an in-place scan)
+/// or shares none of its memory. Both bodies read each element before they
+/// write its output, which is all that in-place needs; a partly
+/// overlapping `out` would be read after it was written.
 
 #include <algorithm>
 #include <array>
@@ -80,34 +93,45 @@ std::span<T> tile_regs(std::size_t count) {
 /// returns the tile total (identity when valid == 0). This is the Stage 1
 /// (Chunk Reduce) inner loop: no stores, no inter-warp scan -- only warp
 /// reductions combined through shared-memory partials. Warp w owns quads
-/// [w*P/4, (w+1)*P/4) of the tile.
+/// [w*P/4, (w+1)*P/4) of the tile; an exact operator folds the tile
+/// serially instead.
 template <typename T, typename Op>
 T reduce_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
               std::int64_t base, std::int64_t valid, const StagePlan& sp,
               Op op) {
   const int nw = sp.warps();
-  const int quads = sp.p / 4;
   const T* src = in.range(base, valid);
-  std::array<T, kQuadSpan> pad;
-  simt::WarpReg<T> lane_sum;
   T tile_total = Op::identity();
-  for (int w = 0; w < nw; ++w) {
-    T warp_total = Op::identity();
-    for (int q = 0; q < quads; ++q) {
-      const std::int64_t off =
-          (static_cast<std::int64_t>(w) * quads + q) * kQuadSpan;
-      if (off >= valid) break;
-      const int qvalid =
-          static_cast<int>(std::min<std::int64_t>(kQuadSpan, valid - off));
-      const T* v = detail::padded_quad<T, Op>(src + off, qvalid, pad);
-      for (int l = 0; l < simt::kWarpSize; ++l) {
-        const T* x = v + 4 * l;  // lane l's int4
-        lane_sum[l] = op(op(x[0], x[1]), op(x[2], x[3]));
-      }
-      warp_total = op(warp_total, simt::lanes_reduce(lane_sum, op));
+  if constexpr (detail::is_exact_v<Op>) {
+    // Unrolled so that the loop's speed does not hinge on its code
+    // alignment: in one link layout the plain loop gave back all of
+    // mps_steady's gain over the lane-order body.
+#pragma GCC unroll 4
+    for (std::int64_t i = 0; i < valid; ++i) {
+      tile_total = op(tile_total, src[i]);
     }
-    // Warp writes its partial to shared memory; warp 0 combines.
-    tile_total = op(tile_total, warp_total);
+  } else {
+    const int quads = sp.p / 4;
+    std::array<T, kQuadSpan> pad;
+    simt::WarpReg<T> lane_sum;
+    for (int w = 0; w < nw; ++w) {
+      T warp_total = Op::identity();
+      for (int q = 0; q < quads; ++q) {
+        const std::int64_t off =
+            (static_cast<std::int64_t>(w) * quads + q) * kQuadSpan;
+        if (off >= valid) break;
+        const int qvalid =
+            static_cast<int>(std::min<std::int64_t>(kQuadSpan, valid - off));
+        const T* v = detail::padded_quad<T, Op>(src + off, qvalid, pad);
+        for (int l = 0; l < simt::kWarpSize; ++l) {
+          const T* x = v + 4 * l;  // lane l's int4
+          lane_sum[l] = op(op(x[0], x[1]), op(x[2], x[3]));
+        }
+        warp_total = op(warp_total, simt::lanes_reduce(lane_sum, op));
+      }
+      // Warp writes its partial to shared memory; warp 0 combines.
+      tile_total = op(tile_total, warp_total);
+    }
   }
   // Per quad: 3 lane ops + the 5-step warp reduction; 2 per warp partial.
   const auto nq = static_cast<std::uint64_t>(util::div_up(
@@ -120,24 +144,17 @@ T reduce_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
   return tile_total;
 }
 
-/// Scan one tile [base, base+valid) of at most sp.tile() elements with an
-/// incoming prefix `carry`; writes output (inclusive or exclusive of the
-/// element itself; `carry` is always excluded-prefix-so-far) and returns
-/// the tile total. This is the Stage 3 (Scan+Addition) inner loop; Stage 2
-/// uses the row-scan skeleton below instead. `in` and `out` may alias: a
-/// lane reads its int4 before it writes that int4's output.
+namespace detail {
+
+/// scan_tile's lane-order body: the Fig. 4 warp code's op calls, operands
+/// and order, without its barriers and counters (scan_tile charges those).
 template <typename T, typename Op>
-T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
-            const simt::GlobalView<T>& out, std::int64_t base,
-            std::int64_t valid, const StagePlan& sp, T carry, ScanKind kind,
-            Op op, std::span<T> smem_partials) {
+T scan_tile_lanes(const T* src, T* dst, std::int64_t valid,
+                  const StagePlan& sp, T carry, ScanKind kind, Op op,
+                  std::span<T> smem_partials) {
   constexpr int kW = simt::kWarpSize;
   const int nw = sp.warps();
   const int quads = sp.p / 4;
-  MGS_CHECK(static_cast<int>(smem_partials.size()) >= nw,
-            "scan_tile: shared-memory partials span too small");
-  const T* src = in.range(base, valid);
-  T* dst = out.range(base, valid);
   const int nq = static_cast<int>(util::div_up(
       static_cast<std::uint64_t>(valid), std::uint64_t{kQuadSpan}));
   const auto quad = [&](int j) {
@@ -151,7 +168,7 @@ T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
   // scan, and each lane's exclusive prefix within its warp segment (which
   // is first the scan's scratch).
   const std::span<simt::WarpReg<T>> regs =
-      detail::tile_regs<simt::WarpReg<T>>(3 * static_cast<std::size_t>(nq));
+      tile_regs<simt::WarpReg<T>>(3 * static_cast<std::size_t>(nq));
   const auto lane_total = regs.subspan(0, nq);
   const auto lane_incl = regs.subspan(nq, nq);
   const auto lane_prefix = regs.subspan(2 * static_cast<std::size_t>(nq), nq);
@@ -160,7 +177,7 @@ T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
   // Phase A: each lane's serial scan of its int4, in element order, down
   // to the lane total; then the warp scans of every quad's lane totals.
   for (int j = 0; j < nq; ++j) {
-    const T* v = detail::padded_quad<T, Op>(src + quad(j), quad_valid(j), pad);
+    const T* v = padded_quad<T, Op>(src + quad(j), quad_valid(j), pad);
     simt::WarpReg<T> t;
     for (int l = 0; l < kW; ++l) {
       const T* x = v + 4 * l;
@@ -187,7 +204,6 @@ T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
     last_warp_total = chain;
     smem_partials[static_cast<std::size_t>(w)] = chain;  // smem exchange
   }
-  ctx.sync();
 
   // Phase B: warp 0 scans the (<= 32) warp partials (LF over shuffles).
   simt::WarpReg<T> partials;
@@ -200,7 +216,6 @@ T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
     return w == 0 ? Op::identity() : partials[w - 1];
   };
   const T tile_total = op(excl_partial(nw - 1), last_warp_total);
-  ctx.sync();
 
   // Phase C: complete each lane's prefix, then run the lane's serial scan
   // again and combine, in element order, straight into the output (a tail
@@ -211,7 +226,7 @@ T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
     const T wprefix = op(carry, excl_partial(j / quads));
     for (int l = 0; l < kW; ++l) prefix[l] = op(wprefix, lane_prefix[j][l]);
     const int qvalid = quad_valid(j);
-    const T* v = detail::padded_quad<T, Op>(src + quad(j), qvalid, pad);
+    const T* v = padded_quad<T, Op>(src + quad(j), qvalid, pad);
     T* y = qvalid == kQuadSpan ? dst + quad(j) : pad.data();
     if (kind == ScanKind::kInclusive) {
       for (int l = 0; l < kW; ++l) {
@@ -244,11 +259,59 @@ T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
     }
   }
 
-  // Per quad: the 4-element lane scan, the exclusive warp scan (5 steps
-  // plus the shift), 33 prefix ops, and 5 completion ops per lane; the
-  // partials' exclusive scan once.
-  ctx.count_alu(static_cast<std::uint64_t>(nq) *
-                    ((4 + 5 * 2 + 2 + 5) * kW + 1 + kW) +
+  return tile_total;
+}
+
+}  // namespace detail
+
+/// Scan one tile [base, base+valid) of at most sp.tile() elements with an
+/// incoming prefix `carry`; writes output (inclusive or exclusive of the
+/// element itself; `carry` is always excluded-prefix-so-far) and returns
+/// the tile total. This is the Stage 3 (Scan+Addition) inner loop; Stage 2
+/// uses the row-scan skeleton below instead. `out` may be `in` itself
+/// (see the file comment); an exact operator runs one serial recurrence
+/// from the identity, any other the lane-order body.
+template <typename T, typename Op>
+T scan_tile(simt::BlockCtx& ctx, const simt::GlobalView<T>& in,
+            const simt::GlobalView<T>& out, std::int64_t base,
+            std::int64_t valid, const StagePlan& sp, T carry, ScanKind kind,
+            Op op, std::span<T> smem_partials) {
+  constexpr int kW = simt::kWarpSize;
+  MGS_CHECK(static_cast<int>(smem_partials.size()) >= sp.warps(),
+            "scan_tile: shared-memory partials span too small");
+  const T* src = in.range(base, valid);
+  T* dst = out.range(base, valid);
+  T tile_total = Op::identity();
+  if constexpr (detail::is_exact_v<Op>) {
+    // One recurrence from the identity, unrolled like reduce_tile's.
+    if (kind == ScanKind::kInclusive) {
+#pragma GCC unroll 4
+      for (std::int64_t i = 0; i < valid; ++i) {
+        tile_total = op(tile_total, src[i]);
+        dst[i] = op(carry, tile_total);
+      }
+    } else {
+#pragma GCC unroll 4
+      for (std::int64_t i = 0; i < valid; ++i) {
+        const T x = src[i];
+        dst[i] = op(carry, tile_total);
+        tile_total = op(tile_total, x);
+      }
+    }
+  } else {
+    tile_total = detail::scan_tile_lanes(src, dst, valid, sp, carry, kind, op,
+                                         smem_partials);
+  }
+
+  // Two barriers: the warp partials into shared memory, and their scan
+  // back out. Per quad: the 4-element lane scan, the exclusive warp scan
+  // (5 steps plus the shift), 33 prefix ops, and 5 completion ops per
+  // lane; the partials' exclusive scan once.
+  ctx.sync();
+  ctx.sync();
+  const auto nq = static_cast<std::uint64_t>(util::div_up(
+      static_cast<std::uint64_t>(valid), std::uint64_t{kQuadSpan}));
+  ctx.count_alu(nq * ((4 + 5 * 2 + 2 + 5) * kW + 1 + kW) +
                 (5 * 2 + 2) * kW);
   auto& st = ctx.stats();
   detail::charge_quads<T>(st.bytes_read, st.mem_transactions, valid);

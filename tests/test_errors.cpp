@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "mgs/baselines/reference.hpp"
 #include "mgs/core/api.hpp"
+#include "mgs/util/random.hpp"
 
 namespace mc = mgs::core;
 namespace ms = mgs::sim;
@@ -62,6 +64,37 @@ TEST(Errors, ScanSpArgumentChecks) {
   EXPECT_THROW(mc::scan_sp<int>(dev, buf, buf, 64, 2, plan,
                                 mc::ScanKind::kInclusive),
                mgs::util::Error);  // buffers hold only one problem
+}
+
+TEST(Errors, ScanSpRejectsPartialOverlap) {
+  // Scan-SP's `out` is `in` itself or shares none of its memory: an `out`
+  // 4 ints past `in` would be read after the scan had written it.
+  st::Device dev(0, ms::k80_spec());
+  const auto plan = valid_plan();
+  const std::int64_t n = 1 << 16;
+  const std::int64_t g = 2;
+  const auto elems = static_cast<std::size_t>(n * g);
+  std::vector<int> buf(elems + 4, 1);
+  const auto rows = [&](std::size_t at) {
+    return st::DeviceBuffer<int>::borrow(std::span<int>(buf.data() + at, elems),
+                                         dev.id());
+  };
+  auto front = rows(0);
+  auto back = rows(4);
+  EXPECT_THROW(mc::scan_sp<int>(dev, front, back, n, g, plan,
+                                mc::ScanKind::kInclusive),
+               mgs::util::Error);
+  EXPECT_THROW(mc::scan_sp<int>(dev, back, front, n, g, plan,
+                                mc::ScanKind::kExclusive),
+               mgs::util::Error);
+  // In place is accepted and scans correctly, both kinds.
+  for (const auto kind : {mc::ScanKind::kInclusive, mc::ScanKind::kExclusive}) {
+    std::vector<int> data = mgs::util::random_i32(elems, 97);
+    const auto want = mgs::baselines::reference_batch_scan<int>(data, n, g, kind);
+    auto io = st::DeviceBuffer<int>::borrow(std::span<int>(data), dev.id());
+    EXPECT_NO_THROW(mc::scan_sp<int>(dev, io, io, n, g, plan, kind));
+    EXPECT_EQ(data, want) << mc::to_string(kind);
+  }
 }
 
 TEST(Errors, MpsShapeChecks) {

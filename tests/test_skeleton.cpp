@@ -14,6 +14,7 @@
 
 #include "mgs/baselines/reference.hpp"
 #include "mgs/core/kernels.hpp"
+#include "mgs/core/segmented.hpp"
 #include "mgs/core/skeleton.hpp"
 #include "mgs/util/random.hpp"
 
@@ -567,4 +568,138 @@ TEST(Skeleton, TileBodiesMatchTheWarpRegisterOracle) {
   check_dtype<float>("f32");
   check_dtype<double>("f64");
   check_cell<std::uint32_t, LeftTriple>("u32/3a+b");
+}
+
+// ------------------------------------------------------ exact operators
+
+namespace {
+
+// The cells that run the serial body: plus, max and min on the three
+// integer dtypes. Floats, the 3a+b operator and SegOp keep the lane-order
+// replay, as does any operator that does not declare itself exact.
+template <template <typename> class Op>
+constexpr bool kExactOnIntegers = mc::detail::is_exact_v<Op<std::int32_t>> &&
+                                  mc::detail::is_exact_v<Op<std::int64_t>> &&
+                                  mc::detail::is_exact_v<Op<std::uint32_t>>;
+template <template <typename> class Op>
+constexpr bool kInexactOnFloats = !mc::detail::is_exact_v<Op<float>> &&
+                                  !mc::detail::is_exact_v<Op<double>>;
+static_assert(kExactOnIntegers<Plus> && kExactOnIntegers<mc::Max> &&
+              kExactOnIntegers<mc::Min>);
+static_assert(kInexactOnFloats<Plus> && kInexactOnFloats<mc::Max> &&
+              kInexactOnFloats<mc::Min>);
+static_assert(!mc::detail::is_exact_v<LeftTriple>);
+static_assert(
+    !mc::detail::is_exact_v<mc::SegOp<std::int32_t, Plus<std::int32_t>>>);
+
+/// `Op`'s arithmetic without its exactness claim, so the tile bodies run
+/// the lane-order replay for it.
+template <typename Op>
+struct LaneOrder {
+  using value_type = typename Op::value_type;
+  static constexpr value_type identity() { return Op::identity(); }
+  constexpr value_type operator()(value_type a, value_type b) const {
+    return Op{}(a, b);
+  }
+};
+static_assert(!mc::detail::is_exact_v<LaneOrder<Plus<std::int32_t>>>);
+
+/// Values within 2^20 of the type's maximum, one in four of its minimum:
+/// nearly every prefix sum wraps.
+template <typename T>
+std::vector<T> near_limits(std::size_t count, std::uint64_t seed) {
+  mgs::util::SplitMix64 rng(seed);
+  std::vector<T> v(count);
+  for (auto& x : v) {
+    const std::uint64_t r = rng.next();
+    const auto off = static_cast<T>(r >> 44);
+    x = (r % 4 == 0) ? std::numeric_limits<T>::min() + off
+                     : std::numeric_limits<T>::max() - off;
+  }
+  return v;
+}
+
+/// Signed plus's serial body against its lane-order body on overflowing
+/// sums: totals, outputs and all four counters, both kinds, tail lengths,
+/// and `out == in`. Equal bits need the sum to wrap in both.
+template <typename T>
+void check_wrapping_plus(const char* name) {
+  const Plus<T> exact;
+  const LaneOrder<Plus<T>> lanes;
+  auto dev = make_device();
+  for (int p : {4, 8}) {
+    mc::StagePlan sp;
+    sp.p = p;
+    sp.lx = 128;
+    const std::int64_t tile = sp.tile();
+    const std::int64_t smem = sp.smem_bytes(static_cast<int>(sizeof(T)));
+    const auto data = near_limits<T>(static_cast<std::size_t>(tile),
+                                     static_cast<std::uint64_t>(p));
+    const T carry = std::numeric_limits<T>::max();
+    auto in_a = dev.alloc<T>(tile);
+    auto in_b = dev.alloc<T>(tile);
+    auto out_a = dev.alloc<T>(tile);
+    auto out_b = dev.alloc<T>(tile);
+    const auto reset = [&] {
+      for (auto* b : {&in_a, &in_b}) {
+        std::copy(data.begin(), data.end(), b->host_span().begin());
+      }
+      for (auto* b : {&out_a, &out_b}) {
+        std::fill(b->host_span().begin(), b->host_span().end(), T{});
+      }
+    };
+    for (std::int64_t valid : {std::int64_t{0}, std::int64_t{1},
+                               std::int64_t{127}, std::int64_t{129}, tile - 1,
+                               tile}) {
+      const std::string where = std::string(name) + " p=" +
+                                std::to_string(p) +
+                                " valid=" + std::to_string(valid);
+      reset();
+      T got{};
+      T want{};
+      const auto r_a = run_block(dev, sp.lx, smem, [&](st::BlockCtx& ctx) {
+        got = mc::reduce_tile(ctx, in_a.view(), 0, valid, sp, exact);
+      });
+      const auto r_b = run_block(dev, sp.lx, smem, [&](st::BlockCtx& ctx) {
+        want = mc::reduce_tile(ctx, in_b.view(), 0, valid, sp, lanes);
+      });
+      EXPECT_TRUE(same_bits(got, want)) << "reduce " << where;
+      EXPECT_TRUE(same_stats(r_a, r_b)) << "reduce stats " << where;
+      for (const ScanKind kind :
+           {ScanKind::kInclusive, ScanKind::kExclusive}) {
+        for (const bool in_place : {false, true}) {
+          reset();
+          const auto& dst_a = in_place ? in_a : out_a;
+          const auto& dst_b = in_place ? in_b : out_b;
+          const auto s_a = run_block(dev, sp.lx, smem, [&](st::BlockCtx& ctx) {
+            got = mc::scan_tile(ctx, in_a.view(), dst_a.view(), 0, valid, sp,
+                                carry, kind, exact, ctx.shared<T>(sp.warps()));
+          });
+          const auto s_b = run_block(dev, sp.lx, smem, [&](st::BlockCtx& ctx) {
+            want = mc::scan_tile(ctx, in_b.view(), dst_b.view(), 0, valid, sp,
+                                 carry, kind, lanes,
+                                 ctx.shared<T>(sp.warps()));
+          });
+          const std::string what = where + " " + mc::to_string(kind) +
+                                   (in_place ? " in place" : "");
+          EXPECT_TRUE(same_bits(got, want)) << "scan total " << what;
+          EXPECT_TRUE(same_stats(s_a, s_b)) << "scan stats " << what;
+          EXPECT_EQ(std::memcmp(dst_a.host_span().data(),
+                                dst_b.host_span().data(),
+                                static_cast<std::size_t>(tile) * sizeof(T)),
+                    0)
+              << "scan output " << what;
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+// Signed plus wraps, so the serial recurrence and the lane-order replay
+// agree bit for bit even when the sums overflow.
+TEST(Skeleton, ExactPlusWrapsLikeTheLaneOrderBody) {
+  check_wrapping_plus<std::int32_t>("i32");
+  check_wrapping_plus<std::int64_t>("i64");
 }
