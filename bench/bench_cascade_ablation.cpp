@@ -9,7 +9,7 @@
 ///      the CUB operator extension lose performance).
 
 #include "common.hpp"
-#include "mgs/core/segmented.hpp"
+#include "mgs/core/segmented_context.hpp"
 
 using namespace mgs;
 
@@ -92,25 +92,22 @@ int main(int argc, char** argv) {
         regular.seconds / direct.seconds);
   };
 
-  // (c) segmented-scan overhead.
+  // (c) segmented-scan overhead: SegmentedScan and the plain scan of the
+  // same values, both through the Scan-SP executor of one context.
   std::printf("\n(c) Segmented-scan operator extension vs plain scan:\n");
+  bench::BenchContext bc(1);
   {
-    auto plan = core::derive_spl(spec, 4).plan;
-    plan.s13.k = 4;
-    simt::Device dev(0, spec);
-    auto in = dev.alloc<int>(n);
-    auto fl = dev.alloc<int>(n);
-    auto out = dev.alloc<int>(n);
-    std::copy(data.begin(), data.end(), in.host_span().begin());
+    std::vector<int> flags(static_cast<std::size_t>(n), 0);
     for (std::int64_t i = 0; i < n; i += 1000) {
-      fl.host_span()[static_cast<std::size_t>(i)] = 1;
+      flags[static_cast<std::size_t>(i)] = 1;
     }
-    const auto seg = core::segmented_scan_sp<int>(dev, in, fl, out, n, plan);
-    const auto plain = core::scan_sp<int>(dev, in, out, n, 1, plan,
-                                          core::ScanKind::kInclusive);
+    std::vector<int> out(static_cast<std::size_t>(n));
+    core::SegmentedScan<int> seg_scan(bc.ctx(), "Scan-SP");
+    seg_scan.prepare(n);
+    const auto seg = seg_scan.run(data, flags, out);
+    const auto plain = bc.run("Scan-SP", {}, data, n, 1);
     std::printf(
-        "  plain: %s   segmented: %s   overhead: %.2fx (pack/unpack + 2x "
-        "element size)\n",
+        "  plain: %s   segmented: %s   overhead: %.2fx (2x element size)\n",
         util::fmt_time_us(plain.seconds).c_str(),
         util::fmt_time_us(seg.seconds).c_str(), seg.seconds / plain.seconds);
   }
@@ -127,7 +124,6 @@ int main(int argc, char** argv) {
       flags[i] = (values[i] & 1023) == 0 ? 1 : 0;  // ~1k-element segments
     }
     std::vector<int> out(values.size());
-    bench::BenchContext bc(1);
     const auto record = [&](const std::string& executor, int devices,
                             const core::ExecutorParams& p,
                             const std::string& pipeline) {

@@ -223,11 +223,8 @@ inline core::RunResult mppc_run(int y, int v, std::span<const int> data,
 inline core::RunResult sp_run(std::span<const int> data, std::int64_t n,
                               std::int64_t g, const core::ScanPlan& plan) {
   simt::Device dev(0, sim::k80_spec());
-  auto in = dev.alloc<int>(n * g);
-  auto out = dev.alloc<int>(n * g);
-  std::copy(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(n * g),
-            in.host_span().begin());
-  return core::scan_sp<int>(dev, in, out, n, g, plan,
+  std::vector<int> out(static_cast<std::size_t>(n * g));
+  return core::scan_sp<int>(dev, data, out, n, g, plan,
                             core::ScanKind::kInclusive);
 }
 

@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
   });
 
   // --- Step 2: CDF = inclusive scan of the histogram.
-  const auto t_scan = core::scan_sp<int>(dev, hist, cdf, kLevels, 1, plan,
+  const auto t_scan = core::scan_sp<int>(dev, hist.host_span(),
+                                         cdf.host_span(), kLevels, 1, plan,
                                          core::ScanKind::kInclusive);
 
   // --- Step 3: remap pixels through the equalization lookup table.

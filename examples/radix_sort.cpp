@@ -53,8 +53,8 @@ double split_pass(simt::Device& dev, const core::ScanPlan& plan,
                }
              }).seconds;
 
-  seconds += core::scan_sp<int>(dev, flags, ranks, n, 1, plan,
-                                core::ScanKind::kExclusive)
+  seconds += core::scan_sp<int>(dev, flags.host_span(), ranks.host_span(), n,
+                                1, plan, core::ScanKind::kExclusive)
                  .seconds;
 
   const std::int64_t zeros =

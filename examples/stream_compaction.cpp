@@ -74,8 +74,9 @@ int main(int argc, char** argv) {
   // --- Step 2: exclusive scan of the flags = output offsets, with the
   // plan memoized in the context and pooled auxiliary storage.
   const auto scan_result = core::scan_sp<int>(
-      dev, flags, offsets, n, 1, ctx.plan_for(n, /*g=*/1),
-      core::ScanKind::kExclusive, {}, &ctx.workspace());
+      dev, flags.host_span(), offsets.host_span(), n, 1,
+      ctx.plan_for(n, /*g=*/1), core::ScanKind::kExclusive, {},
+      &ctx.workspace());
 
   // --- Step 3: scatter kernel.
   const std::int64_t kept =

@@ -52,11 +52,11 @@ int main(int argc, char** argv) {
   // Row scans (ONE batch invocation for all h rows), transpose, column
   // scans (one invocation for all w rows), transpose back.
   double total = 0.0;
-  total += core::scan_sp<int>(dev, a, a, w, h, plan,
+  total += core::scan_sp<int>(dev, a.host_span(), a.host_span(), w, h, plan,
                               core::ScanKind::kInclusive)
                .seconds;
   total += simt::transpose(dev, a, b, w, h).seconds;
-  total += core::scan_sp<int>(dev, b, b, h, w, plan,
+  total += core::scan_sp<int>(dev, b.host_span(), b.host_span(), h, w, plan,
                               core::ScanKind::kInclusive)
                .seconds;
   total += simt::transpose(dev, b, a, h, w).seconds;

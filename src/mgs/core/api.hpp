@@ -13,8 +13,8 @@
 #include "mgs/core/scan_mps.hpp"     // problem scattering, direct + MPI
 #include "mgs/core/scan_mppc.hpp"    // prioritized communications
 #include "mgs/core/planner.hpp"      // Premise-4 proposal selection
-#include "mgs/core/segmented.hpp"    // segmented scan extension
-#include "mgs/core/segmented_context.hpp"  // segmented scan via executors
+#include "mgs/core/segmented.hpp"    // SegPair / SegOp extension
+#include "mgs/core/segmented_context.hpp"  // the segmented scan
 #include "mgs/core/workspace.hpp"    // per-device buffer pooling
 #include "mgs/core/scan_context.hpp" // plan cache + workspace pool
 #include "mgs/core/executor.hpp"     // unified proposal interface

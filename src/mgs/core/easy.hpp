@@ -6,7 +6,6 @@
 /// proposals in scan_sp.hpp / scan_mps.hpp / scan_mppc.hpp expose full
 /// control.
 
-#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -23,10 +22,10 @@ struct EasyScanResult {
 };
 
 /// Scan `input` (a batch of `g` problems of input.size()/g contiguous
-/// elements) on device 0 of the context's cluster. The plan comes from
-/// the context's memoized autotuner cache and the auxiliary buffers from
-/// its workspace pool, so repeated calls through one context amortize
-/// both.
+/// elements) on device 0 of the context's cluster, straight into the
+/// result's output. The plan comes from the context's memoized autotuner
+/// cache and the auxiliary array from its workspace pool, so repeated
+/// calls through one context amortize both.
 template <typename T, typename Op = Plus<T>>
 EasyScanResult<T> scan(ScanContext& ctx, std::span<const T> input,
                        ScanKind kind = ScanKind::kInclusive,
@@ -39,24 +38,23 @@ EasyScanResult<T> scan(ScanContext& ctx, std::span<const T> input,
 
   // PlanTypeOf is the erasure boundary: matrix types (and SegPair) key the
   // context's plan cache; anything else fails here at compile time and
-  // must use the free scan_sp functions instead. A custom operator shares
+  // must call scan_sp directly instead. A custom operator shares
   // the kPlus plan row -- plans depend on element bytes, not the operator.
   const ScanPlan& plan =
       ctx.plan_for(n, g, PlanTypeOf<T>::dtype,
                    op_tag_of_v<Op>.value_or(OpTag::kPlus),
                    /*gpus_per_problem=*/1, PlanTypeOf<T>::segmented);
   simt::Device& dev = ctx.cluster().device(0);
-  auto in = acquire_workspace<T>(&ctx.workspace(), dev, total);
-  auto out = acquire_workspace<T>(&ctx.workspace(), dev, total);
-  std::copy(input.begin(), input.end(), in.host_span().begin());
+  // The input and output rows occupy the device for the call: an input
+  // too big for it throws here, as an allocation of them would.
+  const auto resident =
+      dev.reserve(2 * total * static_cast<std::int64_t>(sizeof(T)));
 
   ctx.cluster().reset_clocks();
   EasyScanResult<T> result;
-  result.run = scan_sp<T, Op>(dev, in.buffer(), out.buffer(), n, g, plan,
-                              kind, op, &ctx.workspace());
-  const auto produced = out.host_span();
-  result.output.assign(produced.begin(),
-                       produced.begin() + static_cast<std::ptrdiff_t>(total));
+  result.output.resize(static_cast<std::size_t>(total));
+  result.run = scan_sp<T, Op>(dev, input, result.output, n, g, plan, kind, op,
+                              &ctx.workspace());
   return result;
 }
 

@@ -33,13 +33,10 @@ class TypedPath final : public DataPath {
   }
 
   RunResult scan_sp(const Call& c, int device) override {
-    const auto in = c.in.template as<T>();
-    // Read-only by contract: the kernels only ever store through `out`.
-    const auto src = simt::DeviceBuffer<T>::borrow(
-        std::span<T>(const_cast<T*>(in.data()), in.size()), device);
-    auto dst = simt::DeviceBuffer<T>::borrow(c.out.template as<T>(), device);
-    return core::scan_sp<T, Op>(c.ctx.cluster().device(device), src, dst, c.n,
-                                c.g, c.plan, c.kind, Op{}, &c.ctx.workspace());
+    return core::scan_sp<T, Op>(c.ctx.cluster().device(device),
+                                c.in.template as<T>(), c.out.template as<T>(),
+                                c.n, c.g, c.plan, c.kind, Op{},
+                                &c.ctx.workspace());
   }
 
   RunResult scan_mps(const Call& c, const std::vector<int>& gpus,

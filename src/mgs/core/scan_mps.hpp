@@ -253,10 +253,9 @@ RunResult scan_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
   // ever store through `out`.
   const std::span<T> src(const_cast<T*>(in.data()), in.size());
   const auto portion = [&](std::span<T> rows, int d) {
-    return simt::DeviceBuffer<T>::borrow(
-        rows.subspan(static_cast<std::size_t>(d * n_local),
-                     static_cast<std::size_t>(lay.extent())),
-        gpus[static_cast<std::size_t>(d)]);
+    return cluster.device(gpus[static_cast<std::size_t>(d)])
+        .borrow(rows.subspan(static_cast<std::size_t>(d * n_local),
+                             static_cast<std::size_t>(lay.extent())));
   };
   const bool peer = gather == MpsGather::kPeerWrites;
   const bool mpi = gather == MpsGather::kMpi;

@@ -1,12 +1,9 @@
 #pragma once
 /// \file segmented_context.hpp
-/// Segmented scan through the unified ScanContext/ScanExecutor path. The
-/// free function segmented_scan_sp (segmented.hpp) re-derives nothing but
-/// also amortizes nothing; SegmentedScan packs (value, flag) pairs and
-/// drives a proposal executor over them, so segmented traffic gets the
-/// same plan-cache hits, workspace reuse, overlap pipelining and
-/// degraded-mode re-planning as the plain scans -- on any of the five
-/// proposals.
+/// The segmented scan: SegmentedScan packs (value, flag) pairs and drives
+/// a proposal executor over them, so segmented traffic gets the same
+/// plan-cache hits, workspace reuse, overlap pipelining and degraded-mode
+/// re-planning as the plain scans -- on any of the five proposals.
 ///
 /// The executors over SegPair<T> come from make_segmented_executor, whose
 /// dense (DType, OpTag) tables are built once in segmented_executor.cpp;
@@ -14,13 +11,15 @@
 /// the segmented flag set, and the plan cache keys them as (scalar dtype,
 /// segmented=true), doubling the element bytes the plan budgets for.
 ///
-/// Exclusive segmented scans are offered here, unlike the free function:
-/// the inner scan always runs inclusively (a flag-restarting operator has
-/// no operator-generic exclusive form), and exclusivity is applied during
+/// The inner scan always runs inclusively (a flag-restarting operator has
+/// no operator-generic exclusive form); exclusivity is applied during
 /// unpack -- a segment head yields Op::identity(), everything else the
-/// inclusive value of its left neighbor. Host-side pack/unpack is input
-/// preparation, like the data the paper takes as GPU-resident, and is not
-/// charged to the simulated time.
+/// inclusive value of its left neighbor.
+///
+/// Cost rule: the modeled time of a segmented scan is the inner scan's
+/// over the doubled element size, and nothing more. Packing and unpacking
+/// happen on the host, as input preparation, like the data the paper
+/// takes as GPU-resident, and are not charged.
 
 #include <memory>
 #include <span>
@@ -91,8 +90,10 @@ class SegmentedScan {
       }
     } else {
       for (std::int64_t i = 0; i < total; ++i) {
+        // The head comes from the packed copy: `out` may overlap `flags`,
+        // whose element i an earlier iteration could have overwritten.
         const bool head =
-            i % n == 0 || flags[static_cast<std::size_t>(i)] != T{0};
+            i % n == 0 || packed_[static_cast<std::size_t>(i)].flag != T{0};
         out[static_cast<std::size_t>(i)] =
             head ? Op::identity()
                  : packed_out_[static_cast<std::size_t>(i) - 1].value;

@@ -212,16 +212,15 @@ ProbeResult probe_plans(
 
 namespace {
 
-/// One Scan-SP probe on a throwaway device. The probe element type only
-/// has to move the right number of bytes per lane; the premises' cost
-/// trade-offs are byte-driven, not value-driven.
+/// One in-place Scan-SP probe on a throwaway device. The probe element
+/// type only has to move the right number of bytes per lane; the
+/// premises' cost trade-offs are byte-driven, not value-driven.
 template <typename T, typename Op = Plus<T>>
 double probe_scan(const sim::DeviceSpec& spec, const ScanPlan& plan,
                   std::int64_t n, std::int64_t g) {
   simt::Device dev(0, spec);
-  auto in = dev.alloc<T>(n * g);
-  auto out = dev.alloc<T>(n * g);
-  return scan_sp<T, Op>(dev, in, out, n, g, plan, ScanKind::kInclusive)
+  std::vector<T> rows(static_cast<std::size_t>(n * g));
+  return scan_sp<T, Op>(dev, rows, rows, n, g, plan, ScanKind::kInclusive)
       .seconds;
 }
 

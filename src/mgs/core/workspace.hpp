@@ -2,7 +2,7 @@
 /// \file workspace.hpp
 /// Per-device workspace pooling for the scan proposals. Every proposal
 /// needs transient device buffers (auxiliary chunk-total arrays, the
-/// master's combined array, pack/unpack staging); allocating them with
+/// master's combined array, the carries); allocating them with
 /// `dev.alloc` on every invocation is fine for a one-shot reproduction
 /// but wasteful under repeated traffic. A WorkspacePool keeps released
 /// buffers on a per-(type, device) free list and hands them back to later

@@ -208,23 +208,15 @@ class GlobalView {
 
 /// Device memory handle, passable like a CUDA device pointer. Either
 /// owned -- host-backed storage allocated by Device::alloc, shared by every
-/// copy of the handle -- or borrowed: a view of memory someone else owns,
-/// tagged with the device it models (the caller's problem rows, which the
-/// paper's evaluation takes as already GPU-resident). A borrowed buffer
-/// charges no budget and must not outlive the memory it views.
+/// copy of the handle -- or borrowed by Device::borrow: a view of memory
+/// someone else owns, tagged with the device it models (the caller's
+/// problem rows, which the paper's evaluation takes as already
+/// GPU-resident). A borrowed buffer charges no budget and must not
+/// outlive the memory it views.
 template <typename T>
 class DeviceBuffer {
  public:
   DeviceBuffer() = default;
-
-  /// View `host` as resident on device `device_id`, without a copy.
-  static DeviceBuffer borrow(std::span<T> host, int device_id) {
-    DeviceBuffer b;
-    b.data_ = host.data();
-    b.size_ = static_cast<std::int64_t>(host.size());
-    b.device_id_ = device_id;
-    return b;
-  }
 
   std::int64_t size() const { return size_; }
   int device_id() const { return device_id_; }
@@ -305,6 +297,16 @@ class Device {
           delete p;
         });
     return DeviceBuffer<T>(std::move(storage), id_);
+  }
+
+  /// View `host` as resident on this device, without a copy.
+  template <typename T>
+  DeviceBuffer<T> borrow(std::span<T> host) const {
+    DeviceBuffer<T> b;
+    b.data_ = host.data();
+    b.size_ = static_cast<std::int64_t>(host.size());
+    b.device_id_ = id_;
+    return b;
   }
 
   /// Count `bytes` against the budget with no storage behind them -- what

@@ -179,11 +179,10 @@ TEST(Reduce, HalfTheTrafficOfAScan) {
   const std::int64_t n = 1 << 20;
   auto in = dev.alloc<int>(n);
   auto out1 = dev.alloc<int>(1);
-  auto out_scan = dev.alloc<int>(n);
+  std::vector<int> out_scan(static_cast<std::size_t>(n));
   const auto r_reduce = mc::reduce_sp<int>(dev, in, out1, n, 1, plan.s13);
-  mc::ScanPlan sp = plan;
-  const auto r_scan = mc::scan_sp<int>(dev, in, out_scan, n, 1, sp,
-                                       mc::ScanKind::kInclusive);
+  const auto r_scan = mc::scan_sp<int>(dev, in.host_span(), out_scan, n, 1,
+                                       plan, mc::ScanKind::kInclusive);
   EXPECT_LT(r_reduce.seconds, 0.7 * r_scan.seconds);
 }
 

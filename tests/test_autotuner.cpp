@@ -33,8 +33,8 @@ TEST(Autotuner, FindsPlanNoWorseThanPaperDefault) {
   auto default_plan = mc::derive_spl(ms::k80_spec(), 4).plan;
   default_plan.s13.k = 4;
   mgs::simt::Device dev(0, ms::k80_spec());
-  auto in = dev.alloc<int>(n * 2);
-  auto out = dev.alloc<int>(n * 2);
+  const std::vector<int> in(static_cast<std::size_t>(n * 2));
+  std::vector<int> out(in.size());
   const double default_seconds =
       mc::scan_sp<int>(dev, in, out, n, 2, default_plan,
                        mc::ScanKind::kInclusive)
@@ -110,4 +110,26 @@ TEST(EasyScan, RejectsUnevenBatch) {
                mgs::util::Error);
   EXPECT_THROW(mc::scan<int>(std::span<const int>{}, mc::ScanKind::kInclusive),
                mgs::util::Error);
+}
+
+TEST(EasyScan, DirectShapeScansIntoTheResultWithNoLease) {
+  auto cluster = mgs::topo::single_gpu_cluster(ms::k80_spec());
+  mc::ScanContext ctx(cluster);
+  const std::int64_t n = 1000;
+  ASSERT_EQ(mc::make_layout(n, 1, ctx.plan_for(n, 1).s13).bx, 1);
+  const auto data = mgs::util::random_i32(static_cast<std::size_t>(n), 6);
+  const auto result = mc::scan<int>(ctx, data);
+  EXPECT_EQ(result.output, mgs::baselines::reference_batch_scan<int>(
+                               data, n, 1, mc::ScanKind::kInclusive));
+  EXPECT_EQ(ctx.workspace().device_allocations(), 0u);
+  EXPECT_EQ(ctx.workspace().reuses(), 0u);
+}
+
+TEST(EasyScan, InputTooBigForTheDeviceThrows) {
+  const auto data = mgs::util::random_i32(1 << 12, 7);
+  auto spec = ms::k80_spec();
+  spec.memory_bytes = 2 * static_cast<std::int64_t>(data.size() * sizeof(int)) - 1;
+  EXPECT_THROW(
+      mc::scan<int>(data, mc::ScanKind::kInclusive, 1, {}, spec),
+      mgs::util::Error);
 }

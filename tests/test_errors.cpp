@@ -56,14 +56,14 @@ TEST(Errors, LayoutRejectsEmptyShapes) {
 
 TEST(Errors, ScanSpArgumentChecks) {
   st::Device dev(0, ms::k80_spec());
-  auto buf = dev.alloc<int>(64);
+  std::vector<int> buf(64);
   const auto plan = valid_plan();
   EXPECT_THROW(mc::scan_sp<int>(dev, buf, buf, -5, 1, plan,
                                 mc::ScanKind::kInclusive),
                mgs::util::Error);
   EXPECT_THROW(mc::scan_sp<int>(dev, buf, buf, 64, 2, plan,
                                 mc::ScanKind::kInclusive),
-               mgs::util::Error);  // buffers hold only one problem
+               mgs::util::Error);  // the spans hold only one problem
 }
 
 TEST(Errors, ScanSpRejectsPartialOverlap) {
@@ -75,12 +75,8 @@ TEST(Errors, ScanSpRejectsPartialOverlap) {
   const std::int64_t g = 2;
   const auto elems = static_cast<std::size_t>(n * g);
   std::vector<int> buf(elems + 4, 1);
-  const auto rows = [&](std::size_t at) {
-    return st::DeviceBuffer<int>::borrow(std::span<int>(buf.data() + at, elems),
-                                         dev.id());
-  };
-  auto front = rows(0);
-  auto back = rows(4);
+  const std::span<int> front(buf.data(), elems);
+  const std::span<int> back(buf.data() + 4, elems);
   EXPECT_THROW(mc::scan_sp<int>(dev, front, back, n, g, plan,
                                 mc::ScanKind::kInclusive),
                mgs::util::Error);
@@ -91,8 +87,7 @@ TEST(Errors, ScanSpRejectsPartialOverlap) {
   for (const auto kind : {mc::ScanKind::kInclusive, mc::ScanKind::kExclusive}) {
     std::vector<int> data = mgs::util::random_i32(elems, 97);
     const auto want = mgs::baselines::reference_batch_scan<int>(data, n, g, kind);
-    auto io = st::DeviceBuffer<int>::borrow(std::span<int>(data), dev.id());
-    EXPECT_NO_THROW(mc::scan_sp<int>(dev, io, io, n, g, plan, kind));
+    EXPECT_NO_THROW(mc::scan_sp<int>(dev, data, data, n, g, plan, kind));
     EXPECT_EQ(data, want) << mc::to_string(kind);
   }
 }
@@ -172,15 +167,21 @@ TEST(Errors, MultinodeShapeChecks) {
 }
 
 TEST(Errors, SegmentedScanChecks) {
-  st::Device dev(0, ms::k80_spec());
-  auto small = dev.alloc<int>(8);
-  auto big = dev.alloc<int>(64);
-  EXPECT_THROW(
-      mc::segmented_scan_sp<int>(dev, big, small, big, 64, valid_plan()),
-      mgs::util::Error);
-  EXPECT_THROW(
-      mc::segmented_scan_sp<int>(dev, big, big, big, 0, valid_plan()),
-      mgs::util::Error);
+  auto cluster = mt::single_gpu_cluster(ms::k80_spec());
+  mc::ScanContext ctx(cluster);
+  mc::SegmentedScan<int> seg(ctx);
+  const std::int64_t n = 32;
+  const std::int64_t g = 2;
+  const std::vector<int> big(static_cast<std::size_t>(n * g));
+  const std::vector<int> small(static_cast<std::size_t>(n * g - 1));
+  std::vector<int> out(big.size());
+  std::vector<int> short_out(small.size());
+  EXPECT_THROW(seg.run(big, big, out), mgs::util::Error);  // before prepare
+  seg.prepare(n, g);
+  EXPECT_THROW(seg.run(small, big, out), mgs::util::Error);
+  EXPECT_THROW(seg.run(big, small, out), mgs::util::Error);
+  EXPECT_THROW(seg.run(big, big, short_out), mgs::util::Error);
+  EXPECT_NO_THROW(seg.run(big, big, out, mc::ScanKind::kExclusive));
 }
 
 TEST(Errors, DeviceMemoryExhaustionIsRecoverable) {

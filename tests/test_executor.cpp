@@ -176,13 +176,10 @@ TEST(ExecutorEquivalence, ScanSp) {
 
   auto legacy_cluster = mt::tsubame_kfc_cluster(1);
   auto& dev = legacy_cluster.device(0);
-  auto in = dev.alloc<int>(kN * kG);
-  auto out = dev.alloc<int>(kN * kG);
-  std::copy(data.begin(), data.end(), in.host_span().begin());
-  const auto rl = mc::scan_sp<int>(dev, in, out, kN, kG,
+  std::vector<int> want(data.size());
+  const auto rl = mc::scan_sp<int>(dev, data, want, kN, kG,
                                    ctx.plan_for(kN, kG),
                                    mc::ScanKind::kInclusive);
-  const std::vector<int> want(out.host_span().begin(), out.host_span().end());
 
   EXPECT_EQ(got, want);
   EXPECT_EQ(r.seconds, rl.seconds);

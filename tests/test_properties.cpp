@@ -27,11 +27,9 @@ mc::ScanPlan plan_with_k(int k) {
 std::vector<int> run_sp(const std::vector<int>& data, std::int64_t n,
                         std::int64_t g, mc::ScanKind kind, int k) {
   st::Device dev(0, mgs::sim::k80_spec());
-  auto in = dev.alloc<int>(n * g);
-  auto out = dev.alloc<int>(n * g);
-  std::copy(data.begin(), data.end(), in.host_span().begin());
-  mc::scan_sp<int>(dev, in, out, n, g, plan_with_k(k), kind);
-  return {out.host_span().begin(), out.host_span().end()};
+  std::vector<int> out(data.size());
+  mc::scan_sp<int>(dev, data, out, n, g, plan_with_k(k), kind);
+  return out;
 }
 
 }  // namespace
@@ -94,14 +92,12 @@ TEST(Property, MaxScanMonotone) {
   const std::int64_t n = 25000;
   const auto data = mgs::util::random_i32(static_cast<std::size_t>(n), 5,
                                           -100000, 100000);
-  auto in = dev.alloc<int>(n);
-  auto out = dev.alloc<int>(n);
-  std::copy(data.begin(), data.end(), in.host_span().begin());
-  mc::scan_sp<int, mc::Max<int>>(dev, in, out, n, 1, plan_with_k(2),
+  std::vector<int> out(data.size());
+  mc::scan_sp<int, mc::Max<int>>(dev, data, out, n, 1, plan_with_k(2),
                                  mc::ScanKind::kInclusive);
-  int prev = out.host_span()[0];
+  int prev = out[0];
   for (std::int64_t i = 1; i < n; ++i) {
-    const int cur = out.host_span()[static_cast<std::size_t>(i)];
+    const int cur = out[static_cast<std::size_t>(i)];
     ASSERT_GE(cur, prev);
     prev = cur;
   }
@@ -198,19 +194,15 @@ TEST(Property, ProposalsAgreeOnRandomShapes) {
 TEST(Property, ModeledTimeDataOblivious) {
   const std::int64_t n = 1 << 15;
   st::Device dev1(0, mgs::sim::k80_spec());
-  auto in1 = dev1.alloc<int>(n);
-  auto out1 = dev1.alloc<int>(n);
   const auto d1 = mgs::util::random_i32(static_cast<std::size_t>(n), 1);
-  std::copy(d1.begin(), d1.end(), in1.host_span().begin());
-  const auto r1 = mc::scan_sp<int>(dev1, in1, out1, n, 1, plan_with_k(2),
+  std::vector<int> out1(d1.size());
+  const auto r1 = mc::scan_sp<int>(dev1, d1, out1, n, 1, plan_with_k(2),
                                    mc::ScanKind::kInclusive);
 
   st::Device dev2(0, mgs::sim::k80_spec());
-  auto in2 = dev2.alloc<int>(n);
-  auto out2 = dev2.alloc<int>(n);
   const auto d2 = mgs::util::random_i32(static_cast<std::size_t>(n), 999);
-  std::copy(d2.begin(), d2.end(), in2.host_span().begin());
-  const auto r2 = mc::scan_sp<int>(dev2, in2, out2, n, 1, plan_with_k(2),
+  std::vector<int> out2(d2.size());
+  const auto r2 = mc::scan_sp<int>(dev2, d2, out2, n, 1, plan_with_k(2),
                                    mc::ScanKind::kInclusive);
 
   EXPECT_DOUBLE_EQ(r1.seconds, r2.seconds);

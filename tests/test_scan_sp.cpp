@@ -41,18 +41,14 @@ void check_scan_sp(std::int64_t n, std::int64_t g, mc::ScanKind kind, int k,
     data.assign(ints.begin(), ints.end());
   }
 
-  auto in = dev.alloc<T>(n * g);
-  auto out = dev.alloc<T>(n * g);
-  std::copy(data.begin(), data.end(), in.host_span().begin());
-
-  const auto result = mc::scan_sp<T, Op>(dev, in, out, n, g, plan, kind);
+  std::vector<T> out(data.size());
+  const auto result = mc::scan_sp<T, Op>(dev, data, out, n, g, plan, kind);
   EXPECT_GT(result.seconds, 0.0);
   EXPECT_EQ(result.payload_bytes, 2ull * static_cast<std::uint64_t>(n) * g * sizeof(T));
 
   const auto want = reference_batch_scan<T, Op>(data, n, g, kind);
-  const auto got = out.host_span();
   for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(got[i], want[i]) << "n=" << n << " g=" << g << " i=" << i;
+    ASSERT_EQ(out[i], want[i]) << "n=" << n << " g=" << g << " i=" << i;
   }
 }
 
@@ -62,18 +58,16 @@ TEST(ScanSp, SmallSingleProblemUsesDirectPath) {
   st::Device dev(0, mgs::sim::k80_spec());
   const auto plan = paper_plan(4);
   const std::int64_t n = plan.s13.chunk();  // exactly one chunk -> direct
-  auto in = dev.alloc<int>(n);
-  auto out = dev.alloc<int>(n);
   const auto data = mgs::util::random_i32(static_cast<std::size_t>(n), 1);
-  std::copy(data.begin(), data.end(), in.host_span().begin());
-  const auto r = mc::scan_sp<int>(dev, in, out, n, 1, plan,
+  std::vector<int> out(data.size());
+  const auto r = mc::scan_sp<int>(dev, data, out, n, 1, plan,
                                   mc::ScanKind::kInclusive);
   EXPECT_EQ(r.breakdown.get("Stage1"), 0.0);  // stages 1-2 skipped
   EXPECT_GT(r.breakdown.get("Stage3"), 0.0);
   int acc = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     acc += data[static_cast<std::size_t>(i)];
-    ASSERT_EQ(out.host_span()[static_cast<std::size_t>(i)], acc);
+    ASSERT_EQ(out[static_cast<std::size_t>(i)], acc);
   }
 }
 
@@ -81,8 +75,8 @@ TEST(ScanSp, ThreeStageBreakdownPresent) {
   st::Device dev(0, mgs::sim::k80_spec());
   const auto plan = paper_plan(2);
   const std::int64_t n = 1 << 16;
-  auto in = dev.alloc<int>(n);
-  auto out = dev.alloc<int>(n);
+  const std::vector<int> in(static_cast<std::size_t>(n));
+  std::vector<int> out(in.size());
   const auto r = mc::scan_sp<int>(dev, in, out, n, 1, plan,
                                   mc::ScanKind::kInclusive);
   EXPECT_GT(r.breakdown.get("Stage1"), 0.0);
@@ -95,21 +89,20 @@ TEST(ScanSp, InPlaceScanWorks) {
   st::Device dev(0, mgs::sim::k80_spec());
   const auto plan = paper_plan(2);
   const std::int64_t n = 1 << 14;
-  auto buf = dev.alloc<int>(n);
   const auto data = mgs::util::random_i32(static_cast<std::size_t>(n), 2);
-  std::copy(data.begin(), data.end(), buf.host_span().begin());
+  std::vector<int> buf = data;
   mc::scan_sp<int>(dev, buf, buf, n, 1, plan, mc::ScanKind::kInclusive);
   int acc = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     acc += data[static_cast<std::size_t>(i)];
-    ASSERT_EQ(buf.host_span()[static_cast<std::size_t>(i)], acc);
+    ASSERT_EQ(buf[static_cast<std::size_t>(i)], acc);
   }
 }
 
 TEST(ScanSp, RejectsBadArguments) {
   st::Device dev(0, mgs::sim::k80_spec());
   const auto plan = paper_plan(2);
-  auto buf = dev.alloc<int>(16);
+  std::vector<int> buf(16);
   EXPECT_THROW(mc::scan_sp<int>(dev, buf, buf, 0, 1, plan,
                                 mc::ScanKind::kInclusive),
                mgs::util::Error);
@@ -190,15 +183,13 @@ TEST(ScanSp, UnsignedWrapsModulo) {
   const std::int64_t n = 1 << 15;
   std::vector<std::uint32_t> data(static_cast<std::size_t>(n),
                                   0xC000'0000u);  // forces wraparound
-  auto in = dev.alloc<std::uint32_t>(n);
-  auto out = dev.alloc<std::uint32_t>(n);
-  std::copy(data.begin(), data.end(), in.host_span().begin());
-  mc::scan_sp<std::uint32_t>(dev, in, out, n, 1, plan,
+  std::vector<std::uint32_t> out(data.size());
+  mc::scan_sp<std::uint32_t>(dev, data, out, n, 1, plan,
                              mc::ScanKind::kInclusive);
   std::uint32_t acc = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     acc += data[static_cast<std::size_t>(i)];
-    ASSERT_EQ(out.host_span()[static_cast<std::size_t>(i)], acc);
+    ASSERT_EQ(out[static_cast<std::size_t>(i)], acc);
   }
 }
 
@@ -222,8 +213,8 @@ TEST(ScanSp, MinOperatorMatchesReference) {
 TEST(ScanSp, LargerKIsFewerChunks) {
   st::Device dev(0, mgs::sim::k80_spec());
   const std::int64_t n = 1 << 20;
-  auto in = dev.alloc<int>(n);
-  auto out = dev.alloc<int>(n);
+  const std::vector<int> in(static_cast<std::size_t>(n));
+  std::vector<int> out(in.size());
   auto p1 = paper_plan(1);
   auto p8 = paper_plan(8);
   const auto lay1 = mc::make_layout(n, 1, p1.s13);

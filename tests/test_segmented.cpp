@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "mgs/baselines/reference.hpp"
-#include "mgs/core/segmented.hpp"
 #include "mgs/core/segmented_context.hpp"
-#include "mgs/core/tuning.hpp"
 #include "mgs/topo/topology.hpp"
 #include "mgs/util/random.hpp"
 
@@ -14,12 +16,6 @@ namespace mc = mgs::core;
 using mgs::baselines::reference_segmented_scan;
 
 namespace {
-
-mc::ScanPlan paper_plan(int k = 2) {
-  auto plan = mc::derive_spl(mgs::sim::k80_spec(), 4).plan;
-  plan.s13.k = k;
-  return plan;
-}
 
 /// Every `period`-th element starts a segment (plus a few random heads).
 std::vector<int> make_flags(std::int64_t n, std::int64_t period,
@@ -69,27 +65,21 @@ class SegmentedSweep : public ::testing::TestWithParam<SegCase> {};
 
 TEST_P(SegmentedSweep, MatchesReference) {
   const auto c = GetParam();
-  mgs::simt::Device dev(0, mgs::sim::k80_spec());
-  const auto plan = paper_plan();
+  auto cluster = mgs::topo::single_gpu_cluster(mgs::sim::k80_spec());
+  mc::ScanContext ctx(cluster);
   const auto values = mgs::util::random_i32(static_cast<std::size_t>(c.n),
                                             static_cast<std::uint64_t>(c.n));
   const auto flags = make_flags(c.n, c.period, 11);
 
-  auto in = dev.alloc<int>(c.n);
-  auto fl = dev.alloc<int>(c.n);
-  auto out = dev.alloc<int>(c.n);
-  std::copy(values.begin(), values.end(), in.host_span().begin());
-  std::copy(flags.begin(), flags.end(), fl.host_span().begin());
-
-  const auto r = mc::segmented_scan_sp<int>(dev, in, fl, out, c.n, plan);
+  mc::SegmentedScan<int> seg(ctx, "Scan-SP");
+  seg.prepare(c.n);
+  std::vector<int> out(values.size());
+  const auto r = seg.run(values, flags, out);
   EXPECT_GT(r.seconds, 0.0);
-  EXPECT_GT(r.breakdown.get("Pack"), 0.0);
-  EXPECT_GT(r.breakdown.get("Unpack"), 0.0);
 
-  std::vector<int> vflags(flags.begin(), flags.end());
-  const auto want = reference_segmented_scan<int>(values, vflags);
+  const auto want = reference_segmented_scan<int>(values, flags);
   for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(out.host_span()[i], want[i]) << "i=" << i;
+    ASSERT_EQ(out[i], want[i]) << "i=" << i;
   }
 }
 
@@ -103,27 +93,55 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SegmentedSweep,
 TEST(Segmented, FlagOverheadCostsTime) {
   // The paper's observation about Thrust: carrying a flag array reduces
   // performance. The segmented scan must be measurably slower than the
-  // plain scan of the same values.
-  mgs::simt::Device dev(0, mgs::sim::k80_spec());
-  const auto plan = paper_plan();
+  // plain scan of the same values on the same context.
+  auto cluster = mgs::topo::single_gpu_cluster(mgs::sim::k80_spec());
+  mc::ScanContext ctx(cluster);
   const std::int64_t n = 1 << 18;
-  auto in = dev.alloc<int>(n);
-  auto fl = dev.alloc<int>(n);
-  auto out = dev.alloc<int>(n);
+  const std::vector<int> values(static_cast<std::size_t>(n));
+  const std::vector<int> flags(values.size());
+  std::vector<int> out(values.size());
 
-  const auto seg = mc::segmented_scan_sp<int>(dev, in, fl, out, n, plan);
-  const auto plain =
-      mc::scan_sp<int>(dev, in, out, n, 1, plan, mc::ScanKind::kInclusive);
-  EXPECT_GT(seg.seconds, 1.5 * plain.seconds);
+  mc::SegmentedScan<int> seg(ctx, "Scan-SP");
+  seg.prepare(n);
+  const auto segmented = seg.run(values, flags, out);
+  auto plain = mc::make_executor("Scan-SP", ctx);
+  plain->prepare(n, 1);
+  const auto scanned = plain->run(values, out, mc::ScanKind::kInclusive);
+  EXPECT_GT(segmented.seconds, 1.5 * scanned.seconds);
+}
+
+TEST(Segmented, OutOverlappingFlagsMatchesDisjointOut) {
+  // `out` one element into `flags`: the unpack writes out[i-1] before it
+  // handles element i, so the heads must come from the packed copy, not
+  // from the caller's flags.
+  constexpr std::int64_t n = 1 << 12;
+  constexpr std::int64_t g = 2;
+  const auto elems = static_cast<std::size_t>(n * g);
+  const auto values = mgs::util::random_i32(elems, 5);
+  const auto flags = make_flags(n * g, 97, 13);
+  auto cluster = mgs::topo::single_gpu_cluster(mgs::sim::k80_spec());
+  mc::ScanContext ctx(cluster);
+  mc::SegmentedScan<int> seg(ctx, "Scan-SP");
+  seg.prepare(n, g);
+  for (const auto kind : {mc::ScanKind::kInclusive, mc::ScanKind::kExclusive}) {
+    std::vector<int> buf(elems + 1);
+    std::copy(flags.begin(), flags.end(), buf.begin());
+    std::vector<int> want(elems);
+    seg.run(values, std::span<const int>(buf).first(elems), want, kind);
+    seg.run(values, std::span<const int>(buf).first(elems),
+            std::span<int>(buf).subspan(1), kind);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), buf.begin() + 1))
+        << mc::to_string(kind);
+  }
 }
 
 namespace {
 
 /// SegmentedScan over Scan-SP, Scan-MPS sync and Scan-MPS overlap against
-/// G sequential calls of the free per-sequence segmented_scan_sp. Integral
+/// the serial reference, applied one sequence at a time. Integral
 /// operators are association-free, so the outputs must match bit for bit.
 template <typename T, typename Op>
-void expect_executors_match_free_path() {
+void expect_executors_match_reference() {
   constexpr std::int64_t n = 1 << 12;
   constexpr std::int64_t g = 8;
   const auto seed = mgs::util::random_i32(static_cast<std::size_t>(n * g), 7);
@@ -133,21 +151,15 @@ void expect_executors_match_free_path() {
     flags[i] = (seed[i] & 63) == 0 ? T{1} : T{0};
   }
 
-  std::vector<T> expected(values.size());
-  mgs::simt::Device dev(0, mgs::sim::k80_spec());
-  const auto plan = paper_plan();
-  auto in = dev.alloc<T>(n);
-  auto fl = dev.alloc<T>(n);
-  auto out = dev.alloc<T>(n);
+  std::vector<T> expected;
   for (std::int64_t j = 0; j < g; ++j) {
-    const auto base = static_cast<std::ptrdiff_t>(j * n);
-    std::copy(values.begin() + base, values.begin() + base + n,
-              in.host_span().begin());
-    std::copy(flags.begin() + base, flags.begin() + base + n,
-              fl.host_span().begin());
-    mc::segmented_scan_sp<T, Op>(dev, in, fl, out, n, plan);
-    std::copy(out.host_span().begin(), out.host_span().begin() + n,
-              expected.begin() + base);
+    const auto rows = [&](const std::vector<T>& v) {
+      return std::span<const T>(v).subspan(static_cast<std::size_t>(j * n),
+                                           static_cast<std::size_t>(n));
+    };
+    const auto seq =
+        reference_segmented_scan<T, Op>(rows(values), rows(flags));
+    expected.insert(expected.end(), seq.begin(), seq.end());
   }
 
   auto cluster = mgs::topo::tsubame_kfc_cluster(1);
@@ -174,10 +186,10 @@ void expect_executors_match_free_path() {
 
 }  // namespace
 
-TEST(SegmentedScan, ExecutorsMatchFreePathI32Plus) {
-  expect_executors_match_free_path<std::int32_t, mc::Plus<std::int32_t>>();
+TEST(SegmentedScan, ExecutorsMatchReferenceI32Plus) {
+  expect_executors_match_reference<std::int32_t, mc::Plus<std::int32_t>>();
 }
 
-TEST(SegmentedScan, ExecutorsMatchFreePathI64Min) {
-  expect_executors_match_free_path<std::int64_t, mc::Min<std::int64_t>>();
+TEST(SegmentedScan, ExecutorsMatchReferenceI64Min) {
+  expect_executors_match_reference<std::int64_t, mc::Min<std::int64_t>>();
 }

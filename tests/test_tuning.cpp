@@ -154,8 +154,8 @@ TEST(ProbePlans, EndToEndOnSimulator) {
   const std::int64_t g = 4;
 
   mgs::simt::Device dev(0, spec);
-  auto in = dev.alloc<int>(n * g);
-  auto out = dev.alloc<int>(n * g);
+  const std::vector<int> in(static_cast<std::size_t>(n * g));
+  std::vector<int> out(in.size());
   const auto r = mc::probe_plans(
       k_plans({1, 2, 4, 8, 16}), [&](const mc::ScanPlan& p) {
         return mc::scan_sp<int>(dev, in, out, n, g, p,
