@@ -200,12 +200,9 @@ inline core::RunResult baseline_run(const std::string& name,
                                     std::span<const int> data, std::int64_t n,
                                     std::int64_t g) {
   simt::Device dev(0, sim::k80_spec());
-  auto in = dev.alloc<std::int32_t>(n * g);
-  auto out = dev.alloc<std::int32_t>(n * g);
-  std::copy(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(n * g),
-            in.host_span().begin());
-  return baselines::baseline_by_name(name)
-      .run_batch(dev, in, out, n, g, core::ScanKind::kInclusive);
+  std::vector<int> out(static_cast<std::size_t>(n * g));
+  return baselines::run_baseline(name, dev, data, out, n, g,
+                                 core::ScanKind::kInclusive);
 }
 
 /// Scan-MP-PC with Y networks x V GPUs on a fresh one-node cluster.

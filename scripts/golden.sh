@@ -6,6 +6,8 @@
 # library columns (Figures 10 and 13 also on the overlap pipeline), the
 # scaling study (including Scan-MPS-direct), the Section 5.2 (M, W)
 # combinations and the segmented scan through Scan-SP and Scan-MPS W=4.
+# Only the points are kept; CI prints the library comparison (Figures
+# 11-12) and cascade ablation tables in steps of their own.
 #
 #   scripts/golden.sh BUILD_DIR OUT
 #

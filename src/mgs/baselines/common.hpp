@@ -7,7 +7,6 @@
 /// (temp-buffer allocation, plan lookup, host synchronization -- whatever
 /// the real library pays per call). See DESIGN.md, "Substitutions".
 
-#include <functional>
 #include <string>
 
 #include "mgs/core/plan.hpp"
@@ -42,33 +41,6 @@ inline void charge_host_overhead(simt::Device& dev,
   const double s = traits.per_call_overhead_us * 1e-6;
   dev.clock().advance(s);
   result.breakdown.add("HostAPI", s);
-}
-
-/// Run a single-problem scanner G times (the paper's methodology for
-/// Thrust / ModernGPU / CUB / LightScan, none of which had batch support:
-/// "the corresponding function is also invoked G times"). Calls after the
-/// first pay the library's loop_extra_us (see BaselineTraits).
-template <typename T, typename ScanFn>
-core::RunResult run_per_problem_batch(simt::Device& dev,
-                                      const simt::DeviceBuffer<T>& in,
-                                      simt::DeviceBuffer<T>& out,
-                                      std::int64_t n, std::int64_t g,
-                                      const BaselineTraits& traits,
-                                      ScanFn scan_one) {
-  core::RunResult total;
-  total.payload_bytes = 2ull * static_cast<std::uint64_t>(n) * g * sizeof(T);
-  const double start = dev.clock().now();
-  for (std::int64_t p = 0; p < g; ++p) {
-    if (p > 0 && traits.loop_extra_us > 0.0) {
-      const double s = traits.loop_extra_us * 1e-6;
-      dev.clock().advance(s);
-      total.breakdown.add("HostLoopChurn", s);
-    }
-    core::RunResult r = scan_one(dev, in, out, p * n, n);
-    total.breakdown.merge(r.breakdown);
-  }
-  total.seconds = dev.clock().now() - start;
-  return total;
 }
 
 }  // namespace mgs::baselines

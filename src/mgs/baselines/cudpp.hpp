@@ -189,12 +189,4 @@ core::RunResult cudpp_multiscan(simt::Device& dev,
   return result;
 }
 
-/// Single-problem CUDPP scan (G = 1 multiScan).
-template <typename T, typename Op = core::Plus<T>>
-core::RunResult cudpp_scan(simt::Device& dev, const simt::DeviceBuffer<T>& in,
-                           simt::DeviceBuffer<T>& out, std::int64_t n,
-                           core::ScanKind kind, Op op = {}) {
-  return cudpp_multiscan(dev, in, out, n, 1, kind, op);
-}
-
 }  // namespace mgs::baselines

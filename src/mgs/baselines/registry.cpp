@@ -1,178 +1,84 @@
 #include "mgs/baselines/registry.hpp"
 
-#include <algorithm>
-
 #include "mgs/baselines/cub.hpp"
 #include "mgs/baselines/cudpp.hpp"
 #include "mgs/baselines/lightscan.hpp"
 #include "mgs/baselines/moderngpu.hpp"
 #include "mgs/baselines/thrust.hpp"
+#include "mgs/core/rows.hpp"
 
 namespace mgs::baselines {
 
 namespace {
 
 using Buffer = simt::DeviceBuffer<std::int32_t>;
+using Plus = core::Plus<std::int32_t>;
 
-/// Wrap a single-problem scanner as a G-invocation batch runner.
-template <typename ScanOne>
-BaselineRunner per_problem_runner(BaselineTraits traits, ScanOne scan_one) {
-  BaselineRunner r;
-  r.traits = std::move(traits);
-  const BaselineTraits traits_copy = r.traits;
-  r.run_batch = [scan_one, traits_copy](simt::Device& dev, const Buffer& in,
-                                        Buffer& out, std::int64_t n,
-                                        std::int64_t g, core::ScanKind kind) {
-    return run_per_problem_batch<std::int32_t>(
-        dev, in, out, n, g, traits_copy,
-        [&](simt::Device& d, const Buffer& i, Buffer& o, std::int64_t off,
-            std::int64_t len) { return scan_one(d, i, o, off, len, kind); });
-  };
-  return r;
-}
+/// A single-problem model: scan in[offset, offset+n) into out.
+using ScanOne = core::RunResult (*)(simt::Device&, const Buffer&, Buffer&,
+                                    std::int64_t, std::int64_t,
+                                    core::ScanKind, Plus);
 
-std::vector<BaselineRunner> build_registry() {
-  std::vector<BaselineRunner> list;
-
-  BaselineRunner cudpp;
-  cudpp.traits = cudpp_traits();
-  cudpp.run_batch = [](simt::Device& dev, const Buffer& in, Buffer& out,
-                       std::int64_t n, std::int64_t g, core::ScanKind kind) {
-    return cudpp_multiscan<std::int32_t>(dev, in, out, n, g, kind);
-  };
-  list.push_back(std::move(cudpp));
-
-  list.push_back(per_problem_runner(
-      thrust_traits(),
-      [](simt::Device& d, const Buffer& i, Buffer& o, std::int64_t off,
-         std::int64_t len, core::ScanKind kind) {
-        return thrust_scan<std::int32_t>(d, i, o, off, len, kind);
-      }));
-
-  list.push_back(per_problem_runner(
-      moderngpu_traits(),
-      [](simt::Device& d, const Buffer& i, Buffer& o, std::int64_t off,
-         std::int64_t len, core::ScanKind kind) {
-        return moderngpu_scan<std::int32_t>(d, i, o, off, len, kind);
-      }));
-
-  list.push_back(per_problem_runner(
-      cub_traits(),
-      [](simt::Device& d, const Buffer& i, Buffer& o, std::int64_t off,
-         std::int64_t len, core::ScanKind kind) {
-        return cub_scan<std::int32_t>(d, i, o, off, len, kind);
-      }));
-
-  list.push_back(per_problem_runner(
-      lightscan_traits(),
-      [](simt::Device& d, const Buffer& i, Buffer& o, std::int64_t off,
-         std::int64_t len, core::ScanKind kind) {
-        return lightscan_scan<std::int32_t>(d, i, o, off, len, kind);
-      }));
-
-  return list;
+ScanOne per_problem_model(const std::string& name) {
+  if (name == "Thrust") return &thrust_scan<std::int32_t, Plus>;
+  if (name == "ModernGPU") return &moderngpu_scan<std::int32_t, Plus>;
+  if (name == "CUB") return &cub_scan<std::int32_t, Plus>;
+  if (name == "LightScan") return &lightscan_scan<std::int32_t, Plus>;
+  throw util::Error("no per-problem model for baseline '" + name + "'");
 }
 
 }  // namespace
 
-const std::vector<BaselineRunner>& all_baselines() {
-  static const std::vector<BaselineRunner> registry = build_registry();
-  return registry;
+const std::vector<BaselineTraits>& all_baselines() {
+  static const std::vector<BaselineTraits> list = {
+      cudpp_traits(), thrust_traits(), moderngpu_traits(), cub_traits(),
+      lightscan_traits()};
+  return list;
 }
 
-const BaselineRunner& baseline_by_name(const std::string& name) {
-  for (const auto& b : all_baselines()) {
-    if (b.traits.name == name) return b;
+const BaselineTraits& baseline_by_name(const std::string& name) {
+  for (const auto& t : all_baselines()) {
+    if (t.name == name) return t;
   }
   throw util::Error("unknown baseline '" + name + "'");
 }
 
-namespace {
-
-/// Monomorphic tail of the erased entry point: stage, run, unstage.
-template <typename T, typename Op>
-core::RunResult run_baseline_typed(const std::string& name, simt::Device& dev,
-                                   std::span<const T> in, std::span<T> out,
-                                   std::int64_t n, std::int64_t g,
-                                   core::ScanKind kind) {
-  MGS_REQUIRE(n > 0 && g > 0, "run_baseline: N and G must be positive");
-  MGS_REQUIRE(static_cast<std::int64_t>(in.size()) >= n * g &&
-                  static_cast<std::int64_t>(out.size()) >= n * g,
-              "run_baseline: spans must hold N*G elements");
-  auto din = dev.alloc<T>(n * g);
-  auto dout = dev.alloc<T>(n * g);
-  std::copy(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(n * g),
-            din.host_span().begin());
-
-  core::RunResult r;
-  if (name == "CUDPP") {
-    r = cudpp_multiscan<T, Op>(dev, din, dout, n, g, kind);
-  } else {
-    const BaselineTraits traits = baseline_by_name(name).traits;
-    r = run_per_problem_batch<T>(
-        dev, din, dout, n, g, traits,
-        [&](simt::Device& d, const simt::DeviceBuffer<T>& i,
-            simt::DeviceBuffer<T>& o, std::int64_t off, std::int64_t len) {
-          if (name == "Thrust") return thrust_scan<T, Op>(d, i, o, off, len, kind);
-          if (name == "ModernGPU") {
-            return moderngpu_scan<T, Op>(d, i, o, off, len, kind);
-          }
-          if (name == "CUB") return cub_scan<T, Op>(d, i, o, off, len, kind);
-          if (name == "LightScan") {
-            return lightscan_scan<T, Op>(d, i, o, off, len, kind);
-          }
-          throw util::Error("unknown baseline '" + name + "'");
-        });
-  }
-  const auto produced = dout.host_span();
-  std::copy(produced.begin(),
-            produced.begin() + static_cast<std::ptrdiff_t>(n * g),
-            out.begin());
-  return r;
-}
-
-/// Second dispatch level: operator column for a fixed element type.
-template <typename T>
-core::RunResult run_baseline_for(const std::string& name, simt::Device& dev,
-                                 core::ConstTypedSpan in, core::TypedSpan out,
-                                 std::int64_t n, std::int64_t g,
-                                 core::ScanKind kind, core::OpTag op) {
-  switch (op) {
-    case core::OpTag::kPlus:
-      return run_baseline_typed<T, core::Plus<T>>(name, dev, in.as<T>(),
-                                                  out.as<T>(), n, g, kind);
-    case core::OpTag::kMax:
-      return run_baseline_typed<T, core::Max<T>>(name, dev, in.as<T>(),
-                                                 out.as<T>(), n, g, kind);
-    case core::OpTag::kMin:
-      return run_baseline_typed<T, core::Min<T>>(name, dev, in.as<T>(),
-                                                 out.as<T>(), n, g, kind);
-  }
-  throw util::Error("run_baseline: unknown operator tag");
-}
-
-}  // namespace
-
 core::RunResult run_baseline(const std::string& name, simt::Device& dev,
-                             core::ConstTypedSpan in, core::TypedSpan out,
-                             std::int64_t n, std::int64_t g,
-                             core::ScanKind kind, core::OpTag op) {
-  switch (in.dtype) {
-    case core::DType::kI32:
-      return run_baseline_for<std::int32_t>(name, dev, in, out, n, g, kind,
-                                            op);
-    case core::DType::kI64:
-      return run_baseline_for<std::int64_t>(name, dev, in, out, n, g, kind,
-                                            op);
-    case core::DType::kU32:
-      return run_baseline_for<std::uint32_t>(name, dev, in, out, n, g, kind,
-                                             op);
-    case core::DType::kF32:
-      return run_baseline_for<float>(name, dev, in, out, n, g, kind, op);
-    case core::DType::kF64:
-      return run_baseline_for<double>(name, dev, in, out, n, g, kind, op);
+                             std::span<const std::int32_t> in,
+                             std::span<std::int32_t> out, std::int64_t n,
+                             std::int64_t g, core::ScanKind kind) {
+  const BaselineTraits& traits = baseline_by_name(name);
+  MGS_REQUIRE(n > 0 && g > 0, "run_baseline: N and G must be positive");
+  core::detail::require_rows<std::int32_t>(in, out, n * g);
+  // Read-only through `in` by contract: the models only ever store
+  // through `out`.
+  const auto src = dev.borrow(
+      std::span<std::int32_t>(const_cast<std::int32_t*>(in.data()), in.size()));
+  auto dst = dev.borrow(out);
+
+  if (traits.native_batch) {
+    return cudpp_multiscan<std::int32_t>(dev, src, dst, n, g, kind);
   }
-  throw util::Error("run_baseline: unknown dtype");
+
+  // The paper's methodology for the libraries without batch support: "the
+  // corresponding function is also invoked G times". Calls after the first
+  // pay the library's loop_extra_us (see BaselineTraits).
+  const ScanOne scan_one = per_problem_model(name);
+  core::RunResult total;
+  total.payload_bytes =
+      2ull * static_cast<std::uint64_t>(n) * g * sizeof(std::int32_t);
+  const double start = dev.clock().now();
+  for (std::int64_t p = 0; p < g; ++p) {
+    if (p > 0 && traits.loop_extra_us > 0.0) {
+      const double s = traits.loop_extra_us * 1e-6;
+      dev.clock().advance(s);
+      total.breakdown.add("HostLoopChurn", s);
+    }
+    const core::RunResult r = scan_one(dev, src, dst, p * n, n, kind, Plus{});
+    total.breakdown.merge(r.breakdown);
+  }
+  total.seconds = dev.clock().now() - start;
+  return total;
 }
 
 }  // namespace mgs::baselines

@@ -5,21 +5,30 @@
 /// primitive: chunk reductions with the cascade skeleton, then one small
 /// kernel folds each problem's chunk totals.
 
+#include <span>
+
 #include "mgs/core/kernels.hpp"
 
 namespace mgs::core {
 
 /// Reduce each of the `g` problems of `n` contiguous elements in `in`
-/// into `out[p]` (out must hold at least g elements).
+/// into `out[p]` (out must hold at least g elements). Both spans are
+/// borrowed in place as memory of `dev`, as in scan_sp.
 template <typename T, typename Op = Plus<T>>
-RunResult reduce_sp(simt::Device& dev, const simt::DeviceBuffer<T>& in,
-                    simt::DeviceBuffer<T>& out, std::int64_t n,
-                    std::int64_t g, const StagePlan& sp, Op op = {}) {
+RunResult reduce_sp(simt::Device& dev, std::span<const T> in,
+                    std::span<T> out, std::int64_t n, std::int64_t g,
+                    const StagePlan& sp, Op op = {}) {
   sp.validate();
   MGS_REQUIRE(sp.ly == 1, "reduce_sp: stage-1 plans put one problem per block");
   MGS_REQUIRE(n > 0 && g > 0, "reduce_sp: N and G must be positive");
-  MGS_REQUIRE(in.size() >= n * g, "reduce_sp: input too small");
-  MGS_REQUIRE(out.size() >= g, "reduce_sp: output must hold G totals");
+  MGS_REQUIRE(static_cast<std::int64_t>(in.size()) >= n * g,
+              "reduce_sp: input too small");
+  MGS_REQUIRE(static_cast<std::int64_t>(out.size()) >= g,
+              "reduce_sp: output must hold G totals");
+  // Read-only through `in` by contract: only `out` is stored through.
+  const auto src =
+      dev.borrow(std::span<T>(const_cast<T*>(in.data()), in.size()));
+  const auto dst = dev.borrow(out);
 
   const BatchLayout lay = make_layout(n, g, sp);
   RunResult result;
@@ -27,7 +36,7 @@ RunResult reduce_sp(simt::Device& dev, const simt::DeviceBuffer<T>& in,
   const double start = dev.clock().now();
 
   auto aux = dev.alloc<T>(lay.aux_elems());
-  const auto t1 = launch_chunk_reduce(dev, in, aux, lay, sp, op);
+  const auto t1 = launch_chunk_reduce(dev, src, aux, lay, sp, op);
   result.breakdown.add("ChunkReduce", t1.seconds);
 
   // Fold each problem's bx chunk totals: one warp per problem row.
@@ -42,7 +51,7 @@ RunResult reduce_sp(simt::Device& dev, const simt::DeviceBuffer<T>& in,
   cfg.block = {simt::kWarpSize, rows_per_block, 1};
   cfg.regs_per_thread = 24;
   const auto auxv = aux.view();
-  const auto outv = out.view();
+  const auto outv = dst.view();
   const std::int64_t bx = lay.bx;
   const auto t2 = simt::launch(dev, cfg, [=](simt::BlockCtx& ctx) {
     for (int r = 0; r < rows_per_block; ++r) {

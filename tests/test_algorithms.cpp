@@ -137,17 +137,15 @@ TEST_P(ReduceSweep, MatchesSerialTotals) {
   plan.s13.k = c.k;
   const auto data = mgs::util::random_i32(
       static_cast<std::size_t>(c.n * c.g), static_cast<std::uint64_t>(c.n));
-  auto in = dev.alloc<int>(c.n * c.g);
-  auto out = dev.alloc<int>(c.g);
-  std::copy(data.begin(), data.end(), in.host_span().begin());
+  std::vector<int> out(static_cast<std::size_t>(c.g));
 
-  const auto r = mc::reduce_sp<int>(dev, in, out, c.n, c.g, plan.s13);
+  const auto r = mc::reduce_sp<int>(dev, data, out, c.n, c.g, plan.s13);
   EXPECT_GT(r.seconds, 0.0);
   for (std::int64_t p = 0; p < c.g; ++p) {
     const int want = std::accumulate(
         data.begin() + static_cast<std::ptrdiff_t>(p * c.n),
         data.begin() + static_cast<std::ptrdiff_t>((p + 1) * c.n), 0);
-    ASSERT_EQ(out.host_span()[static_cast<std::size_t>(p)], want) << p;
+    ASSERT_EQ(out[static_cast<std::size_t>(p)], want) << p;
   }
 }
 
@@ -164,11 +162,9 @@ TEST(Reduce, MaxOperator) {
   const std::int64_t n = 30000;
   const auto data =
       mgs::util::random_i32(static_cast<std::size_t>(n), 9, -10000, 10000);
-  auto in = dev.alloc<int>(n);
-  auto out = dev.alloc<int>(1);
-  std::copy(data.begin(), data.end(), in.host_span().begin());
-  mc::reduce_sp<int, mc::Max<int>>(dev, in, out, n, 1, plan.s13);
-  EXPECT_EQ(out.host_span()[0], *std::max_element(data.begin(), data.end()));
+  std::vector<int> out(1);
+  mc::reduce_sp<int, mc::Max<int>>(dev, data, out, n, 1, plan.s13);
+  EXPECT_EQ(out[0], *std::max_element(data.begin(), data.end()));
 }
 
 TEST(Reduce, HalfTheTrafficOfAScan) {
@@ -177,22 +173,30 @@ TEST(Reduce, HalfTheTrafficOfAScan) {
   auto plan = mc::derive_spl(dev.spec(), 4).plan;
   plan.s13.k = 4;
   const std::int64_t n = 1 << 20;
-  auto in = dev.alloc<int>(n);
-  auto out1 = dev.alloc<int>(1);
+  const std::vector<int> in(static_cast<std::size_t>(n));
+  std::vector<int> out1(1);
   std::vector<int> out_scan(static_cast<std::size_t>(n));
   const auto r_reduce = mc::reduce_sp<int>(dev, in, out1, n, 1, plan.s13);
-  const auto r_scan = mc::scan_sp<int>(dev, in.host_span(), out_scan, n, 1,
-                                       plan, mc::ScanKind::kInclusive);
+  const auto r_scan = mc::scan_sp<int>(dev, in, out_scan, n, 1, plan,
+                                       mc::ScanKind::kInclusive);
   EXPECT_LT(r_reduce.seconds, 0.7 * r_scan.seconds);
 }
 
 TEST(Reduce, ArgumentValidation) {
   auto dev = make_device();
   auto plan = mc::derive_spl(dev.spec(), 4).plan;
-  auto in = dev.alloc<int>(64);
-  auto out = dev.alloc<int>(1);
-  EXPECT_THROW(mc::reduce_sp<int>(dev, in, out, 64, 2, plan.s13),
+  const std::vector<int> in(64);
+  std::vector<int> out(2);
+  EXPECT_THROW(mc::reduce_sp<int>(dev, in, std::span(out).first(1), 32, 2,
+                                  plan.s13),
                mgs::util::Error);  // out too small for G=2
   EXPECT_THROW(mc::reduce_sp<int>(dev, in, out, 0, 1, plan.s13),
                mgs::util::Error);
+  // An input shorter than N*G is refused, not read past its end.
+  EXPECT_THROW(mc::reduce_sp<int>(dev, in, out, 64, 2, plan.s13),
+               mgs::util::Error);
+  EXPECT_THROW(mc::reduce_sp<int>(dev, std::span(in).first(63), out, 64, 1,
+                                  plan.s13),
+               mgs::util::Error);
+  EXPECT_EQ(dev.clock().now(), 0.0);
 }

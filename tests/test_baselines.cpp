@@ -32,20 +32,17 @@ struct NamedCase {
 
 void check_batch(const NamedCase& c) {
   auto dev = make_device();
-  const auto& runner = mb::baseline_by_name(c.baseline);
   const auto data = mgs::util::random_i32(
       static_cast<std::size_t>(c.n * c.g),
       static_cast<std::uint64_t>(c.n * 31 + c.g));
-  auto in = dev.alloc<std::int32_t>(c.n * c.g);
-  auto out = dev.alloc<std::int32_t>(c.n * c.g);
-  std::copy(data.begin(), data.end(), in.host_span().begin());
+  std::vector<std::int32_t> out(data.size());
 
-  const auto r = runner.run_batch(dev, in, out, c.n, c.g, c.kind);
+  const auto r = mb::run_baseline(c.baseline, dev, data, out, c.n, c.g, c.kind);
   EXPECT_GT(r.seconds, 0.0);
 
   const auto want = mb::reference_batch_scan<std::int32_t>(data, c.n, c.g, c.kind);
   for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(out.host_span()[i], want[i])
+    ASSERT_EQ(out[i], want[i])
         << c.baseline << " n=" << c.n << " g=" << c.g << " i=" << i;
   }
 }
@@ -92,12 +89,17 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BaselineRegistry, FiveLibrariesRegistered) {
   const auto& all = mb::all_baselines();
   ASSERT_EQ(all.size(), 5u);
-  EXPECT_EQ(all[0].traits.name, "CUDPP");
-  EXPECT_TRUE(all[0].traits.native_batch);
+  EXPECT_EQ(all[0].name, "CUDPP");
+  EXPECT_TRUE(all[0].native_batch);
   for (std::size_t i = 1; i < all.size(); ++i) {
-    EXPECT_FALSE(all[i].traits.native_batch);
+    EXPECT_FALSE(all[i].native_batch);
   }
   EXPECT_THROW(mb::baseline_by_name("nccl"), mgs::util::Error);
+  auto dev = make_device();
+  std::vector<std::int32_t> in(16), out(16);
+  EXPECT_THROW(mb::run_baseline("nccl", dev, in, out, 16, 1,
+                                mc::ScanKind::kInclusive),
+               mgs::util::Error);
 }
 
 TEST(BaselinePerf, PerCallOverheadOrdering) {
@@ -121,48 +123,49 @@ TEST(BaselinePerf, PerCallOverheadOrdering) {
 }
 
 TEST(BaselinePerf, LoopChurnOnlyChargedBetweenCalls) {
-  // One invocation (G=1) must not pay the loop penalty.
   const std::int64_t n = 1 << 12;
-  auto d1 = make_device();
-  auto in1 = d1.alloc<std::int32_t>(n);
-  auto out1 = d1.alloc<std::int32_t>(n);
-  const auto single = mb::baseline_by_name("ModernGPU")
-                          .run_batch(d1, in1, out1, n, 1,
-                                     mc::ScanKind::kInclusive);
+  const std::vector<std::int32_t> in(4 * n, 1);
+  std::vector<std::int32_t> out(in.size());
+  const auto run = [&](const std::string& name, std::int64_t g) {
+    auto dev = make_device();
+    return mb::run_baseline(name, dev, in, out, n, g,
+                            mc::ScanKind::kInclusive);
+  };
+  // One invocation (G=1) must not pay the loop penalty.
+  const auto single = run("ModernGPU", 1);
   EXPECT_EQ(single.breakdown.get("HostLoopChurn"), 0.0);
 
-  auto d2 = make_device();
-  auto in2 = d2.alloc<std::int32_t>(4 * n);
-  auto out2 = d2.alloc<std::int32_t>(4 * n);
-  const auto batch = mb::baseline_by_name("ModernGPU")
-                         .run_batch(d2, in2, out2, n, 4,
-                                    mc::ScanKind::kInclusive);
+  // A per-problem library is invoked G times: G host-API charges, and
+  // loop churn between consecutive calls.
+  const auto batch = run("ModernGPU", 4);
+  EXPECT_NEAR(batch.breakdown.get("HostAPI"),
+              4 * mb::moderngpu_traits().per_call_overhead_us * 1e-6, 1e-12);
   EXPECT_NEAR(batch.breakdown.get("HostLoopChurn"),
               3 * mb::moderngpu_traits().loop_extra_us * 1e-6, 1e-12);
+
+  // CUDPP's native multiScan is one invocation for all G problems.
+  const auto native = run("CUDPP", 4);
+  EXPECT_NEAR(native.breakdown.get("HostAPI"),
+              mb::cudpp_traits().per_call_overhead_us * 1e-6, 1e-12);
+  EXPECT_EQ(native.breakdown.get("HostLoopChurn"), 0.0);
 }
 
 TEST(BaselinePerf, CubIsFastestSingleGpuAtLargeN) {
   // "CUB already runs at nearly the maximum theoretical rate" -- at large
   // N, CUB must beat every other library model on one GPU.
   const std::int64_t n = 1 << 22;
-  double cub_time = 0.0;
-  for (const auto& b : mb::all_baselines()) {
+  const std::vector<std::int32_t> in(n);
+  std::vector<std::int32_t> out(n);
+  const auto seconds = [&](const std::string& name) {
     auto dev = make_device();
-    auto in = dev.alloc<std::int32_t>(n);
-    auto out = dev.alloc<std::int32_t>(n);
-    const auto r = b.run_batch(dev, in, out, n, 1, mc::ScanKind::kInclusive);
-    if (b.traits.name == "CUB") {
-      cub_time = r.seconds;
-    }
-  }
+    return mb::run_baseline(name, dev, in, out, n, 1, mc::ScanKind::kInclusive)
+        .seconds;
+  };
+  const double cub_time = seconds("CUB");
   ASSERT_GT(cub_time, 0.0);
   for (const auto& b : mb::all_baselines()) {
-    if (b.traits.name == "CUB") continue;
-    auto dev = make_device();
-    auto in = dev.alloc<std::int32_t>(n);
-    auto out = dev.alloc<std::int32_t>(n);
-    const auto r = b.run_batch(dev, in, out, n, 1, mc::ScanKind::kInclusive);
-    EXPECT_GT(r.seconds, cub_time) << b.traits.name;
+    if (b.name == "CUB") continue;
+    EXPECT_GT(seconds(b.name), cub_time) << b.name;
   }
 }
 
@@ -189,16 +192,14 @@ TEST(BaselinePerf, CudppMultiscanBeatsPerProblemInvocationAtLargeG) {
   // with comparable kernels (ModernGPU) must lose badly at large G.
   const std::int64_t n = 1 << 12;
   const std::int64_t g = 256;
+  const std::vector<std::int32_t> in(n * g);
+  std::vector<std::int32_t> out(n * g);
   auto d1 = make_device();
-  auto in1 = d1.alloc<std::int32_t>(n * g);
-  auto out1 = d1.alloc<std::int32_t>(n * g);
-  const auto cudpp = mb::baseline_by_name("CUDPP").run_batch(
-      d1, in1, out1, n, g, mc::ScanKind::kInclusive);
+  const auto cudpp = mb::run_baseline("CUDPP", d1, in, out, n, g,
+                                      mc::ScanKind::kInclusive);
   auto d2 = make_device();
-  auto in2 = d2.alloc<std::int32_t>(n * g);
-  auto out2 = d2.alloc<std::int32_t>(n * g);
-  const auto mgpu = mb::baseline_by_name("ModernGPU").run_batch(
-      d2, in2, out2, n, g, mc::ScanKind::kInclusive);
+  const auto mgpu = mb::run_baseline("ModernGPU", d2, in, out, n, g,
+                                     mc::ScanKind::kInclusive);
   EXPECT_GT(mgpu.seconds / cudpp.seconds, 5.0);
 }
 
@@ -235,4 +236,51 @@ TEST(Baselines, OffsetInvocationScansSubrangeOnly) {
   EXPECT_EQ(out.host_span()[static_cast<std::size_t>(2 * n - 1)],
             static_cast<std::int32_t>(n));
   EXPECT_EQ(out.host_span()[static_cast<std::size_t>(2 * n)], -77);
+}
+
+TEST(Baselines, OutOverlappingInThrowsForEveryLibrary) {
+  // An `out` that shares only part of `in`'s memory would be read after
+  // it was written; the entry refuses it before any model runs.
+  const std::int64_t n = 3000;
+  const std::int64_t g = 2;
+  std::vector<std::int32_t> buf(static_cast<std::size_t>(n * g + 4), 1);
+  const std::span<std::int32_t> all(buf);
+  for (const auto& b : mb::all_baselines()) {
+    for (const auto kind :
+         {mc::ScanKind::kInclusive, mc::ScanKind::kExclusive}) {
+      auto dev = make_device();
+      EXPECT_THROW(mb::run_baseline(b.name, dev, all.first(n * g),
+                                    all.subspan(4), n, g, kind),
+                   mgs::util::Error)
+          << b.name;
+      EXPECT_EQ(dev.clock().now(), 0.0) << b.name;
+    }
+  }
+}
+
+TEST(Baselines, InPlaceMatchesReferenceOrThrows) {
+  // out == in: each library either scans in place correctly or refuses
+  // (CUDPP's inclusive fixup re-reads the input, so it refuses).
+  const std::int64_t n = 5000;  // no library's tile size divides it
+  const std::int64_t g = 3;
+  const auto data =
+      mgs::util::random_i32(static_cast<std::size_t>(n * g), 41);
+  for (const auto& b : mb::all_baselines()) {
+    for (const auto kind :
+         {mc::ScanKind::kInclusive, mc::ScanKind::kExclusive}) {
+      const auto want =
+          mb::reference_batch_scan<std::int32_t>(data, n, g, kind);
+      auto rows = data;
+      auto dev = make_device();
+      const bool exclusive = kind == mc::ScanKind::kExclusive;
+      try {
+        mb::run_baseline(b.name, dev, rows, rows, n, g, kind);
+      } catch (const mgs::util::Error&) {
+        EXPECT_FALSE(b.name == "CUDPP" && exclusive) << b.name;
+        continue;
+      }
+      EXPECT_FALSE(b.name == "CUDPP" && !exclusive) << b.name;
+      EXPECT_EQ(rows, want) << b.name << (exclusive ? " exc" : " inc");
+    }
+  }
 }

@@ -127,13 +127,9 @@ TEST(Property, AllImplementationsAgree) {
   // Every baseline library model.
   for (const auto& b : mb::all_baselines()) {
     st::Device dev(0, mgs::sim::k80_spec());
-    auto in = dev.alloc<std::int32_t>(n * g);
-    auto out = dev.alloc<std::int32_t>(n * g);
-    std::copy(data.begin(), data.end(), in.host_span().begin());
-    b.run_batch(dev, in, out, n, g, mc::ScanKind::kInclusive);
-    const std::vector<int> got(out.host_span().begin(),
-                               out.host_span().end());
-    EXPECT_EQ(got, want) << b.traits.name;
+    std::vector<int> got(data.size());
+    mb::run_baseline(b.name, dev, data, got, n, g, mc::ScanKind::kInclusive);
+    EXPECT_EQ(got, want) << b.name;
   }
 }
 
